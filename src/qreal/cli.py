@@ -27,7 +27,6 @@ import sys
 import numpy as np
 
 from .errors import QrealError
-from .lattice import com_family
 from .measure import (
     MeasurementModel,
     SearchResult,
@@ -40,14 +39,8 @@ from .measure import (
 )
 from .numlin import ToleranceConfig
 from .qlang import parse
-from .qlogic import (
-    Environment,
-    holds_in,
-    jointly_determinate,
-    jpd_exists,
-    nowhere_commuting,
-)
-from .spectral import Observable, spectral_family
+from .qlogic import Environment, _spectral_com, holds_in, jointly_determinate, jpd_exists
+from .spectral import Observable
 
 
 class DataError(QrealError):
@@ -88,8 +81,9 @@ def matrix_from_body(body: dict, path: str) -> np.ndarray:
     rows = body["matrix"]
     if not isinstance(dim, int) or dim < 1:
         raise DataError(f"{path}: 'dim' must be a positive integer")
-    if len(rows) != dim or any(len(row) != dim for row in rows):
-        raise DataError(f"{path}: matrix is not {dim}x{dim}")
+    if not (isinstance(rows, list) and len(rows) == dim
+            and all(isinstance(row, list) and len(row) == dim for row in rows)):
+        raise DataError(f"{path}: 'matrix' is not a {dim}x{dim} list of rows")
     return _complex_entries(rows, path, "matrix")
 
 
@@ -100,8 +94,8 @@ def state_from_body(body: dict, path: str) -> np.ndarray:
     entries = body["vector"]
     if not isinstance(dim, int) or dim < 1:
         raise DataError(f"{path}: 'dim' must be a positive integer")
-    if len(entries) != dim:
-        raise DataError(f"{path}: vector is not length {dim}")
+    if not isinstance(entries, list) or len(entries) != dim:
+        raise DataError(f"{path}: 'vector' is not a list of {dim} entries")
     vec = _complex_entries([entries], path, "vector")[0]
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > 1e-6:
@@ -145,8 +139,11 @@ def load_model(path: str, tol: ToleranceConfig) -> tuple[MeasurementModel, np.nd
         raise DataError(f"{path}: coupling deviates from unitarity by {drift:.3e}")
     u = _reunitarize(u)
     meter = matrix_from_body(body["meter"], path)
+    maps = body.get("label_maps") or {}
+    if not isinstance(maps, dict):
+        raise DataError(f"{path}: 'label_maps' must be an object")
     label_maps = {}
-    for name, pairs in (body.get("label_maps") or {}).items():
+    for name, pairs in maps.items():
         try:
             label_maps[name] = {float(eig): float(out) for eig, out in pairs}
         except (TypeError, ValueError) as exc:
@@ -341,10 +338,8 @@ def _cmd_jpd(args, tol: ToleranceConfig) -> int:
 def _cmd_com(args, tol: ToleranceConfig) -> int:
     a = load_observable(args.a, "A", tol)
     b = load_observable(args.b, "B", tol)
-    projections = list(spectral_family(a, tol=tol).projections)
-    projections.extend(spectral_family(b, tol=tol).projections)
-    proj = com_family(projections, tol=tol)
-    flag = nowhere_commuting(a, b, tol=tol)
+    proj = _spectral_com([a, b], tol)
+    flag = proj.rank == 0
     _emit({"rank": proj.rank, "nowhere_commuting": flag})
     return 0 if flag else 1
 

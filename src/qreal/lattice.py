@@ -1,12 +1,14 @@
 """The orthomodular lattice of orthogonal projections on C^n.
 
 Connectives are computed spectrally, not by iterated alternating
-projections: the meet is the eigenspace of P + Q at eigenvalue 2, and all
-other connectives are built from meet and complement.  Every operation
-funnels its result through an exact orthonormal-column construction
-(``Projection.onto``), which is the spectral snap to eigenvalues {0, 1};
-complements of snapped projections stay snapped, so tolerance drift cannot
-accumulate no matter how deeply expressions nest.
+projections: the meet is the eigenspace of P + Q at eigenvalue 2 (within
+``eig_cluster_tol``), and all other connectives are built from meet and
+complement.  Commutator subspaces are numerical kernels of stacked
+commutators (singular values within ``rank_tol``).  Every operation builds
+its result from orthonormal columns (``Projection._spanned``), which is the
+spectral snap to eigenvalues {0, 1}; complements of snapped projections stay
+snapped, so tolerance drift cannot accumulate no matter how deeply
+expressions nest.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import DimMismatchError, EmptyFamilyError
 from .numlin import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _eigenspace,
     as_square,
     null_basis,
     op_norm,
@@ -43,11 +46,8 @@ class Projection:
         if op_norm(m @ m - m) > tol.eq_tol * scale:
             raise ValueError("projection matrix is not idempotent within eq_tol")
         # Snap eigenvalues to {0, 1} so downstream algebra starts clean.
-        h = (m + m.conj().T) / 2.0
-        w, v = np.linalg.eigh(h)
-        cols = v[:, w > 0.5]
-        snapped = cols @ cols.conj().T
-        object.__setattr__(self, "matrix", _sym_readonly(snapped))
+        cols = _eigenspace(m, lo=0.5)
+        object.__setattr__(self, "matrix", _sym_readonly(cols @ cols.conj().T))
 
     def __setattr__(self, name, value):
         raise AttributeError("Projection is immutable")
@@ -57,6 +57,11 @@ class Projection:
         p = object.__new__(cls)
         object.__setattr__(p, "matrix", _sym_readonly(matrix))
         return p
+
+    @classmethod
+    def _spanned(cls, columns: np.ndarray) -> "Projection":
+        """Projection onto the span of orthonormal columns."""
+        return cls._trusted(columns @ columns.conj().T)
 
     @classmethod
     def zero(cls, dim: int) -> "Projection":
@@ -72,8 +77,7 @@ class Projection:
         cols = np.asarray(columns, dtype=complex)
         if cols.ndim == 1:
             cols = cols[:, None]
-        basis = range_basis(cols, tol)
-        return cls._trusted(basis @ basis.conj().T)
+        return cls._spanned(range_basis(cols, tol))
 
     @classmethod
     def rank1(cls, vector) -> "Projection":
@@ -149,10 +153,7 @@ def meet(p: Projection, q: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> Pr
     eig_cluster_tol), which is exactly the common fixed space.
     """
     _same_dim(p, q)
-    s = p.matrix + q.matrix
-    w, v = np.linalg.eigh((s + s.conj().T) / 2.0)
-    cols = v[:, w >= 2.0 - tol.eig_cluster_tol]
-    return Projection._trusted(cols @ cols.conj().T)
+    return Projection._spanned(_eigenspace(p.matrix + q.matrix, lo=2.0 - tol.eig_cluster_tol))
 
 
 def join(p: Projection, q: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
@@ -174,21 +175,13 @@ def biconditional(p: Projection, q: Projection, tol: ToleranceConfig = DEFAULT_T
 
 
 def com_pair(p: Projection, q: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
-    """Commutator projection (P∧Q) ∨ (P∧Q⊥) ∨ (P⊥∧Q) ∨ (P⊥∧Q⊥).
+    """Commutator projection of a pair: onto ker[P, Q].
 
-    Its range equals ker[P, Q], the largest subspace on which the pair
-    acts compatibly.
+    This is (P∧Q) ∨ (P∧Q⊥) ∨ (P⊥∧Q) ∨ (P⊥∧Q⊥), the largest subspace on
+    which the pair acts compatibly.  ker[P, Q] is invariant under P and Q,
+    so it is :func:`com_family` of the pair.
     """
-    _same_dim(p, q)
-    pc = complement(p, tol)
-    qc = complement(q, tol)
-    corners = (meet(p, q, tol), meet(p, qc, tol), meet(pc, q, tol), meet(pc, qc, tol))
-    # The four corners are mutually orthogonal, so the join is their sum.
-    total = corners[0].matrix + corners[1].matrix + corners[2].matrix + corners[3].matrix
-    h = (total + total.conj().T) / 2.0
-    w, v = np.linalg.eigh(h)
-    cols = v[:, w > 0.5]
-    return Projection._trusted(cols @ cols.conj().T)
+    return com_family([p, q], tol)
 
 
 def com_family(projections: Sequence[Projection], tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
@@ -226,4 +219,4 @@ def com_family(projections: Sequence[Projection], tol: ToleranceConfig = DEFAULT
             break
         basis = basis @ coeffs
 
-    return Projection._trusted(basis @ basis.conj().T)
+    return Projection._spanned(basis)

@@ -31,8 +31,8 @@ from .numlin import (
     op_norm,
     probe_compress,
 )
-from .qlogic import jointly_determinate, jpd_exists, nowhere_commuting, value_identity
-from .spectral import Observable, apply_value_map, spectral_family
+from .qlogic import jointly_determinate, jpd_exists, value_identity
+from .spectral import Observable, apply_value_map, cluster_indices, spectral_family
 
 
 class MeasurementModel:
@@ -128,22 +128,6 @@ def output_distribution(model: MeasurementModel, psi,
     }
 
 
-def _merged_values(values, gap: float) -> list[list[float]]:
-    """Cluster a list of values at the given gap (single linkage).
-
-    Returns the clusters themselves (not representatives), so membership
-    checks downstream can match any element exactly.
-    """
-    merged = sorted(values)
-    clusters: list[list[float]] = []
-    for v in merged:
-        if clusters and v - clusters[-1][-1] <= gap:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return clusters
-
-
 def measures_in_state(model: MeasurementModel, a: Observable, label_map: Mapping[float, float],
                       psi, tol: ToleranceConfig = DEFAULT_TOL) -> CorrelationCertificate:
     """Certify precise measurement of ``a`` in ``psi``: perfect correlation
@@ -158,8 +142,9 @@ def measures_in_state(model: MeasurementModel, a: Observable, label_map: Mapping
     fam_a = spectral_family(a, tol=tol)
     xi = model.probe_state
     defect = 0.0
-    targets = tuple(fam_a.eigenvalues) + tuple(float(v) for v in label_map.values())
-    for cluster in _merged_values(targets, tol.eig_cluster_tol):
+    targets = sorted(fam_a.eigenvalues + tuple(float(v) for v in label_map.values()))
+    for block in cluster_indices(targets, tol.eig_cluster_tol):
+        cluster = targets[block]
         left = np.zeros(model.joint_dim, dtype=complex)
         for lam, proj in fam_out.entries:
             if any(abs(lam - v) <= tol.eig_cluster_tol for v in cluster):
@@ -267,10 +252,11 @@ def simultaneously_measures(model: MeasurementModel, a: Observable, map_a: Mappi
 class ContextReport:
     """Full exhibit around one apparatus measuring two observables.
 
-    The meter-level equalities are evaluated through the lattice route
-    (value-identity projections on the joint space), independently of the
+    The meter-level equalities are evaluated as value-identity projections
+    on the joint space (a Gram-matrix kernel), independently of the
     vector-defect certificates, so agreement between the two is itself
-    evidence of correctness.
+    evidence of correctness.  ``nowhere_commuting`` is read off the same
+    commutator projection as ``jointly_determinate``: its rank is zero.
     """
 
     cert_a: CorrelationCertificate
@@ -350,7 +336,7 @@ def context_report(model: MeasurementModel, a: Observable, map_a: Mapping[float,
         cert_a=pair.cert_a,
         cert_b=pair.cert_b,
         both_passed=pair.both,
-        nowhere_commuting=nowhere_commuting(a, b, tol=tol),
+        nowhere_commuting=proj.rank == 0,
         jointly_determinate=flag,
         determinateness_rank=proj.rank,
         jpd_exists=jpd_flag,

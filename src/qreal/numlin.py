@@ -128,8 +128,16 @@ def range_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def null_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (as columns) of the numerical kernel of ``matrix``."""
+    """Orthonormal basis (as columns) of the numerical kernel of ``matrix``.
+
+    Singular values at or below ``rank_tol * max(largest, 1)`` count as
+    zero.  A tall input is first reduced to its triangular QR factor, which
+    has the same singular values and right singular vectors, so memory stays
+    at rows x cols however many rows are stacked.
+    """
     m = as_operator(matrix)
+    if m.shape[0] > m.shape[1]:
+        m = np.linalg.qr(m, mode="r")
     _, s, vh = np.linalg.svd(m, full_matrices=True)
     cutoff = tol.rank_tol * max(float(s[0]) if s.size else 0.0, 1.0)
     rank = int(np.sum(s > cutoff))
@@ -140,6 +148,13 @@ def _check_orthonormal(basis: np.ndarray, tol: ToleranceConfig) -> None:
     gram = basis.conj().T @ basis
     if op_norm(gram - np.eye(basis.shape[1])) > tol.eq_tol * max(1.0, op_norm(gram)):
         raise NotOrthonormalInputError("basis columns are not orthonormal within eq_tol")
+
+
+def _eigenspace(matrix: np.ndarray, lo: float = -np.inf, hi: float = np.inf) -> np.ndarray:
+    """Orthonormal eigenvectors (as columns) of the Hermitian part of
+    ``matrix`` whose eigenvalues lie in [lo, hi]."""
+    w, v = np.linalg.eigh((matrix + matrix.conj().T) / 2.0)
+    return v[:, (w >= lo) & (w <= hi)]
 
 
 def subspace_intersection(
@@ -160,9 +175,7 @@ def subspace_intersection(
     _check_orthonormal(b, tol)
     if a.shape[1] == 0 or b.shape[1] == 0:
         return a[:, :0]
-    summed = a @ a.conj().T + b @ b.conj().T
-    w, v = np.linalg.eigh((summed + summed.conj().T) / 2.0)
-    return v[:, w >= 2.0 - tol.eig_cluster_tol]
+    return _eigenspace(a @ a.conj().T + b @ b.conj().T, lo=2.0 - tol.eig_cluster_tol)
 
 
 def kron(a, b) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from . import lattice
 from .errors import DimMismatchError, UnboundObservableError
 from .lattice import Projection
-from .numlin import DEFAULT_TOL, ToleranceConfig, as_state
+from .numlin import DEFAULT_TOL, ToleranceConfig, _eigenspace, as_state
 from .qlang import And, Atom, Com, Equal, Formula, Iff, Not, Or, Sasaki
 from .spectral import (
     Observable,
@@ -86,11 +86,15 @@ def truth_projection(formula: Formula, env: Environment, *,
     if isinstance(formula, Equal):
         return value_identity(env[formula.left_id], env[formula.right_id], tol=tol)
     if isinstance(formula, Com):
-        projections = []
-        for name in formula.obs_ids:
-            projections.extend(spectral_family(env[name], tol=tol).projections)
-        return lattice.com_family(projections, tol=tol)
+        return _spectral_com([env[name] for name in formula.obs_ids], tol)
     raise TypeError(f"not a formula node: {formula!r}")
+
+
+def _spectral_com(observables, tol: ToleranceConfig) -> Projection:
+    """com of the observables' spectral projections taken together: the
+    largest subspace on which they all behave classically."""
+    projections = [p for obs in observables for p in spectral_family(obs, tol=tol).projections]
+    return lattice.com_family(projections, tol=tol)
 
 
 def holds_in(formula: Formula, env: Environment, psi: np.ndarray, *,
@@ -106,62 +110,56 @@ def holds_in(formula: Formula, env: Environment, psi: np.ndarray, *,
     return TruthReport(projection=proj, probability=probability, holds=holds)
 
 
-def _merged_spectrum(a: Observable, b: Observable, tol: ToleranceConfig):
-    """Cluster spec(a) ∪ spec(b); yield (value, proj_in_a, proj_in_b) triples.
+def _spectral_differences(a: Observable, b: Observable, tol: ToleranceConfig) -> list[np.ndarray]:
+    """E^a(c) − E^b(c) for each single-linkage cluster c of spec(a) ∪ spec(b).
 
-    A value held by only one observable pairs with the zero projection on
-    the other side, so it counts against identity.
+    A value held by only one observable pairs with zero on the other side,
+    so it counts against identity.
     """
     fam_a = spectral_family(a, tol=tol)
     fam_b = spectral_family(b, tol=tol)
-    tagged = sorted(
-        [(lam, 0, proj) for lam, proj in fam_a.entries]
-        + [(lam, 1, proj) for lam, proj in fam_b.entries],
-        key=lambda item: item[0],
-    )
-    values = [item[0] for item in tagged]
-    zero = Projection.zero(a.dim)
+    values = sorted(fam_a.eigenvalues + fam_b.eigenvalues)
+    diffs = []
     for block in cluster_indices(values, tol.eig_cluster_tol):
-        group = tagged[block]
-        lam = float(np.mean([item[0] for item in group]))
-        proj_a = zero
-        proj_b = zero
-        for _, side, proj in group:
-            # Same-side duplicates inside one cluster can only arise from
-            # chained near-degeneracies; orthogonal ranges, so adding is safe.
-            if side == 0:
-                proj_a = proj if proj_a.is_zero else Projection(proj_a.matrix + proj.matrix, tol=tol)
-            else:
-                proj_b = proj if proj_b.is_zero else Projection(proj_b.matrix + proj.matrix, tol=tol)
-        yield lam, proj_a, proj_b
+        cluster = values[block]
+        diffs.append(sum(p.matrix for lam, p in fam_a if lam in cluster)
+                     - sum(p.matrix for lam, p in fam_b if lam in cluster))
+    return diffs
 
 
 def value_identity(a: Observable, b: Observable, *,
                    tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
-    """The projection expressing "a and b hold identical values"."""
+    """The projection expressing "a and b hold identical values".
+
+    By definition the meet of E^A(λ) ↔ E^B(λ) over the merged spectrum.
+    By Ozawa's theorem (Ann. Phys. 321, 2006) its range is the set of
+    states on which every E^A(λ) − E^B(λ) vanishes, read off here as the
+    near-kernel of the Gram matrix Σ_λ (E^A(λ) − E^B(λ))²: eigenvalues
+    within eig_cluster_tol of 0, the rule :func:`lattice.meet` applies to
+    (I − P) + (I − Q).
+    """
     if a.dim != b.dim:
         raise DimMismatchError(f"dims differ: {a.dim} vs {b.dim}")
-    result = Projection.identity(a.dim)
-    for _, proj_a, proj_b in _merged_spectrum(a, b, tol):
-        result = lattice.meet(result, lattice.biconditional(proj_a, proj_b, tol=tol), tol=tol)
-    return result
+    gram = np.zeros((a.dim, a.dim), dtype=complex)
+    for diff in _spectral_differences(a, b, tol):
+        gram += diff @ diff
+    return Projection._spanned(_eigenspace(gram, hi=tol.eig_cluster_tol))
 
 
 def perfectly_correlated(a: Observable, b: Observable, psi: np.ndarray, *,
                          tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Direct vector test: every spectral projection acts identically on psi.
 
-    Independent of the lattice route; used as the oracle for equality truth.
+    Decided vector by vector, without forming the value-identity subspace;
+    the tests use it as an oracle for equality truth.
     """
     if a.dim != b.dim:
         raise DimMismatchError(f"dims differ: {a.dim} vs {b.dim}")
     psi = as_state(psi, tol=tol)
     if psi.shape[0] != a.dim:
         raise DimMismatchError(f"state dim {psi.shape[0]} != observable dim {a.dim}")
-    for _, proj_a, proj_b in _merged_spectrum(a, b, tol):
-        if np.linalg.norm(proj_a.apply(psi) - proj_b.apply(psi)) > tol.eq_tol:
-            return False
-    return True
+    return all(np.linalg.norm(diff @ psi) <= tol.eq_tol
+               for diff in _spectral_differences(a, b, tol))
 
 
 def jointly_determinate(observables: list[Observable], psi: np.ndarray, *,
@@ -179,10 +177,7 @@ def jointly_determinate(observables: list[Observable], psi: np.ndarray, *,
     psi = as_state(psi, tol=tol)
     if psi.shape[0] != dims.pop():
         raise DimMismatchError("state dim differs from observable dim")
-    projections = []
-    for obs in observables:
-        projections.extend(spectral_family(obs, tol=tol).projections)
-    proj = lattice.com_family(projections, tol=tol)
+    proj = _spectral_com(observables, tol)
     return proj.contains(psi, tol=tol), proj
 
 
@@ -191,9 +186,7 @@ def nowhere_commuting(a: Observable, b: Observable, *,
     """True when no state makes a and b jointly determinate."""
     if a.dim != b.dim:
         raise DimMismatchError(f"dims differ: {a.dim} vs {b.dim}")
-    projections = list(spectral_family(a, tol=tol).projections)
-    projections.extend(spectral_family(b, tol=tol).projections)
-    return lattice.com_family(projections, tol=tol).rank == 0
+    return _spectral_com([a, b], tol).rank == 0
 
 
 def jpd_exists(a: Observable, b: Observable, psi: np.ndarray, *,

@@ -106,8 +106,7 @@ def spectral_family(obs: Observable, tol: ToleranceConfig = DEFAULT_TOL) -> Spec
     w, v = eigh(obs.matrix, tol)
     entries = []
     for sl in cluster_indices(w, tol.eig_cluster_tol):
-        cols = v[:, sl]
-        entries.append((float(np.mean(w[sl])), Projection._trusted(cols @ cols.conj().T)))
+        entries.append((float(np.mean(w[sl])), Projection._spanned(v[:, sl])))
     return SpectralFamily(entries)
 
 

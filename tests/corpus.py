@@ -5,8 +5,44 @@ Observable themselves (and so oracles can work on raw arrays).
 """
 
 import numpy as np
+import scipy.linalg
 
-from qreal import random_state, random_unitary
+from qreal import (
+    Projection,
+    biconditional,
+    meet,
+    random_state,
+    random_unitary,
+    spectral_family,
+    spectral_projection,
+)
+from qreal.spectral import cluster_indices
+
+
+def kernel(matrix: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
+    """Orthonormal kernel basis by scipy, with the cutoff floored at scale 1.
+
+    scipy alone cuts relative to the largest singular value, so a matrix
+    that is zero up to rounding (the commutator of a commuting pair) would
+    read as full rank.
+    """
+    scale = np.linalg.norm(matrix, 2)
+    if scale == 0.0:
+        return np.eye(matrix.shape[1], dtype=complex)
+    return scipy.linalg.null_space(matrix, rcond=rcond * max(scale, 1.0) / scale)
+
+
+def lattice_value_identity(a, b) -> Projection:
+    """[A = B] by its definition, the meet of E^A(c) ↔ E^B(c) over the
+    clusters c of spec(A) ∪ spec(B): the lattice-route reference for
+    value_identity."""
+    values = sorted(spectral_family(a).eigenvalues + spectral_family(b).eigenvalues)
+    result = Projection.identity(a.dim)
+    for block in cluster_indices(values, 1e-8):
+        cluster = values[block]
+        result = meet(result, biconditional(spectral_projection(a, cluster),
+                                            spectral_projection(b, cluster)))
+    return result
 
 
 def commuting_pair(rng: np.random.Generator, dim: int):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import qreal
-from qreal.cli import main
+from corpus import nowhere_pair
+from qreal.cli import _matrix_body, main
 
 SCHEMA_DIR = pathlib.Path(qreal.__file__).parent / "schemas"
 
@@ -153,6 +154,40 @@ def test_com_paths(data_dir, capsys):
     )
     assert code == 1
     assert out == {"rank": 3, "nowhere_commuting": False}
+
+
+def _write_json(path: pathlib.Path, body: dict) -> str:
+    path.write_text(json.dumps(body), encoding="utf-8")
+    return str(path)
+
+
+def test_com_on_generic_d32_pair(tmp_path, capsys):
+    # 64 spectral projections stack 2016 commutators into a 64512x32 matrix.
+    a, b = nowhere_pair(np.random.default_rng(97), 32)
+    code, out, err = run_cli(capsys, "com", _write_json(tmp_path / "a.json", _matrix_body(a)),
+                             _write_json(tmp_path / "b.json", _matrix_body(b)))
+    assert (code, out, err) == (0, {"rank": 0, "nowhere_commuting": True}, "")
+
+
+def test_loaders_reject_bodies_that_are_not_lists(data_dir, tmp_path, capsys):
+    sigma_x = str(data_dir / "obs_sigma_x.json")
+    for name, matrix in (("scalar", 5), ("flat", [5, 6]), ("null", None)):
+        bad = _write_json(tmp_path / f"{name}.json", {"dim": 2, "matrix": matrix})
+        code, out, err = run_cli(capsys, "com", bad, sigma_x)
+        assert code == 2 and out is None and err.startswith("error:"), name
+
+    for name, vector in (("null", None), ("scalar", 1.0), ("string", "ab")):
+        bad = _write_json(tmp_path / f"state_{name}.json", {"dim": 2, "vector": vector})
+        code, out, err = run_cli(capsys, "jointdet", sigma_x, sigma_x, "--state", bad)
+        assert code == 2 and out is None and err.startswith("error:"), name
+
+    model = json.loads((data_dir / "model_cnot.json").read_text(encoding="utf-8"))
+    model["label_maps"] = [["f", [[1.0, 1.0]]]]
+    code, out, err = run_cli(
+        capsys, "measure", _write_json(tmp_path / "model.json", model),
+        "--state", str(data_dir / "state_zero2.json"),
+    )
+    assert code == 2 and out is None and "label_maps" in err
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,19 @@ def test_range_and_null_basis_against_svd_rank():
         if expected_rank:
             # Columns of m lie in the span of the computed range basis.
             assert np.linalg.norm(m - rb @ (rb.conj().T @ m)) < 1e-10
+    # Tall stacks of planted rank, as com_family builds them: the kernel is
+    # read off a QR-reduced factor and must match the rank of the stack.
+    for _ in range(25):
+        dim, rank, blocks = 6, int(rng.integers(0, 7)), int(rng.integers(2, 30))
+        rows = rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
+        m = np.vstack([
+            (rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))) @ rows
+            for _ in range(blocks)
+        ])
+        nb = null_basis(m)
+        assert nb.shape == (dim, dim - rank)
+        assert np.allclose(nb.conj().T @ nb, np.eye(dim - rank), atol=1e-12)
+        assert np.linalg.norm(m @ nb) < 1e-10 * max(1.0, np.linalg.norm(m, 2))
 
 
 def test_range_basis_of_zero_matrix_is_empty():

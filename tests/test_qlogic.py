@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,40 @@ def test_jointly_determinate_block_case():
     flag_out, _ = jointly_determinate([oa, ob], outside)
     assert flag_in and not flag_out
     assert proj.rank == 2
+
+
+def test_joint_reality_of_generic_d32_pair_within_memory_budget():
+    # 64 spectral projections stack 2016 commutators into a 64512x32 matrix;
+    # its kernel must be found without a rows x rows factor (62 GiB here).
+    rng = np.random.default_rng(101)
+    a, b = nowhere_pair(rng, 32)
+    oa, ob = Observable(a), Observable(b)
+    tracemalloc.start()
+    try:
+        flag, proj = jointly_determinate([oa, ob], random_state(32, rng))
+        nowhere = nowhere_commuting(oa, ob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not flag and proj.rank == 0 and nowhere
+    assert peak < 256 * 2**20
+
+
+def test_com_rank_of_planted_d16_block_pair():
+    # Incompatible on a 2-dim block, diagonal on the other 14, then rotated.
+    rng = np.random.default_rng(103)
+    a2, b2 = nowhere_pair(rng, 2)
+    a = np.zeros((16, 16), dtype=complex)
+    b = np.zeros((16, 16), dtype=complex)
+    a[:2, :2], b[:2, :2] = a2, b2
+    a[2:, 2:] = np.diag(rng.integers(4, 8, size=14).astype(float))
+    b[2:, 2:] = np.diag(rng.integers(4, 8, size=14).astype(float))
+    w = random_unitary(16, rng)
+    oa, ob = Observable(w @ a @ w.conj().T), Observable(w @ b @ w.conj().T)
+    inside = w @ np.concatenate([np.zeros(2), random_state(14, rng)])
+    flag, proj = jointly_determinate([oa, ob], inside)
+    assert flag and proj.rank == 14
+    assert not nowhere_commuting(oa, ob)
 
 
 def test_nowhere_commuting_goldens():
