@@ -22,6 +22,7 @@ from .numlin import (
     DEFAULT_TOL,
     ToleranceConfig,
     _eigenspace,
+    _hermitian_part,
     as_square,
     null_basis,
     op_norm,
@@ -131,7 +132,7 @@ class Projection:
 
 
 def _sym_readonly(m: np.ndarray) -> np.ndarray:
-    out = (m + m.conj().T) / 2.0
+    out = _hermitian_part(m)
     out.setflags(write=False)
     return out
 

@@ -11,12 +11,16 @@ perfect correlation between ``f(O)`` and ``A ⊗ 1`` in ``psi ⊗ xi``,
 quantified by a defect (max spectral-action mismatch) and certified when
 the defect is within eq_tol.  Reproducing the Born statistics of ``A`` is
 necessary but strictly weaker; the test suite exhibits the gap.
+
+Both spectral families are lifted from their factors, not found by
+diagonalising a joint-space matrix: ``f(O)`` has the projections
+``U† (1 ⊗ E^{f(M)}(v)) U`` and ``A ⊗ 1`` has ``E^A(λ) ⊗ 1``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
@@ -25,14 +29,22 @@ from .errors import DimMismatchError, NotUnitaryError, UnmappedEigenvalueError
 from .numlin import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _hermitian_part,
     as_square,
     as_state,
     kron,
     op_norm,
     probe_compress,
 )
-from .qlogic import jointly_determinate, jpd_exists, value_identity
-from .spectral import Observable, apply_value_map, cluster_indices, spectral_family
+from .lattice import Projection
+from .qlogic import (
+    _identity_projection,
+    _spectral_differences,
+    jointly_determinate,
+    jpd_exists,
+    value_identity,
+)
+from .spectral import Observable, apply_value_map, spectral_family
 
 
 class MeasurementModel:
@@ -76,10 +88,6 @@ class MeasurementModel:
     def __setattr__(self, name, value):
         raise AttributeError("MeasurementModel is immutable")
 
-    @property
-    def joint_dim(self) -> int:
-        return self.sys_dim * self.probe_dim
-
     def joint_state(self, psi) -> np.ndarray:
         """psi ⊗ xi, validating the system dimension."""
         psi = np.asarray(psi, dtype=complex).reshape(-1)
@@ -96,24 +104,43 @@ class CorrelationCertificate:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {"defect": self.defect, "passed": self.passed}
+        return asdict(self)
+
+
+def _lift(model: MeasurementModel, joint_op: np.ndarray) -> np.ndarray:
+    """Heisenberg picture U† X U of an operator X on system ⊗ probe."""
+    u = model.unitary
+    return u.conj().T @ joint_op @ u
+
+
+def _output_family(model: MeasurementModel, label_map: Mapping[float, float],
+                   tol: ToleranceConfig) -> list[tuple[float, Projection]]:
+    """Spectral family of f(O): (v, U†(1 ⊗ E^{f(M)}(v))U), f(M) on the probe."""
+    f_meter = apply_value_map(model.meter, label_map, tol=tol)
+    eye = np.eye(model.sys_dim)
+    return [(v, Projection._trusted(_lift(model, kron(eye, p.matrix))))
+            for v, p in spectral_family(f_meter, tol=tol)]
+
+
+def _system_family(a: Observable, probe_dim: int,
+                   tol: ToleranceConfig) -> list[tuple[float, Projection]]:
+    """Spectral family of a ⊗ 1: (λ, E^a(λ) ⊗ 1)."""
+    eye = np.eye(probe_dim)
+    return [(lam, Projection._trusted(kron(p.matrix, eye)))
+            for lam, p in spectral_family(a, tol=tol)]
 
 
 def meter_output(model: MeasurementModel, tol: ToleranceConfig = DEFAULT_TOL) -> Observable:
     """Heisenberg-picture meter O = U†(1 ⊗ M)U on the joint space."""
-    lifted = kron(np.eye(model.sys_dim), model.meter.matrix)
-    u = model.unitary
-    return Observable(u.conj().T @ lifted @ u, name="O", tol=tol)
+    return Observable(_lift(model, kron(np.eye(model.sys_dim), model.meter.matrix)),
+                      name="O", tol=tol)
 
 
 def povm(model: MeasurementModel, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[float, np.ndarray]]:
     """System-side effects (outcome, Pi) with Pi = <xi|U†(1⊗E_M)U|xi>."""
-    u = model.unitary
-    effects = []
-    for outcome, proj in spectral_family(model.meter, tol=tol).entries:
-        lifted = u.conj().T @ kron(np.eye(model.sys_dim), proj.matrix) @ u
-        effects.append((outcome, probe_compress(lifted, model.probe_state, tol=tol)))
-    return effects
+    eye = np.eye(model.sys_dim)
+    return [(outcome, probe_compress(_lift(model, kron(eye, proj.matrix)), model.probe_state, tol=tol))
+            for outcome, proj in spectral_family(model.meter, tol=tol)]
 
 
 def output_distribution(model: MeasurementModel, psi,
@@ -131,29 +158,17 @@ def output_distribution(model: MeasurementModel, psi,
 def measures_in_state(model: MeasurementModel, a: Observable, label_map: Mapping[float, float],
                       psi, tol: ToleranceConfig = DEFAULT_TOL) -> CorrelationCertificate:
     """Certify precise measurement of ``a`` in ``psi``: perfect correlation
-    between f(O) and a⊗1 on psi ⊗ xi, with the defect maximized over the
-    union of spec(a) and the label map's range."""
+    between f(O) and a⊗1 on psi ⊗ xi, with the defect the largest
+    ||(E^{f(O)}(c) − E^a(c) ⊗ 1)(psi ⊗ xi)|| over the clusters c of spec(a)
+    ∪ range(label map), both families lifted from their factors."""
     if a.dim != model.sys_dim:
         raise DimMismatchError(f"observable dim {a.dim} != system dim {model.sys_dim}")
-    psi = as_state(psi, tol=tol)
-    joint = model.joint_state(psi)
-    f_out = apply_value_map(meter_output(model, tol=tol), label_map, tol=tol)
-    fam_out = spectral_family(f_out, tol=tol)
-    fam_a = spectral_family(a, tol=tol)
-    xi = model.probe_state
-    defect = 0.0
-    targets = sorted(fam_a.eigenvalues + tuple(float(v) for v in label_map.values()))
-    for block in cluster_indices(targets, tol.eig_cluster_tol):
-        cluster = targets[block]
-        left = np.zeros(model.joint_dim, dtype=complex)
-        for lam, proj in fam_out.entries:
-            if any(abs(lam - v) <= tol.eig_cluster_tol for v in cluster):
-                left = left + proj.apply(joint)
-        right = np.zeros(model.joint_dim, dtype=complex)
-        for lam, proj in fam_a.entries:
-            if any(abs(lam - v) <= tol.eig_cluster_tol for v in cluster):
-                right = right + kron(proj.apply(psi), xi)
-        defect = max(defect, float(np.linalg.norm(left - right)))
+    joint = model.joint_state(as_state(psi, tol=tol))
+    # Label values no meter outcome reaches still form clusters, with zero projection.
+    zero = Projection.zero(joint.shape[0])
+    outputs = _output_family(model, label_map, tol) + [(float(v), zero) for v in label_map.values()]
+    diffs = _spectral_differences(outputs, _system_family(a, model.probe_dim, tol), tol)
+    defect = max(float(np.linalg.norm(diff @ joint)) for diff in diffs)
     return CorrelationCertificate(defect=defect, passed=defect <= tol.eq_tol)
 
 
@@ -162,10 +177,10 @@ def rms_noise(model: MeasurementModel, a: Observable, label_map: Mapping[float, 
     """Root-mean-square noise: ||(f(O) − a⊗1)(psi ⊗ xi)||."""
     if a.dim != model.sys_dim:
         raise DimMismatchError(f"observable dim {a.dim} != system dim {model.sys_dim}")
-    psi = as_state(psi, tol=tol)
-    joint = model.joint_state(psi)
-    f_out = apply_value_map(meter_output(model, tol=tol), label_map, tol=tol)
-    gap = f_out.matrix - kron(a.matrix, np.eye(model.probe_dim))
+    joint = model.joint_state(as_state(psi, tol=tol))
+    f_meter = apply_value_map(model.meter, label_map, tol=tol)
+    f_out = _lift(model, kron(np.eye(model.sys_dim), f_meter.matrix))
+    gap = f_out - kron(a.matrix, np.eye(model.probe_dim))
     return float(np.linalg.norm(gap @ joint))
 
 
@@ -174,12 +189,9 @@ def rms_disturbance(model: MeasurementModel, b: Observable, psi,
     """Root-mean-square disturbance: ||(U†(b⊗1)U − b⊗1)(psi ⊗ xi)||."""
     if b.dim != model.sys_dim:
         raise DimMismatchError(f"observable dim {b.dim} != system dim {model.sys_dim}")
-    psi = as_state(psi, tol=tol)
-    joint = model.joint_state(psi)
+    joint = model.joint_state(as_state(psi, tol=tol))
     lifted = kron(b.matrix, np.eye(model.probe_dim))
-    u = model.unitary
-    moved = u.conj().T @ lifted @ u
-    return float(np.linalg.norm((moved - lifted) @ joint))
+    return float(np.linalg.norm((_lift(model, lifted) - lifted) @ joint))
 
 
 _INEQ_SLACK = 1e-9
@@ -196,15 +208,7 @@ class UncertaintyReport:
     satisfied: bool
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "eta": self.eta,
-            "sigma_a": self.sigma_a,
-            "sigma_b": self.sigma_b,
-            "bound": self.bound,
-            "lhs": self.lhs,
-            "satisfied": self.satisfied,
-        }
+        return asdict(self)
 
 
 def uncertainty_report(model: MeasurementModel, a: Observable, label_map: Mapping[float, float],
@@ -232,11 +236,8 @@ class SimultaneousReport:
     both: bool
 
     def to_dict(self) -> dict:
-        return {
-            "certificate_a": self.cert_a.to_dict(),
-            "certificate_b": self.cert_b.to_dict(),
-            "both": self.both,
-        }
+        out = asdict(self)
+        return {"certificate_a": out.pop("cert_a"), "certificate_b": out.pop("cert_b"), **out}
 
 
 def simultaneously_measures(model: MeasurementModel, a: Observable, map_a: Mapping[float, float],
@@ -252,8 +253,8 @@ def simultaneously_measures(model: MeasurementModel, a: Observable, map_a: Mappi
 class ContextReport:
     """Full exhibit around one apparatus measuring two observables.
 
-    The meter-level equalities are evaluated as value-identity projections
-    on the joint space (a Gram-matrix kernel), independently of the
+    The joint-space equalities are Gram-matrix near-kernels of the lifted
+    families (U†(1 ⊗ E^{f(M)})U and E ⊗ 1), evaluated independently of the
     vector-defect certificates, so agreement between the two is itself
     evidence of correctness.  ``nowhere_commuting`` is read off the same
     commutator projection as ``jointly_determinate``: its rank is zero.
@@ -273,20 +274,8 @@ class ContextReport:
     system_equality_probability: float
 
     def to_dict(self) -> dict:
-        return {
-            "certificate_a": self.cert_a.to_dict(),
-            "certificate_b": self.cert_b.to_dict(),
-            "both_passed": self.both_passed,
-            "nowhere_commuting": self.nowhere_commuting,
-            "jointly_determinate": self.jointly_determinate,
-            "determinateness_rank": self.determinateness_rank,
-            "jpd_exists": self.jpd_exists,
-            "meter_equality_a": self.meter_equality_a,
-            "meter_equality_b": self.meter_equality_b,
-            "lifted_equality": self.lifted_equality,
-            "system_equality": self.system_equality,
-            "system_equality_probability": self.system_equality_probability,
-        }
+        out = asdict(self)
+        return {"certificate_a": out.pop("cert_a"), "certificate_b": out.pop("cert_b"), **out}
 
     def summary(self) -> str:
         def yn(flag: bool) -> str:
@@ -318,15 +307,11 @@ def context_report(model: MeasurementModel, a: Observable, map_a: Mapping[float,
     jpd_flag, _ = jpd_exists(a, b, psi, tol=tol)
 
     joint = model.joint_state(psi)
-    probe_eye = np.eye(model.probe_dim)
-    a_lifted = Observable(kron(a.matrix, probe_eye), name=f"{a.name}x1", tol=tol)
-    b_lifted = Observable(kron(b.matrix, probe_eye), name=f"{b.name}x1", tol=tol)
-    out = meter_output(model, tol=tol)
-    fa_out = apply_value_map(out, map_a, tol=tol)
-    fb_out = apply_value_map(out, map_b, tol=tol)
-    meter_eq_a = value_identity(fa_out, a_lifted, tol=tol).contains(joint, tol=tol)
-    meter_eq_b = value_identity(fb_out, b_lifted, tol=tol).contains(joint, tol=tol)
-    lifted_eq = value_identity(a_lifted, b_lifted, tol=tol).contains(joint, tol=tol)
+    fam_a = _system_family(a, model.probe_dim, tol)
+    fam_b = _system_family(b, model.probe_dim, tol)
+    meter_a = _identity_projection(_output_family(model, map_a, tol), fam_a, tol)
+    meter_b = _identity_projection(_output_family(model, map_b, tol), fam_b, tol)
+    lifted = _identity_projection(fam_a, fam_b, tol)
 
     system_proj = value_identity(a, b, tol=tol)
     system_eq = system_proj.contains(psi, tol=tol)
@@ -340,9 +325,9 @@ def context_report(model: MeasurementModel, a: Observable, map_a: Mapping[float,
         jointly_determinate=flag,
         determinateness_rank=proj.rank,
         jpd_exists=jpd_flag,
-        meter_equality_a=meter_eq_a,
-        meter_equality_b=meter_eq_b,
-        lifted_equality=lifted_eq,
+        meter_equality_a=meter_a.contains(joint, tol=tol),
+        meter_equality_b=meter_b.contains(joint, tol=tol),
+        lifted_equality=lifted.contains(joint, tol=tol),
         system_equality=system_eq,
         system_equality_probability=probability,
     )
@@ -367,13 +352,11 @@ _SUCCESS_CUTOFF = 1e-10
 
 def _hermitian_from_params(theta: np.ndarray, dim: int) -> np.ndarray:
     h = np.zeros((dim, dim), dtype=complex)
-    idx = dim
     h[np.diag_indices(dim)] = theta[:dim]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            h[i, j] = theta[idx] + 1j * theta[idx + 1]
-            h[j, i] = theta[idx] - 1j * theta[idx + 1]
-            idx += 2
+    rows, cols = np.triu_indices(dim, k=1)
+    upper = theta[dim::2] + 1j * theta[dim + 1::2]
+    h[rows, cols] = upper
+    h[cols, rows] = upper.conj()
     return h
 
 
@@ -447,7 +430,7 @@ class _SearchProblem:
 
     def _targets(self, projections: np.ndarray, psi: np.ndarray) -> np.ndarray:
         shrunk = np.einsum("snm,m->sn", projections, psi)
-        return np.kron(shrunk, self.xi.reshape(1, -1))
+        return (shrunk[:, :, None] * self.xi).reshape(shrunk.shape[0], -1)
 
     def _side_table(self, vectors: np.ndarray, targets: np.ndarray, one_hot: np.ndarray) -> np.ndarray:
         """Per-assignment defect: max_i ||sum_{m in slot i} v_m − t_i||.
@@ -524,7 +507,7 @@ class _SearchProblem:
         best = None
         for ia, ib in pairs:
             q = forms_a[ia] + forms_b[ib]
-            _, v = np.linalg.eigh((q + q.conj().T) / 2)
+            _, v = np.linalg.eigh(_hermitian_part(q))
             psi = v[:, 0]
             vectors = self.outcome_vectors(u, psi)
             defect = max(self.side_defect(vectors, psi, self.proj_a, maps_a[ia]),

@@ -107,8 +107,13 @@ def eigh(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
     m = as_square(matrix)
     if op_norm(m - m.conj().T) > tol.eq_tol * op_norm(m):
         raise NotHermitianError("matrix is not Hermitian within eq_tol")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    return w, v
+    return np.linalg.eigh(_hermitian_part(m))
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m†) / 2, halved first so entries near the float maximum cannot overflow."""
+    half = 0.5 * m
+    return half + half.conj().T
 
 
 def range_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -153,7 +158,7 @@ def _check_orthonormal(basis: np.ndarray, tol: ToleranceConfig) -> None:
 def _eigenspace(matrix: np.ndarray, lo: float = -np.inf, hi: float = np.inf) -> np.ndarray:
     """Orthonormal eigenvectors (as columns) of the Hermitian part of
     ``matrix`` whose eigenvalues lie in [lo, hi]."""
-    w, v = np.linalg.eigh((matrix + matrix.conj().T) / 2.0)
+    w, v = np.linalg.eigh(_hermitian_part(matrix))
     return v[:, (w >= lo) & (w <= hi)]
 
 

@@ -110,21 +110,27 @@ def holds_in(formula: Formula, env: Environment, psi: np.ndarray, *,
     return TruthReport(projection=proj, probability=probability, holds=holds)
 
 
-def _spectral_differences(a: Observable, b: Observable, tol: ToleranceConfig) -> list[np.ndarray]:
-    """E^a(c) − E^b(c) for each single-linkage cluster c of spec(a) ∪ spec(b).
+def _spectral_differences(fam_a, fam_b, tol: ToleranceConfig) -> list[np.ndarray]:
+    """E^a(c) − E^b(c) for each single-linkage cluster c of the two families'
+    values.  A family is a sequence of (value, Projection) pairs on one space:
+    a :class:`SpectralFamily`, or one lifted to a larger space.
 
-    A value held by only one observable pairs with zero on the other side,
-    so it counts against identity.
+    A value held by only one family pairs with zero on the other side, so it
+    counts against identity.
     """
-    fam_a = spectral_family(a, tol=tol)
-    fam_b = spectral_family(b, tol=tol)
-    values = sorted(fam_a.eigenvalues + fam_b.eigenvalues)
+    values = sorted([lam for lam, _ in fam_a] + [lam for lam, _ in fam_b])
     diffs = []
     for block in cluster_indices(values, tol.eig_cluster_tol):
         cluster = values[block]
         diffs.append(sum(p.matrix for lam, p in fam_a if lam in cluster)
                      - sum(p.matrix for lam, p in fam_b if lam in cluster))
     return diffs
+
+
+def _identity_projection(fam_a, fam_b, tol: ToleranceConfig) -> Projection:
+    """Near-kernel of the Gram matrix Σ_c (E^a(c) − E^b(c))² at eig_cluster_tol."""
+    gram = sum(diff @ diff for diff in _spectral_differences(fam_a, fam_b, tol))
+    return Projection._spanned(_eigenspace(gram, hi=tol.eig_cluster_tol))
 
 
 def value_identity(a: Observable, b: Observable, *,
@@ -140,10 +146,7 @@ def value_identity(a: Observable, b: Observable, *,
     """
     if a.dim != b.dim:
         raise DimMismatchError(f"dims differ: {a.dim} vs {b.dim}")
-    gram = np.zeros((a.dim, a.dim), dtype=complex)
-    for diff in _spectral_differences(a, b, tol):
-        gram += diff @ diff
-    return Projection._spanned(_eigenspace(gram, hi=tol.eig_cluster_tol))
+    return _identity_projection(spectral_family(a, tol=tol), spectral_family(b, tol=tol), tol)
 
 
 def perfectly_correlated(a: Observable, b: Observable, psi: np.ndarray, *,
@@ -158,8 +161,8 @@ def perfectly_correlated(a: Observable, b: Observable, psi: np.ndarray, *,
     psi = as_state(psi, tol=tol)
     if psi.shape[0] != a.dim:
         raise DimMismatchError(f"state dim {psi.shape[0]} != observable dim {a.dim}")
-    return all(np.linalg.norm(diff @ psi) <= tol.eq_tol
-               for diff in _spectral_differences(a, b, tol))
+    diffs = _spectral_differences(spectral_family(a, tol=tol), spectral_family(b, tol=tol), tol)
+    return all(np.linalg.norm(diff @ psi) <= tol.eq_tol for diff in diffs)
 
 
 def jointly_determinate(observables: list[Observable], psi: np.ndarray, *,

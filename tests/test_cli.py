@@ -169,6 +169,12 @@ def test_com_on_generic_d32_pair(tmp_path, capsys):
     assert (code, out, err) == (0, {"rank": 0, "nowhere_commuting": True}, "")
 
 
+def test_com_with_entries_near_float_max(data_dir, tmp_path, capsys):
+    huge = _write_json(tmp_path / "huge.json", _matrix_body(np.diag([1.0, 1e308])))
+    code, out, err = run_cli(capsys, "com", huge, str(data_dir / "obs_sigma_x.json"))
+    assert (code, out, err) == (0, {"rank": 0, "nowhere_commuting": True}, "")
+
+
 def test_loaders_reject_bodies_that_are_not_lists(data_dir, tmp_path, capsys):
     sigma_x = str(data_dir / "obs_sigma_x.json")
     for name, matrix in (("scalar", 5), ("flat", [5, 6]), ("null", None)):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corpus import random_model_parts
+from corpus import kernel, random_model_parts
 from qreal import (
     CNOT,
     KET_PLUS,
@@ -23,7 +23,7 @@ from qreal import (
     uncertainty_report,
 )
 from qreal.errors import DimMismatchError, NotUnitaryError, UnmappedEigenvalueError
-from qreal.standard import basis_state, random_hermitian, random_state
+from qreal.standard import basis_state, random_hermitian, random_state, random_unitary
 
 SQRT2 = np.sqrt(2.0)
 
@@ -251,3 +251,181 @@ def test_statistics_can_match_born_without_correlation(uncoupled_model):
     cert = measures_in_state(uncoupled_model, x, f, psi)
     assert not cert.passed
     assert cert.defect == pytest.approx(1 / SQRT2, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Certificate and statistics against definitions written on the joint space.
+
+_GAP = 1e-8
+
+
+def _clusters(values) -> list[list[float]]:
+    out: list[list[float]] = []
+    for x in sorted(values):
+        if out and x - out[-1][-1] <= _GAP:
+            out[-1].append(x)
+        else:
+            out.append([x])
+    return out
+
+
+def _eigenprojectors(h: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    w, v = np.linalg.eigh(h)
+    out = []
+    for cluster in _clusters(w):
+        cols = v[:, np.isin(w, cluster)]
+        out.append((float(np.mean(cluster)), cols @ cols.conj().T))
+    return out
+
+
+def _in(value: float, cluster) -> bool:
+    return any(abs(value - c) <= _GAP for c in cluster)
+
+
+def _cluster_sums(family, cluster, dim) -> np.ndarray:
+    return sum((p for value, p in family if _in(value, cluster)), np.zeros((dim, dim), complex))
+
+
+def _mapped_lift(model, label_map):
+    """(f(m), U†(1 ⊗ E^M(m))U) for every meter outcome m."""
+    u, n = model.unitary, model.sys_dim
+    out = []
+    for m, proj in _eigenprojectors(model.meter.matrix):
+        key = min(label_map, key=lambda k: abs(k - m))
+        out.append((label_map[key], u.conj().T @ np.kron(np.eye(n), proj) @ u))
+    return out
+
+
+def _tensor_eye(family, k):
+    return [(value, np.kron(p, np.eye(k))) for value, p in family]
+
+
+def _contains_kernel(differences, joint) -> bool:
+    basis = kernel(np.vstack(differences))
+    return float(np.linalg.norm(basis @ (basis.conj().T @ joint) - joint)) <= 1e-9
+
+
+def _unitary_with_first_column(v, rng):
+    a = rng.normal(size=(v.size, v.size)) + 1j * rng.normal(size=(v.size, v.size))
+    a[:, 0] = v
+    q, r = np.linalg.qr(a)
+    q[:, 0] *= r[0, 0]
+    return q
+
+
+def _oracle_case(rng, n, k, planted):
+    """A degenerate A, a label map with shared values, a pair 5e-9 apart and
+    a key no meter outcome reaches; ``planted`` couples each eigenvector of A
+    to a meter outcome labelled with its eigenvalue, so f(O) tracks A."""
+    distinct = [-1.0, 0.5, 2.0][:min(n, k, 3)]
+    labels = [distinct[j % len(distinct)] for j in range(k)]
+    if k > len(distinct):
+        labels[-1] += 5e-9
+    eigvals = distinct + [float(x) for x in rng.choice(distinct, size=n - len(distinct))]
+    sys_basis = random_unitary(n, rng)
+    a = sys_basis @ np.diag(eigvals) @ sys_basis.conj().T
+    meter_basis = random_unitary(k, rng)
+    meter = meter_basis @ np.diag(np.arange(1.0, k + 1.0)) @ meter_basis.conj().T
+    xi = random_state(k, rng)
+    if planted:
+        to_xi = _unitary_with_first_column(xi, rng)
+        u = sum(np.kron(np.outer(sys_basis[:, i], sys_basis[:, i].conj()),
+                        _unitary_with_first_column(meter_basis[:, labels.index(lam)], rng)
+                        @ to_xi.conj().T)
+                for i, lam in enumerate(eigvals))
+    else:
+        u = random_unitary(n * k, rng)
+    label_map = {float(m + 1): labels[m] for m in range(k)}
+    label_map[100.0] = 9.0
+    model = MeasurementModel(n, k, xi, u, Observable((meter + meter.conj().T) / 2, name="M"))
+    return model, Observable((a + a.conj().T) / 2, name="A"), label_map
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(2024)
+    for n in (2, 3, 4):
+        for k in (2, 3, 4):
+            for planted in (False, True):
+                model, a, label_map = _oracle_case(rng, n, k, planted)
+                yield model, a, label_map, random_state(n, rng), rng
+
+
+def test_measurement_layer_matches_joint_space_definitions():
+    checked_equal = 0
+    for model, a, label_map, psi, rng in _oracle_cases():
+        n, k, xi = model.sys_dim, model.probe_dim, model.probe_state
+        joint = np.kron(psi, xi)
+        outputs = _mapped_lift(model, label_map)
+        fam_a = _tensor_eye(_eigenprojectors(a.matrix), k)
+        diffs = [_cluster_sums(outputs, c, n * k) - _cluster_sums(fam_a, c, n * k)
+                 for c in _clusters([lam for lam, _ in fam_a] + list(label_map.values()))]
+        want = max(float(np.linalg.norm(d @ joint)) for d in diffs)
+        assert measures_in_state(model, a, label_map, psi).defect == pytest.approx(want, abs=1e-12)
+
+        f_out = sum(value * lifted for value, lifted in outputs)
+        noise = np.linalg.norm((f_out - np.kron(a.matrix, np.eye(k))) @ joint)
+        assert rms_noise(model, a, label_map, psi) == pytest.approx(noise, abs=1e-12)
+
+        embed = np.kron(np.eye(n), xi.reshape(-1, 1))
+        lifted = _mapped_lift(model, {m: m for m in np.linalg.eigvalsh(model.meter.matrix)})
+        effects = povm(model)
+        dist = output_distribution(model, psi)
+        assert len(effects) == len(lifted) == len(dist)
+        for (outcome, effect), (m, want_lift), got_p in zip(effects, lifted, sorted(dist.items())):
+            want_effect = embed.conj().T @ want_lift @ embed
+            assert outcome == pytest.approx(m, abs=1e-12)
+            assert np.abs(effect - want_effect).max() <= 1e-12
+            assert got_p[1] == pytest.approx(np.real(np.vdot(psi, want_effect @ psi)), abs=1e-12)
+
+        # Meter and lifted equalities: a scipy kernel of the stacked differences.
+        b_basis = random_unitary(n, rng)
+        b = Observable(b_basis @ np.diag(rng.choice([-1.0, 2.0], size=n)) @ b_basis.conj().T, name="B")
+        fam_b = _tensor_eye(_eigenprojectors(b.matrix), k)
+        report = context_report(model, a, label_map, b, label_map, psi)
+        for got, fam in ((report.meter_equality_a, fam_a), (report.meter_equality_b, fam_b)):
+            values = [v for v, _ in outputs] + [lam for lam, _ in fam]
+            want_eq = _contains_kernel([_cluster_sums(outputs, c, n * k) - _cluster_sums(fam, c, n * k)
+                                        for c in _clusters(values)], joint)
+            assert got == want_eq
+            checked_equal += want_eq
+        values = [lam for lam, _ in fam_a] + [lam for lam, _ in fam_b]
+        assert report.lifted_equality == _contains_kernel(
+            [_cluster_sums(fam_a, c, n * k) - _cluster_sums(fam_b, c, n * k) for c in _clusters(values)],
+            joint)
+    # Every planted model makes the A-side meter equality hold.
+    assert checked_equal >= 9
+
+
+def test_unreached_label_value_still_joins_clusters(cnot_model):
+    # 0.75e-8 bridges spec(A) = {0, 1.5e-8} into one cluster, which f(O) = 0 matches.
+    a = Observable(np.diag([0.0, 1.5e-8]), name="A")
+    label_map = {1.0: 0.0, -1.0: 0.0, 5.0: 0.75e-8}
+    assert measures_in_state(cnot_model, a, label_map, KET_PLUS).defect <= 1e-15
+    assert measures_in_state(cnot_model, a, {1.0: 0.0, -1.0: 0.0}, KET_PLUS).defect == pytest.approx(
+        1 / SQRT2, abs=1e-12)
+
+
+def test_measurement_layer_diagonalises_only_factor_sized_matrices(monkeypatch):
+    rng = np.random.default_rng(31)
+    model = _model(rng, sys_dim=4, probe_dim=4)
+    a = Observable(random_hermitian(4, rng), name="A")
+    b = Observable(random_hermitian(4, rng), name="B")
+    f = model.label_maps["f"]
+    psi = random_state(4, rng)
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(matrix, *args, **kwargs):
+        sizes.append(np.shape(matrix)[0])
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    measures_in_state(model, a, f, psi)
+    rms_noise(model, a, f, psi)
+    povm(model)
+    output_distribution(model, psi)
+    assert sizes and max(sizes) <= 4
+    sizes.clear()
+    context_report(model, a, f, b, f, psi)
+    # The three joint-space equality Gram kernels: meter A, meter B, lifted.
+    assert [s for s in sizes if s > 4] == [16, 16, 16]

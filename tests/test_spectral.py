@@ -24,6 +24,10 @@ def test_observable_validation_and_metadata():
         obs.name = "other"
 
 
+def test_spectral_family_near_float_max():
+    assert spectral_family(Observable(np.diag([1.0, 1e308]))).eigenvalues == (1.0, 1e308)
+
+
 def test_expectation_and_std_dev_against_manual():
     rng = np.random.default_rng(3)
     for _ in range(20):
