@@ -12,9 +12,10 @@ quantified by a defect (max spectral-action mismatch) and certified when
 the defect is within eq_tol.  Reproducing the Born statistics of ``A`` is
 necessary but strictly weaker; the test suite exhibits the gap.
 
-Both spectral families are lifted from their factors, not found by
-diagonalising a joint-space matrix: ``f(O)`` has the projections
-``U† (1 ⊗ E^{f(M)}(v)) U`` and ``A ⊗ 1`` has ``E^A(λ) ⊗ 1``.
+Certificates, noise, disturbance and POVMs are computed on lifted vectors:
+the rows ``U† (1 ⊗ E^M(m)) U (psi ⊗ xi)``, one per meter outcome ``m``, and
+the targets ``(E^A(λ) psi) ⊗ xi``.  Only ``meter_output`` and the equalities
+of ``context_report``, which need a subspace, form joint-space operators.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ from .numlin import (
     as_state,
     kron,
     op_norm,
-    probe_compress,
 )
-from .lattice import Projection
 from .qlogic import (
     _identity_projection,
     _spectral_differences,
@@ -44,7 +43,7 @@ from .qlogic import (
     jpd_exists,
     value_identity,
 )
-from .spectral import Observable, apply_value_map, spectral_family
+from .spectral import Observable, _meter_labels, spectral_family
 
 
 class MeasurementModel:
@@ -70,14 +69,12 @@ class MeasurementModel:
         if meter.dim != probe_dim:
             raise DimMismatchError(f"meter dim {meter.dim} != probe_dim {probe_dim}")
         maps = {}
-        spectrum = spectral_family(meter, tol=tol).eigenvalues
         for name, mapping in (label_maps or {}).items():
-            entry = {float(k): float(v) for k, v in mapping.items()}
-            for m in spectrum:
-                if not any(abs(m - k) <= tol.eig_cluster_tol for k in entry):
-                    raise UnmappedEigenvalueError(
-                        f"label map {name!r} is undefined on meter outcome {m!r}")
-            maps[name] = entry
+            maps[name] = {float(k): float(v) for k, v in mapping.items()}
+            try:
+                _meter_labels(meter, maps[name], tol)
+            except UnmappedEigenvalueError as exc:
+                raise UnmappedEigenvalueError(f"{exc} (map {name!r})") from None
         object.__setattr__(self, "sys_dim", int(sys_dim))
         object.__setattr__(self, "probe_dim", int(probe_dim))
         object.__setattr__(self, "probe_state", xi)
@@ -107,27 +104,47 @@ class CorrelationCertificate:
         return asdict(self)
 
 
+def _outcome_vectors(u: np.ndarray, joint: np.ndarray, sys_dim: int,
+                     effects: np.ndarray) -> np.ndarray:
+    """Rows U† (1 ⊗ E_m) U (psi ⊗ xi), one per k×k meter projection E_m."""
+    phi = (u @ joint).reshape(sys_dim, -1)
+    # (1 ⊗ E_m) acts on the probe index of the joint amplitudes.
+    masked = (phi @ np.swapaxes(effects, 1, 2)).reshape(len(effects), -1)
+    # Rows of U†: conj(conj(v) U) needs no conjugated copy of U.
+    return (masked.conj() @ u).conj()
+
+
+def _target_vectors(projections: np.ndarray, psi: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Rows (E psi) ⊗ xi, one per n×n matrix E in ``projections``."""
+    shrunk = np.einsum("snm,m->sn", projections, psi)
+    return (shrunk[:, :, None] * xi).reshape(shrunk.shape[0], -1)
+
+
+def _correlation_rows(model: MeasurementModel, a: Observable, label_map: Mapping[float, float],
+                      psi, operators, tol: ToleranceConfig):
+    """Labels f(m), outcome rows and target rows (X psi) ⊗ xi, one per n×n X
+    in ``operators``, on a validated psi ⊗ xi."""
+    if a.dim != model.sys_dim:
+        raise DimMismatchError(f"observable dim {a.dim} != system dim {model.sys_dim}")
+    psi = as_state(psi, tol=tol)
+    values, effects = zip(*_meter_labels(model.meter, label_map, tol))
+    rows = _outcome_vectors(model.unitary, model.joint_state(psi), model.sys_dim, np.stack(effects))
+    return values, rows, _target_vectors(np.stack(operators), psi, model.probe_state)
+
+
 def _lift(model: MeasurementModel, joint_op: np.ndarray) -> np.ndarray:
     """Heisenberg picture U† X U of an operator X on system ⊗ probe."""
-    u = model.unitary
-    return u.conj().T @ joint_op @ u
+    return model.unitary.conj().T @ joint_op @ model.unitary
 
 
 def _output_family(model: MeasurementModel, label_map: Mapping[float, float],
-                   tol: ToleranceConfig) -> list[tuple[float, Projection]]:
-    """Spectral family of f(O): (v, U†(1 ⊗ E^{f(M)}(v))U), f(M) on the probe."""
-    f_meter = apply_value_map(model.meter, label_map, tol=tol)
+                   tol: ToleranceConfig) -> list[tuple[float, np.ndarray]]:
+    """Spectral family of f(O): (v, U†(1 ⊗ Σ_{f(m)=v} E^M(m))U), one lift per label value."""
+    grouped: dict[float, np.ndarray] = {}
+    for value, effect in _meter_labels(model.meter, label_map, tol):
+        grouped[value] = grouped.get(value, 0) + effect
     eye = np.eye(model.sys_dim)
-    return [(v, Projection._trusted(_lift(model, kron(eye, p.matrix))))
-            for v, p in spectral_family(f_meter, tol=tol)]
-
-
-def _system_family(a: Observable, probe_dim: int,
-                   tol: ToleranceConfig) -> list[tuple[float, Projection]]:
-    """Spectral family of a ⊗ 1: (λ, E^a(λ) ⊗ 1)."""
-    eye = np.eye(probe_dim)
-    return [(lam, Projection._trusted(kron(p.matrix, eye)))
-            for lam, p in spectral_family(a, tol=tol)]
+    return [(v, _lift(model, kron(eye, effect))) for v, effect in grouped.items()]
 
 
 def meter_output(model: MeasurementModel, tol: ToleranceConfig = DEFAULT_TOL) -> Observable:
@@ -137,9 +154,10 @@ def meter_output(model: MeasurementModel, tol: ToleranceConfig = DEFAULT_TOL) ->
 
 
 def povm(model: MeasurementModel, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[float, np.ndarray]]:
-    """System-side effects (outcome, Pi) with Pi = <xi|U†(1⊗E_M)U|xi>."""
-    eye = np.eye(model.sys_dim)
-    return [(outcome, probe_compress(_lift(model, kron(eye, proj.matrix)), model.probe_state, tol=tol))
+    """System-side effects (outcome, Pi) with Pi = W†(1⊗E_M)W, W = U(1⊗|xi>)."""
+    n, k = model.sys_dim, model.probe_dim
+    w = model.unitary.reshape(n * k, n, k) @ model.probe_state
+    return [(outcome, w.conj().T @ (proj.matrix @ w.reshape(n, k, n)).reshape(n * k, n))
             for outcome, proj in spectral_family(model.meter, tol=tol)]
 
 
@@ -160,38 +178,34 @@ def measures_in_state(model: MeasurementModel, a: Observable, label_map: Mapping
     """Certify precise measurement of ``a`` in ``psi``: perfect correlation
     between f(O) and a⊗1 on psi ⊗ xi, with the defect the largest
     ||(E^{f(O)}(c) − E^a(c) ⊗ 1)(psi ⊗ xi)|| over the clusters c of spec(a)
-    ∪ range(label map), both families lifted from their factors."""
-    if a.dim != model.sys_dim:
-        raise DimMismatchError(f"observable dim {a.dim} != system dim {model.sys_dim}")
-    joint = model.joint_state(as_state(psi, tol=tol))
-    # Label values no meter outcome reaches still form clusters, with zero projection.
-    zero = Projection.zero(joint.shape[0])
-    outputs = _output_family(model, label_map, tol) + [(float(v), zero) for v in label_map.values()]
-    diffs = _spectral_differences(outputs, _system_family(a, model.probe_dim, tol), tol)
-    defect = max(float(np.linalg.norm(diff @ joint)) for diff in diffs)
+    ∪ range(label map), read off the outcome and target rows."""
+    family = spectral_family(a, tol=tol)
+    values, rows, targets = _correlation_rows(model, a, label_map, psi,
+                                              [p.matrix for p in family.projections], tol)
+    # Label values no meter outcome reaches still form clusters, with a zero row.
+    outputs = list(zip(values, rows)) + [(float(v), np.zeros_like(rows[0])) for v in label_map.values()]
+    diffs = _spectral_differences(outputs, list(zip(family.eigenvalues, targets)), tol)
+    defect = max(float(np.linalg.norm(diff)) for diff in diffs)
     return CorrelationCertificate(defect=defect, passed=defect <= tol.eq_tol)
 
 
 def rms_noise(model: MeasurementModel, a: Observable, label_map: Mapping[float, float],
               psi, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Root-mean-square noise: ||(f(O) − a⊗1)(psi ⊗ xi)||."""
-    if a.dim != model.sys_dim:
-        raise DimMismatchError(f"observable dim {a.dim} != system dim {model.sys_dim}")
-    joint = model.joint_state(as_state(psi, tol=tol))
-    f_meter = apply_value_map(model.meter, label_map, tol=tol)
-    f_out = _lift(model, kron(np.eye(model.sys_dim), f_meter.matrix))
-    gap = f_out - kron(a.matrix, np.eye(model.probe_dim))
-    return float(np.linalg.norm(gap @ joint))
+    values, rows, (target,) = _correlation_rows(model, a, label_map, psi, [a.matrix], tol)
+    return float(np.linalg.norm(np.asarray(values) @ rows - target))
 
 
 def rms_disturbance(model: MeasurementModel, b: Observable, psi,
                     tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Root-mean-square disturbance: ||(U†(b⊗1)U − b⊗1)(psi ⊗ xi)||."""
+    """Root-mean-square disturbance: ||U†((b⊗1)U(psi ⊗ xi)) − (b psi) ⊗ xi||."""
     if b.dim != model.sys_dim:
         raise DimMismatchError(f"observable dim {b.dim} != system dim {model.sys_dim}")
-    joint = model.joint_state(as_state(psi, tol=tol))
-    lifted = kron(b.matrix, np.eye(model.probe_dim))
-    return float(np.linalg.norm((_lift(model, lifted) - lifted) @ joint))
+    psi = as_state(psi, tol=tol)
+    u, n = model.unitary, model.sys_dim
+    phi = (u @ model.joint_state(psi)).reshape(n, -1)
+    moved = ((b.matrix @ phi).reshape(-1).conj() @ u).conj()
+    return float(np.linalg.norm(moved - kron(b.matrix @ psi, model.probe_state)))
 
 
 _INEQ_SLACK = 1e-9
@@ -254,7 +268,7 @@ class ContextReport:
     """Full exhibit around one apparatus measuring two observables.
 
     The joint-space equalities are Gram-matrix near-kernels of the lifted
-    families (U†(1 ⊗ E^{f(M)})U and E ⊗ 1), evaluated independently of the
+    families (U†(1 ⊗ E^M(f⁻¹(v)))U and E ⊗ 1), evaluated independently of the
     vector-defect certificates, so agreement between the two is itself
     evidence of correctness.  ``nowhere_commuting`` is read off the same
     commutator projection as ``jointly_determinate``: its rank is zero.
@@ -307,8 +321,10 @@ def context_report(model: MeasurementModel, a: Observable, map_a: Mapping[float,
     jpd_flag, _ = jpd_exists(a, b, psi, tol=tol)
 
     joint = model.joint_state(psi)
-    fam_a = _system_family(a, model.probe_dim, tol)
-    fam_b = _system_family(b, model.probe_dim, tol)
+    # Spectral families of a ⊗ 1 and b ⊗ 1: (λ, E(λ) ⊗ 1).
+    eye = np.eye(model.probe_dim)
+    fam_a, fam_b = ([(lam, kron(p.matrix, eye)) for lam, p in spectral_family(obs, tol=tol)]
+                    for obs in (a, b))
     meter_a = _identity_projection(_output_family(model, map_a, tol), fam_a, tol)
     meter_b = _identity_projection(_output_family(model, map_b, tol), fam_b, tol)
     lifted = _identity_projection(fam_a, fam_b, tol)
@@ -379,7 +395,6 @@ class _SearchProblem:
     """Shared geometry for one search run (observables fixed, meter fixed)."""
 
     def __init__(self, a: Observable, b: Observable, probe_dim: int, tol: ToleranceConfig):
-        self.tol = tol
         self.n = a.dim
         self.k = probe_dim
         self.joint = self.n * self.k
@@ -389,19 +404,19 @@ class _SearchProblem:
         self.vals_b = fam_b.eigenvalues
         self.proj_a = np.stack([p.matrix for p in fam_a.projections])
         self.proj_b = np.stack([p.matrix for p in fam_b.projections])
-        self.xi = np.zeros(self.k, dtype=complex)
-        self.xi[0] = 1.0
-        # Embeds the system space as psi |-> psi (x) xi.
-        self.embed = kron(np.eye(self.n), self.xi.reshape(-1, 1))
+        self.xi = np.eye(self.k, dtype=complex)[0]
+        # The meter diag(1..k) read in the probe basis: E_m = |m><m|.
+        self.effects = np.array([np.diag(row) for row in np.eye(self.k)])
         self.u_params = self.joint * self.joint
         self.s_params = 2 * self.n
 
     def candidate_maps(self, rng: np.random.Generator):
-        """Assignments meter outcome -> eigenvalue index, one array per side.
+        """Assignments meter outcome -> eigenvalue index, one (maps, one-hot)
+        pair per side.
 
         Exhaustive below the size guard; beyond it, a seeded sample plus all
         constant assignments (those solve any eigenstate measurement)."""
-        def side(count: int) -> np.ndarray:
+        def side(count: int):
             if self.k * max(len(self.vals_a), len(self.vals_b)) <= 64:
                 combos = list(itertools.product(range(count), repeat=self.k))
             else:
@@ -409,28 +424,13 @@ class _SearchProblem:
                          for _ in range(64)}
                 picks.update({(i,) * self.k for i in range(count)})
                 combos = sorted(picks)
-            return np.array(combos, dtype=int)
+            maps = np.array(combos, dtype=int)
+            return maps, (maps[:, None, :] == np.arange(count)[None, :, None]).astype(float)
 
         return side(len(self.vals_a)), side(len(self.vals_b))
 
-    @staticmethod
-    def _one_hot(assignments: np.ndarray, count: int) -> np.ndarray:
-        return (assignments[:, None, :] == np.arange(count)[None, :, None]).astype(float)
-
     def outcome_vectors(self, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """Rows v_m = U† (1 ⊗ |m><m|) U (psi ⊗ xi), one per meter slot."""
-        phi = (u @ kron(psi, self.xi)).reshape(self.n, self.k)
-        # (1 ⊗ |m><m|) keeps probe column m of the joint amplitudes.
-        masked = np.zeros((self.k, self.joint), dtype=complex)
-        for m in range(self.k):
-            block = np.zeros_like(phi)
-            block[:, m] = phi[:, m]
-            masked[m] = block.reshape(-1)
-        return masked @ u.conj()
-
-    def _targets(self, projections: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        shrunk = np.einsum("snm,m->sn", projections, psi)
-        return (shrunk[:, :, None] * self.xi).reshape(shrunk.shape[0], -1)
+        return _outcome_vectors(u, kron(psi, self.xi), self.n, self.effects)
 
     def _side_table(self, vectors: np.ndarray, targets: np.ndarray, one_hot: np.ndarray) -> np.ndarray:
         """Per-assignment defect: max_i ||sum_{m in slot i} v_m − t_i||.
@@ -445,81 +445,73 @@ class _SearchProblem:
         squares = np.clip(quad - 2.0 * mixed + tnorm[None, :], 0.0, None)
         return np.sqrt(squares.max(axis=1))
 
-    def side_defect(self, vectors: np.ndarray, psi: np.ndarray, projections: np.ndarray,
-                    assignment: np.ndarray) -> float:
+    @staticmethod
+    def side_defect(vectors: np.ndarray, targets: np.ndarray, assignment: np.ndarray) -> float:
         """Exact defect of one assignment, by direct vector arithmetic."""
-        targets = self._targets(projections, psi)
         assignment = np.asarray(assignment)
         worst = 0.0
-        for i in range(projections.shape[0]):
-            total = vectors[assignment == i].sum(axis=0) - targets[i]
+        for i, target in enumerate(targets):
+            total = vectors[assignment == i].sum(axis=0) - target
             worst = max(worst, float(np.linalg.norm(total)))
         return worst
 
-    def _best_side(self, vectors, psi, projections, maps):
-        table = self._side_table(vectors, self._targets(projections, psi),
-                                 self._one_hot(maps, projections.shape[0]))
+    def _best_side(self, vectors, targets, maps, one_hot):
+        table = self._side_table(vectors, targets, one_hot)
         winner = int(np.argmin(table))
-        best = self.side_defect(vectors, psi, projections, maps[winner])
+        best = self.side_defect(vectors, targets, maps[winner])
         # Near zero the table is cancellation-limited; rescore all contenders.
         if table[winner] < 1e-6:
             for j in np.flatnonzero(table < 1e-6):
                 if j == winner:
                     continue
-                exact = self.side_defect(vectors, psi, projections, maps[j])
+                exact = self.side_defect(vectors, targets, maps[j])
                 if exact < best:
                     best, winner = exact, int(j)
         return best, winner
 
-    def best_maps(self, vectors, psi, maps_a, maps_b):
+    def best_maps(self, vectors, psi, side_a, side_b):
         """Exhaust label maps; the two sides decouple in the max-defect."""
-        defect_a, ia = self._best_side(vectors, psi, self.proj_a, maps_a)
-        defect_b, ib = self._best_side(vectors, psi, self.proj_b, maps_b)
-        return max(defect_a, defect_b), maps_a[ia], maps_b[ib]
+        defect_a, ia = self._best_side(vectors, _target_vectors(self.proj_a, psi, self.xi), *side_a)
+        defect_b, ib = self._best_side(vectors, _target_vectors(self.proj_b, psi, self.xi), *side_b)
+        return max(defect_a, defect_b), side_a[0][ia], side_b[0][ib]
 
-    def objective(self, theta: np.ndarray, maps_a, maps_b):
+    def objective(self, theta: np.ndarray, side_a, side_b):
         u = _unitary_from_params(theta[:self.u_params], self.joint)
         psi = _state_from_params(theta[self.u_params:], self.n)
-        vectors = self.outcome_vectors(u, psi)
-        return self.best_maps(vectors, psi, maps_a, maps_b)
+        return self.best_maps(self.outcome_vectors(u, psi), psi, side_a, side_b)
 
-    def _quadratic_form(self, u, projections, assignment) -> np.ndarray:
-        """Sum-of-squares defect for one side as psi† Q psi (Q acts on C^n)."""
-        q = np.zeros((self.n, self.n), dtype=complex)
-        for i in range(projections.shape[0]):
-            mask = (np.asarray(assignment) == i).astype(float)
-            meter_side = u.conj().T @ kron(np.eye(self.n), np.diag(mask)) @ u
-            w = (meter_side - kron(projections[i], np.eye(self.k))) @ self.embed
-            q = q + w.conj().T @ w
-        return q
-
-    def polish(self, u: np.ndarray, maps_a, maps_b):
+    def polish(self, u: np.ndarray, side_a, side_b):
         """Re-solve for the state: per map pair, the summed squared defect is
-        a quadratic form in psi; its minimal eigenvector is the best state."""
+        a quadratic form in psi; its minimal eigenvector is the best state.
+        The forms are built from the outcome and target rows of the basis
+        states, computed once per call."""
+        basis = np.eye(self.n)
+        columns = np.stack([self.outcome_vectors(u, e) for e in basis])
+
+        def forms(projections, one_hot) -> np.ndarray:
+            # Column j of side slot i: sum_{m in slot i} v_m(e_j) − (E_i e_j) ⊗ xi.
+            targets = np.stack([_target_vectors(projections, e, self.xi) for e in basis], axis=1)
+            w = np.einsum("aim,jmx->aijx", one_hot, columns) - targets
+            return np.einsum("aijx,ailx->ajl", w.conj(), w)
+
+        (maps_a, hot_a), (maps_b, hot_b) = side_a, side_b
         if len(maps_a) * len(maps_b) <= 256:
             pairs = list(itertools.product(range(len(maps_a)), range(len(maps_b))))
-            forms_a = [self._quadratic_form(u, self.proj_a, g) for g in maps_a]
-            forms_b = [self._quadratic_form(u, self.proj_b, g) for g in maps_b]
         else:
             pairs = [(0, 0)]
-            forms_a = [self._quadratic_form(u, self.proj_a, maps_a[0])]
-            forms_b = [self._quadratic_form(u, self.proj_b, maps_b[0])]
+            hot_a, hot_b = hot_a[:1], hot_b[:1]
+        forms_a, forms_b = forms(self.proj_a, hot_a), forms(self.proj_b, hot_b)
         best = None
         for ia, ib in pairs:
-            q = forms_a[ia] + forms_b[ib]
-            _, v = np.linalg.eigh(_hermitian_part(q))
+            _, v = np.linalg.eigh(_hermitian_part(forms_a[ia] + forms_b[ib]))
             psi = v[:, 0]
             vectors = self.outcome_vectors(u, psi)
-            defect = max(self.side_defect(vectors, psi, self.proj_a, maps_a[ia]),
-                         self.side_defect(vectors, psi, self.proj_b, maps_b[ib]))
+            defect = max(
+                self.side_defect(vectors, _target_vectors(self.proj_a, psi, self.xi), maps_a[ia]),
+                self.side_defect(vectors, _target_vectors(self.proj_b, psi, self.xi), maps_b[ib]))
             if best is None or defect < best[0]:
                 best = (defect, psi, maps_a[ia], maps_b[ib])
         return best
-
-
-def _write_state(theta: np.ndarray, psi: np.ndarray, u_params: int, n: int) -> None:
-    theta[u_params:u_params + n] = psi.real
-    theta[u_params + n:] = psi.imag
 
 
 def _pattern_search(problem: _SearchProblem, rng: np.random.Generator, budget: int):
@@ -527,12 +519,12 @@ def _pattern_search(problem: _SearchProblem, rng: np.random.Generator, budget: i
     parameters, label maps enumerated exactly at every iterate.  Before each
     shrink-on-fail the closed-form state polish gets a chance to jump ahead,
     so the step cascade is traversed once instead of restarting."""
-    maps_a, maps_b = problem.candidate_maps(rng)
+    side_a, side_b = problem.candidate_maps(rng)
     theta = np.concatenate([
         rng.normal(0.0, 0.6, size=problem.u_params),
         rng.normal(0.0, 1.0, size=problem.s_params),
     ])
-    best_val, best_a, best_b = problem.objective(theta, maps_a, maps_b)
+    best_val, best_a, best_b = problem.objective(theta, side_a, side_b)
     evals = 1
     step = 0.5
     while step > 1e-10 and evals < budget and best_val > _SUCCESS_CUTOFF:
@@ -541,38 +533,30 @@ def _pattern_search(problem: _SearchProblem, rng: np.random.Generator, budget: i
             if evals >= budget:
                 break
             for delta in (step, -step):
-                candidate = theta.copy()
-                candidate[i] += delta
-                val, g_a, g_b = problem.objective(candidate, maps_a, maps_b)
-                evals += 1
-                if val >= best_val - 1e-15:
-                    if evals >= budget:
-                        break
-                    continue
-                theta, best_val, best_a, best_b = candidate, val, g_a, g_b
-                improved = True
-                # Ride the accepted direction while it keeps paying off.
+                # Ride the direction while it keeps paying off.
+                moved = False
                 while evals < budget:
                     candidate = theta.copy()
                     candidate[i] += delta
-                    val, g_a, g_b = problem.objective(candidate, maps_a, maps_b)
+                    val, g_a, g_b = problem.objective(candidate, side_a, side_b)
                     evals += 1
                     if val >= best_val - 1e-15:
                         break
                     theta, best_val, best_a, best_b = candidate, val, g_a, g_b
-                break
+                    moved = improved = True
+                if moved or evals >= budget:
+                    break
         if not improved:
             u = _unitary_from_params(theta[:problem.u_params], problem.joint)
-            polished = problem.polish(u, maps_a, maps_b)
+            polished = problem.polish(u, side_a, side_b)
             if polished is not None and polished[0] < best_val - 1e-15:
                 best_val, psi, best_a, best_b = polished
-                theta = theta.copy()
-                _write_state(theta, psi, problem.u_params, problem.n)
+                theta = np.concatenate([theta[:problem.u_params], psi.real, psi.imag])
             else:
                 step *= 0.5
 
     u = _unitary_from_params(theta[:problem.u_params], problem.joint)
-    polished = problem.polish(u, maps_a, maps_b)
+    polished = problem.polish(u, side_a, side_b)
     psi = _state_from_params(theta[problem.u_params:], problem.n)
     if polished is not None and polished[0] < best_val:
         best_val, psi, best_a, best_b = polished

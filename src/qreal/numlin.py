@@ -39,8 +39,8 @@ class ToleranceConfig:
     rank_tol: float = 1e-10
 
     def __post_init__(self):
-        if min(self.eq_tol, self.eig_cluster_tol, self.rank_tol) <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
+        if not all(0.0 < t < np.inf for t in (self.eq_tol, self.eig_cluster_tol, self.rank_tol)):
+            raise ValueError("tolerances must be finite and strictly positive")
         if self.eq_tol < self.rank_tol:
             raise ValueError("eq_tol must be at least rank_tol")
 

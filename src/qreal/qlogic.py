@@ -111,9 +111,10 @@ def holds_in(formula: Formula, env: Environment, psi: np.ndarray, *,
 
 
 def _spectral_differences(fam_a, fam_b, tol: ToleranceConfig) -> list[np.ndarray]:
-    """E^a(c) − E^b(c) for each single-linkage cluster c of the two families'
-    values.  A family is a sequence of (value, Projection) pairs on one space:
-    a :class:`SpectralFamily`, or one lifted to a larger space.
+    """Σ_{λ∈c} a_λ − Σ_{λ∈c} b_λ for each single-linkage cluster c of the two
+    families' values.  A family is a sequence of (value, ndarray) pairs of
+    one shape: spectral projections, lifted projections, or those applied to
+    a vector.
 
     A value held by only one family pairs with zero on the other side, so it
     counts against identity.
@@ -122,9 +123,14 @@ def _spectral_differences(fam_a, fam_b, tol: ToleranceConfig) -> list[np.ndarray
     diffs = []
     for block in cluster_indices(values, tol.eig_cluster_tol):
         cluster = values[block]
-        diffs.append(sum(p.matrix for lam, p in fam_a if lam in cluster)
-                     - sum(p.matrix for lam, p in fam_b if lam in cluster))
+        diffs.append(sum(x for lam, x in fam_a if lam in cluster)
+                     - sum(x for lam, x in fam_b if lam in cluster))
     return diffs
+
+
+def _matrices(family) -> list[tuple[float, np.ndarray]]:
+    """(value, matrix) pairs of a family of (value, Projection) pairs."""
+    return [(lam, p.matrix) for lam, p in family]
 
 
 def _identity_projection(fam_a, fam_b, tol: ToleranceConfig) -> Projection:
@@ -146,7 +152,8 @@ def value_identity(a: Observable, b: Observable, *,
     """
     if a.dim != b.dim:
         raise DimMismatchError(f"dims differ: {a.dim} vs {b.dim}")
-    return _identity_projection(spectral_family(a, tol=tol), spectral_family(b, tol=tol), tol)
+    return _identity_projection(_matrices(spectral_family(a, tol=tol)),
+                                _matrices(spectral_family(b, tol=tol)), tol)
 
 
 def perfectly_correlated(a: Observable, b: Observable, psi: np.ndarray, *,
@@ -161,7 +168,8 @@ def perfectly_correlated(a: Observable, b: Observable, psi: np.ndarray, *,
     psi = as_state(psi, tol=tol)
     if psi.shape[0] != a.dim:
         raise DimMismatchError(f"state dim {psi.shape[0]} != observable dim {a.dim}")
-    diffs = _spectral_differences(spectral_family(a, tol=tol), spectral_family(b, tol=tol), tol)
+    diffs = _spectral_differences(_matrices(spectral_family(a, tol=tol)),
+                                  _matrices(spectral_family(b, tol=tol)), tol)
     return all(np.linalg.norm(diff @ psi) <= tol.eq_tol for diff in diffs)
 
 

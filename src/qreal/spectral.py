@@ -124,6 +124,24 @@ def spectral_projection(
     return Projection._trusted(total)
 
 
+def _meter_labels(meter: Observable, label_map: Mapping[float, float],
+                  tol: ToleranceConfig) -> list[tuple[float, np.ndarray]]:
+    """(f(m), E(m)) for every eigenvalue m of ``meter``, where f(m) is the
+    value of the first key of ``label_map`` within eig_cluster_tol of m.
+
+    The one rule by which label maps meet meter outcomes: value maps and
+    the measurement layer both use it.
+    """
+    labels = []
+    for m, proj in spectral_family(meter, tol):
+        key = next((k for k in label_map if abs(m - float(k)) <= tol.eig_cluster_tol), None)
+        if key is None:
+            raise UnmappedEigenvalueError(
+                f"label map is undefined on eigenvalue {m!r} of {meter.name!r}")
+        labels.append((float(label_map[key]), proj.matrix))
+    return labels
+
+
 def apply_value_map(
     obs: Observable, value_map: Mapping[float, float], tol: ToleranceConfig = DEFAULT_TOL
 ) -> Observable:
@@ -133,17 +151,7 @@ def apply_value_map(
     eig_cluster_tol; eigenspaces whose images coincide merge in the
     result's spectral family.
     """
-    family = spectral_family(obs, tol)
-    keys = [float(k) for k in value_map.keys()]
-    vals = [float(v) for v in value_map.values()]
-    out = np.zeros((obs.dim, obs.dim), dtype=complex)
-    for eigval, proj in family:
-        matches = [i for i, k in enumerate(keys) if abs(eigval - k) <= tol.eig_cluster_tol]
-        if not matches:
-            raise UnmappedEigenvalueError(
-                f"value map is undefined on eigenvalue {eigval!r} of {obs.name!r}"
-            )
-        out = out + vals[matches[0]] * proj.matrix
+    out = sum(value * proj for value, proj in _meter_labels(obs, value_map, tol))
     return Observable(out, name=f"f({obs.name})", tol=tol)
 
 

@@ -394,6 +394,21 @@ def test_env_var_overrides_clustering(data_dir, capsys, monkeypatch):
     assert code == 2 and "QREAL_EIG_TOL" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("source", ["--tol", "QREAL_EIG_TOL", "QREAL_RANK_TOL"])
+def test_non_finite_tolerances_exit_two(data_dir, capsys, monkeypatch, source, value):
+    flag = [source, value] if source == "--tol" else []
+    if not flag:
+        monkeypatch.setenv(source, value)
+    eval_args = ["eval", "Z in {1}", "--obs", f"Z={data_dir / 'obs_sigma_z.json'}",
+                 "--state", str(data_dir / "state_zero2.json")]
+    com_args = ["com", str(data_dir / "obs_sigma_x.json"), str(data_dir / "obs_sigma_y.json")]
+    for argv in (eval_args, com_args):
+        code, out, err = run_cli(capsys, *argv, *flag)
+        assert code == 2 and out is None
+        assert err.startswith("error:") and "finite" in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()

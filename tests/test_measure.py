@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -381,6 +383,13 @@ def test_measurement_layer_matches_joint_space_definitions():
         b_basis = random_unitary(n, rng)
         b = Observable(b_basis @ np.diag(rng.choice([-1.0, 2.0], size=n)) @ b_basis.conj().T, name="B")
         fam_b = _tensor_eye(_eigenprojectors(b.matrix), k)
+        b_joint = np.kron(b.matrix, np.eye(k))
+        u = model.unitary
+        eta = np.linalg.norm((u.conj().T @ b_joint @ u - b_joint) @ joint)
+        assert rms_disturbance(model, b, psi) == pytest.approx(eta, abs=1e-12)
+        trade_off = uncertainty_report(model, a, label_map, b, psi)
+        assert trade_off.epsilon == pytest.approx(noise, abs=1e-12)
+        assert trade_off.eta == pytest.approx(eta, abs=1e-12)
         report = context_report(model, a, label_map, b, label_map, psi)
         for got, fam in ((report.meter_equality_a, fam_a), (report.meter_equality_b, fam_b)):
             values = [v for v, _ in outputs] + [lam for lam, _ in fam]
@@ -429,3 +438,28 @@ def test_measurement_layer_diagonalises_only_factor_sized_matrices(monkeypatch):
     context_report(model, a, f, b, f, psi)
     # The three joint-space equality Gram kernels: meter A, meter B, lifted.
     assert [s for s in sizes if s > 4] == [16, 16, 16]
+
+
+def test_measurement_layer_allocates_no_joint_space_matrix():
+    # At n = k = 16 one joint-space matrix (256 x 256 complex) is 1 MiB.
+    rng = np.random.default_rng(47)
+    model = _model(rng, sys_dim=16, probe_dim=16)
+    a = Observable(random_hermitian(16, rng), name="A")
+    f = model.label_maps["f"]
+    psi = random_state(16, rng)
+    calls = {
+        "measures_in_state": lambda: measures_in_state(model, a, f, psi),
+        "rms_noise": lambda: rms_noise(model, a, f, psi),
+        "rms_disturbance": lambda: rms_disturbance(model, a, psi),
+        "povm": lambda: povm(model),
+    }
+    peaks = {}
+    for name, call in calls.items():
+        call()  # one-time allocations (imports, numpy internals) stay out
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < 2.0, peaks

@@ -35,6 +35,13 @@ def test_tolerance_config_validation():
     assert DEFAULT_TOL.rank_tol == 1e-10
 
 
+@pytest.mark.parametrize("field", ["eq_tol", "eig_cluster_tol", "rank_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_tolerance_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        ToleranceConfig(**{field: value})
+
+
 def test_as_operator_rejects_non_matrices():
     with pytest.raises(NotSquareError):
         as_operator([1.0, 2.0])
