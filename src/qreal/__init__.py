@@ -11,6 +11,7 @@ Stock matrices and seeded generators live in ``standard``.
 from .errors import (
     DimMismatchError,
     EmptyFamilyError,
+    NonFiniteLabelError,
     NotHermitianError,
     NotOrthonormalInputError,
     NotSquareError,
@@ -104,7 +105,7 @@ __version__ = "0.1.0"
 __all__ = [
     "QrealError", "NotSquareError", "NotHermitianError", "NotUnitaryError",
     "NotOrthonormalInputError", "DimMismatchError", "EmptyFamilyError",
-    "UnboundObservableError", "UnmappedEigenvalueError", "ParseError",
+    "UnboundObservableError", "UnmappedEigenvalueError", "NonFiniteLabelError", "ParseError",
     "ToleranceConfig", "DEFAULT_TOL", "kron", "probe_compress", "subspace_intersection",
     "Projection", "complement", "meet", "join", "sasaki", "biconditional",
     "com_pair", "com_family",

@@ -115,13 +115,6 @@ def load_state(path: str, tol: ToleranceConfig) -> np.ndarray:
     return state_from_body(_load_json(path), path)
 
 
-def _reunitarize(u: np.ndarray) -> np.ndarray:
-    """Nearest unitary (polar factor); the load-time analog of state
-    renormalization."""
-    left, _, right = np.linalg.svd(u)
-    return left @ right
-
-
 def load_model(path: str, tol: ToleranceConfig) -> tuple[MeasurementModel, np.ndarray | None]:
     body = _load_json(path)
     for key in ("sys_dim", "probe_dim", "probe_state", "unitary", "meter"):
@@ -134,10 +127,13 @@ def load_model(path: str, tol: ToleranceConfig) -> tuple[MeasurementModel, np.nd
     u = matrix_from_body(body["unitary"], path)
     if u.shape[0] != n * k:
         raise DataError(f"{path}: unitary is {u.shape[0]}x{u.shape[0]}, expected {n * k}")
-    drift = float(np.linalg.norm(u.conj().T @ u - np.eye(n * k), ord=2))
+    # One SVD: max|s² − 1| is ||U†U − I||₂, and the polar factor is the
+    # nearest unitary, the load-time analog of state renormalization.
+    left, s, right = np.linalg.svd(u)
+    drift = float(np.max(np.abs(s ** 2 - 1.0)))
     if drift > 1e-8:
         raise DataError(f"{path}: coupling deviates from unitarity by {drift:.3e}")
-    u = _reunitarize(u)
+    u = left @ right
     meter = matrix_from_body(body["meter"], path)
     maps = body.get("label_maps") or {}
     if not isinstance(maps, dict):

@@ -37,6 +37,10 @@ class UnmappedEigenvalueError(QrealError):
     """A value map is undefined on some eigenvalue of its operand."""
 
 
+class NonFiniteLabelError(QrealError):
+    """A value map has a NaN or infinite key or value."""
+
+
 class ParseError(QrealError):
     """First syntax error in a formula; no recovery is attempted.
 

@@ -113,8 +113,8 @@ def holds_in(formula: Formula, env: Environment, psi: np.ndarray, *,
 def _spectral_differences(fam_a, fam_b, tol: ToleranceConfig) -> list[np.ndarray]:
     """Σ_{λ∈c} a_λ − Σ_{λ∈c} b_λ for each single-linkage cluster c of the two
     families' values.  A family is a sequence of (value, ndarray) pairs of
-    one shape: spectral projections, lifted projections, or those applied to
-    a vector.
+    one shape: spectral projections, or the outcome and target rows of the
+    measurement layer.
 
     A value held by only one family pairs with zero on the other side, so it
     counts against identity.
@@ -133,12 +133,6 @@ def _matrices(family) -> list[tuple[float, np.ndarray]]:
     return [(lam, p.matrix) for lam, p in family]
 
 
-def _identity_projection(fam_a, fam_b, tol: ToleranceConfig) -> Projection:
-    """Near-kernel of the Gram matrix Σ_c (E^a(c) − E^b(c))² at eig_cluster_tol."""
-    gram = sum(diff @ diff for diff in _spectral_differences(fam_a, fam_b, tol))
-    return Projection._spanned(_eigenspace(gram, hi=tol.eig_cluster_tol))
-
-
 def value_identity(a: Observable, b: Observable, *,
                    tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
     """The projection expressing "a and b hold identical values".
@@ -152,8 +146,9 @@ def value_identity(a: Observable, b: Observable, *,
     """
     if a.dim != b.dim:
         raise DimMismatchError(f"dims differ: {a.dim} vs {b.dim}")
-    return _identity_projection(_matrices(spectral_family(a, tol=tol)),
-                                _matrices(spectral_family(b, tol=tol)), tol)
+    diffs = _spectral_differences(_matrices(spectral_family(a, tol=tol)),
+                                  _matrices(spectral_family(b, tol=tol)), tol)
+    return Projection._spanned(_eigenspace(sum(d @ d for d in diffs), hi=tol.eig_cluster_tol))
 
 
 def perfectly_correlated(a: Observable, b: Observable, psi: np.ndarray, *,

@@ -13,7 +13,7 @@ from collections.abc import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DimMismatchError, NotHermitianError, UnmappedEigenvalueError
+from .errors import DimMismatchError, NonFiniteLabelError, NotHermitianError, UnmappedEigenvalueError
 from .lattice import Projection
 from .numlin import DEFAULT_TOL, ToleranceConfig, as_square, eigh, op_norm
 
@@ -130,8 +130,12 @@ def _meter_labels(meter: Observable, label_map: Mapping[float, float],
     value of the first key of ``label_map`` within eig_cluster_tol of m.
 
     The one rule by which label maps meet meter outcomes: value maps and
-    the measurement layer both use it.
+    the measurement layer both use it.  Every key and value must be finite.
     """
+    for key, value in label_map.items():
+        if not (np.isfinite(float(key)) and np.isfinite(float(value))):
+            raise NonFiniteLabelError(
+                f"label map entry {float(key)!r} -> {float(value)!r} is not finite")
     labels = []
     for m, proj in spectral_family(meter, tol):
         key = next((k for k in label_map if abs(m - float(k)) <= tol.eig_cluster_tol), None)

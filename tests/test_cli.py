@@ -260,6 +260,43 @@ def test_measure_error_paths(data_dir, capsys):
     assert code == 2 and "unitarity" in err
 
 
+@pytest.mark.parametrize("pairs", [
+    [[1.0, 1.0], [-1.0, float("nan")]],
+    [[1.0, 1.0], [-1.0, float("inf")]],
+    [[1.0, 1.0], [-1.0, -1.0], [float("nan"), 0.0]],
+    [[1.0, 1.0], [-1.0, -1.0], [float("-inf"), 0.0]],
+])
+def test_non_finite_label_maps_exit_two(data_dir, tmp_path, capsys, pairs):
+    model = json.loads((data_dir / "model_cnot.json").read_text(encoding="utf-8"))
+    model["label_maps"] = {"f": pairs}
+    path = _write_json(tmp_path / "model.json", model)
+    sigma_z = str(data_dir / "obs_sigma_z.json")
+    plus = str(data_dir / "state_plus.json")
+    for argv in (["measure", path, "--state", plus, "--observable", f"Z={sigma_z}", "--map", "f"],
+                 ["context", path, sigma_z, "f", sigma_z, "f", "--state", plus]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out is None
+        assert err.startswith("error:") and "not finite" in err
+
+
+@pytest.mark.parametrize("drift, code", [(0.5e-8, 0), (2e-8, 2)])
+def test_model_unitarity_drift_gate(data_dir, tmp_path, capsys, drift, code):
+    # Stretching one singular value of CNOT to sqrt(1 + drift) gives ||U†U − I||₂ = drift.
+    model = json.loads((data_dir / "model_cnot.json").read_text(encoding="utf-8"))
+    cnot = np.array([[complex(re, im) for re, im in row] for row in model["unitary"]["matrix"]])
+    model["unitary"] = _matrix_body(np.diag([np.sqrt(1.0 + drift), 1.0, 1.0, 1.0]) @ cnot)
+    got, out, err = run_cli(
+        capsys, "measure", _write_json(tmp_path / "model.json", model),
+        "--state", str(data_dir / "state_plus.json"),
+        "--observable", f"Z={data_dir / 'obs_sigma_z.json'}", "--map", "f",
+    )
+    assert got == code
+    if code == 2:
+        assert out is None and err.startswith("error:") and "unitarity by 2.000e-08" in err
+    else:
+        assert out["observables"]["Z"]["defect"] <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # search
 
