@@ -74,13 +74,19 @@ def _complex_entries(rows, path: str, what: str) -> np.ndarray:
     return array
 
 
+def _count(body: dict, key: str, path: str) -> int:
+    """body[key] as a positive integer; JSON true and false are not integers."""
+    value = body[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise DataError(f"{path}: {key!r} must be a positive integer")
+    return value
+
+
 def matrix_from_body(body: dict, path: str) -> np.ndarray:
     if not isinstance(body, dict) or "dim" not in body or "matrix" not in body:
         raise DataError(f"{path}: matrix body needs 'dim' and 'matrix'")
-    dim = body["dim"]
+    dim = _count(body, "dim", path)
     rows = body["matrix"]
-    if not isinstance(dim, int) or dim < 1:
-        raise DataError(f"{path}: 'dim' must be a positive integer")
     if not (isinstance(rows, list) and len(rows) == dim
             and all(isinstance(row, list) and len(row) == dim for row in rows)):
         raise DataError(f"{path}: 'matrix' is not a {dim}x{dim} list of rows")
@@ -90,10 +96,8 @@ def matrix_from_body(body: dict, path: str) -> np.ndarray:
 def state_from_body(body: dict, path: str) -> np.ndarray:
     if not isinstance(body, dict) or "dim" not in body or "vector" not in body:
         raise DataError(f"{path}: state body needs 'dim' and 'vector'")
-    dim = body["dim"]
+    dim = _count(body, "dim", path)
     entries = body["vector"]
-    if not isinstance(dim, int) or dim < 1:
-        raise DataError(f"{path}: 'dim' must be a positive integer")
     if not isinstance(entries, list) or len(entries) != dim:
         raise DataError(f"{path}: 'vector' is not a list of {dim} entries")
     vec = _complex_entries([entries], path, "vector")[0]
@@ -115,14 +119,16 @@ def load_state(path: str, tol: ToleranceConfig) -> np.ndarray:
     return state_from_body(_load_json(path), path)
 
 
+def _load_pair(args, tol: ToleranceConfig) -> tuple[Observable, Observable]:
+    return load_observable(args.a, "A", tol), load_observable(args.b, "B", tol)
+
+
 def load_model(path: str, tol: ToleranceConfig) -> tuple[MeasurementModel, np.ndarray | None]:
     body = _load_json(path)
     for key in ("sys_dim", "probe_dim", "probe_state", "unitary", "meter"):
         if key not in body:
             raise DataError(f"{path}: model body needs {key!r}")
-    n, k = body["sys_dim"], body["probe_dim"]
-    if not (isinstance(n, int) and isinstance(k, int)) or n < 1 or k < 1:
-        raise DataError(f"{path}: dimensions must be positive integers")
+    n, k = _count(body, "sys_dim", path), _count(body, "probe_dim", path)
     xi = state_from_body(body["probe_state"], path)
     u = matrix_from_body(body["unitary"], path)
     if u.shape[0] != n * k:
@@ -313,8 +319,7 @@ def _cmd_eval(args, tol: ToleranceConfig) -> int:
 
 
 def _cmd_jointdet(args, tol: ToleranceConfig) -> int:
-    a = load_observable(args.a, "A", tol)
-    b = load_observable(args.b, "B", tol)
+    a, b = _load_pair(args, tol)
     psi = load_state(args.state, tol)
     flag, proj = jointly_determinate([a, b], psi, tol=tol)
     _emit({"determinate": flag, "com_rank": proj.rank})
@@ -322,8 +327,7 @@ def _cmd_jointdet(args, tol: ToleranceConfig) -> int:
 
 
 def _cmd_jpd(args, tol: ToleranceConfig) -> int:
-    a = load_observable(args.a, "A", tol)
-    b = load_observable(args.b, "B", tol)
+    a, b = _load_pair(args, tol)
     psi = load_state(args.state, tol)
     exists, candidate = jpd_exists(a, b, psi, tol=tol)
     table = [[lam, mu, p] for (lam, mu), p in sorted(candidate.items())]
@@ -332,8 +336,7 @@ def _cmd_jpd(args, tol: ToleranceConfig) -> int:
 
 
 def _cmd_com(args, tol: ToleranceConfig) -> int:
-    a = load_observable(args.a, "A", tol)
-    b = load_observable(args.b, "B", tol)
+    a, b = _load_pair(args, tol)
     proj = _spectral_com([a, b], tol)
     flag = proj.rank == 0
     _emit({"rank": proj.rank, "nowhere_commuting": flag})
@@ -373,8 +376,7 @@ def _cmd_measure(args, tol: ToleranceConfig) -> int:
 
 
 def _cmd_search(args, tol: ToleranceConfig) -> int:
-    a = load_observable(args.a, "A", tol)
-    b = load_observable(args.b, "B", tol)
+    a, b = _load_pair(args, tol)
     if args.probe_dim < 2:
         raise DataError("--probe-dim must be at least 2")
     progress = None
@@ -399,8 +401,7 @@ def _cmd_search(args, tol: ToleranceConfig) -> int:
 
 def _cmd_context(args, tol: ToleranceConfig) -> int:
     model, embedded_state = load_model(args.model, tol)
-    a = load_observable(args.a, "A", tol)
-    b = load_observable(args.b, "B", tol)
+    a, b = _load_pair(args, tol)
     for name in (args.map_a, args.map_b):
         if name not in model.label_maps:
             raise DataError(f"model has no label map named {name!r}")

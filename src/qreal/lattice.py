@@ -3,8 +3,8 @@
 Connectives are computed spectrally, not by iterated alternating
 projections: the meet is the eigenspace of P + Q at eigenvalue 2 (within
 ``eig_cluster_tol``), and all other connectives are built from meet and
-complement.  Commutator subspaces are numerical kernels of stacked
-commutators (singular values within ``rank_tol``).  Every operation builds
+complement.  Commutator subspaces are spans of :func:`joint_eigenspaces`,
+whose principal-angle sines are cut at ``rank_tol``.  Every operation builds
 its result from orthonormal columns (``Projection._spanned``), which is the
 spectral snap to eigenvalues {0, 1}; complements of snapped projections stay
 snapped, so tolerance drift cannot accumulate no matter how deeply
@@ -189,35 +189,52 @@ def com_family(projections: Sequence[Projection], tol: ToleranceConfig = DEFAULT
     """Commutator projection of a family.
 
     Projects onto the largest subspace that is invariant under every
-    member and on which all pairs commute.  Computed as a shrinking fixed
-    point: start from the common kernel of all pairwise commutators, then
-    repeatedly restrict to vectors whose images under every member stay
-    inside the current subspace.  Terminates in at most dim steps.
+    member and on which all pairs commute.  That subspace is the span of
+    the joint eigenspaces of the two-member families {P, I − P}, one
+    frame per member from one ``eigh`` split at ½.
     """
     ps = list(projections)
     if not ps:
         raise EmptyFamilyError("com_family requires at least one projection")
-    dim = ps[0].dim
     for p in ps[1:]:
         _same_dim(ps[0], p)
-    mats = [p.matrix for p in ps]
+    frames = []
+    for p in ps:
+        w, v = np.linalg.eigh(p.matrix)
+        split = int(np.sum(w < 0.5))
+        frames.append((v, [slice(0, split), slice(split, p.dim)]))
+    return _span(joint_eigenspaces(frames, tol), ps[0].dim)
 
-    commutators = [
-        mats[i] @ mats[j] - mats[j] @ mats[i]
-        for i in range(len(mats))
-        for j in range(i + 1, len(mats))
-    ]
-    if commutators:
-        basis = null_basis(np.vstack(commutators), tol)
-    else:
-        basis = np.eye(dim, dtype=complex)
 
-    while basis.shape[1] > 0:
-        outside = np.eye(dim, dtype=complex) - basis @ basis.conj().T
-        constraints = np.vstack([outside @ m @ basis for m in mats])
-        coeffs = null_basis(constraints, tol)
-        if coeffs.shape[1] == basis.shape[1]:
-            break
-        basis = basis @ coeffs
+def joint_eigenspaces(frames, tol: ToleranceConfig = DEFAULT_TOL) -> dict[tuple[int, ...], np.ndarray]:
+    """Nonzero joint eigenspaces ran P₁(i₁) ∩ ran P₂(i₂) ∩ … of complete
+    orthogonal families, as orthonormal columns keyed by (i₁, i₂, …).
 
-    return Projection._spanned(basis)
+    A family is a frame (V, slices): V is unitary and its column slices
+    span the members.  The first family's pieces are its slices; each
+    later family splits every piece S: S ∩ member i is S times the
+    :func:`null_basis` of the rows of V†S outside slice i, whose singular
+    values are the principal-angle sines.  A unit vector of S in member i
+    puts weight ≈ 1 on its rows, so members with ||V_i†S||² < ½ are
+    skipped: S has weight rank S in all, so at most 2·dim SVDs per family.
+    """
+    (v0, slices0), *rest = frames
+    pieces = {(i,): v0[:, sl] for i, sl in enumerate(slices0) if sl.stop > sl.start}
+    for v, slices in rest:
+        split = {}
+        for key, piece in pieces.items():
+            overlap = v.conj().T @ piece
+            weights = np.sum(np.abs(overlap) ** 2, axis=1)
+            for i, sl in enumerate(slices):
+                if np.sum(weights[sl]) < 0.5:
+                    continue
+                cols = piece @ null_basis(np.delete(overlap, sl, axis=0), tol)
+                if cols.shape[1]:
+                    split[key + (i,)] = cols
+        pieces = split
+    return pieces
+
+
+def _span(pieces: dict[tuple[int, ...], np.ndarray], dim: int) -> Projection:
+    """Projection onto the span of mutually orthogonal pieces."""
+    return Projection._spanned(np.hstack([np.zeros((dim, 0), complex), *pieces.values()]))

@@ -37,7 +37,7 @@ from .numlin import (
     kron,
     op_norm,
 )
-from .qlogic import _spectral_differences, jointly_determinate, jpd_exists, value_identity
+from .qlogic import _spectral_differences, jointly_determinate, value_identity
 from .spectral import Observable, _meter_labels, spectral_family
 
 
@@ -256,9 +256,9 @@ class ContextReport:
     psi lies in ran P (||xi|| = 1), so the lifted equality is the system
     equality.  The scipy kernel oracle in tests/test_measure.py checks both
     against their joint-space definitions, and acceptance criterion 09 on
-    the headline witness, whose defects sit just under eq_tol.
-    ``nowhere_commuting`` is read off the same commutator projection as
-    ``jointly_determinate``: its rank is zero.
+    the headline search winner, whose defects sit just under eq_tol.
+    ``nowhere_commuting`` (rank zero) and ``jpd_exists`` (psi in the range,
+    by :func:`jpd_exists`) read the commutator projection of ``jointly_determinate``.
     """
 
     cert_a: CorrelationCertificate
@@ -305,7 +305,6 @@ def context_report(model: MeasurementModel, a: Observable, map_a: Mapping[float,
     psi = as_state(psi, tol=tol)
     pair = simultaneously_measures(model, a, map_a, b, map_b, psi, tol=tol)
     flag, proj = jointly_determinate([a, b], psi, tol=tol)
-    jpd_flag, _ = jpd_exists(a, b, psi, tol=tol)
 
     system_proj = value_identity(a, b, tol=tol)
     system_eq = system_proj.contains(psi, tol=tol)
@@ -318,7 +317,7 @@ def context_report(model: MeasurementModel, a: Observable, map_a: Mapping[float,
         nowhere_commuting=proj.rank == 0,
         jointly_determinate=flag,
         determinateness_rank=proj.rank,
-        jpd_exists=jpd_flag,
+        jpd_exists=flag,
         meter_equality_a=pair.cert_a.passed,
         meter_equality_b=pair.cert_b.passed,
         lifted_equality=system_eq,

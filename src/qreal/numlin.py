@@ -123,13 +123,8 @@ def range_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     the column count is the numerical rank.  A zero matrix yields an
     ``(n, 0)`` array.
     """
-    m = as_operator(matrix)
-    u, s, _ = np.linalg.svd(m)
-    if s.size == 0:
-        return u[:, :0]
-    cutoff = tol.rank_tol * max(float(s[0]), 1.0)
-    rank = int(np.sum(s > cutoff))
-    return u[:, :rank]
+    u, s, _ = np.linalg.svd(as_operator(matrix))
+    return u[:, :_rank(s, tol)]
 
 
 def null_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -144,9 +139,12 @@ def null_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     if m.shape[0] > m.shape[1]:
         m = np.linalg.qr(m, mode="r")
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    cutoff = tol.rank_tol * max(float(s[0]) if s.size else 0.0, 1.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:, :].conj().T
+    return vh[_rank(s, tol):, :].conj().T
+
+
+def _rank(s: np.ndarray, tol: ToleranceConfig) -> int:
+    """Count of descending singular values above ``rank_tol * max(largest, 1)``."""
+    return int(np.sum(s > tol.rank_tol * max(float(s[0]) if s.size else 0.0, 1.0)))
 
 
 def _check_orthonormal(basis: np.ndarray, tol: ToleranceConfig) -> None:

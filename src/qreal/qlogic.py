@@ -3,9 +3,9 @@
 A formula denotes a projection, built compositionally from the spectral
 projections of the observables it mentions.  Truth in a state ``psi`` means
 ``psi`` lies in the range of that projection; the probability reading is
-the Born weight ``<psi|P|psi>``.  Equality of observables, joint
-determinateness and joint-probability-distribution existence are all
-state-dependent notions defined through the same lattice operations.
+the Born weight ``<psi|P|psi>``.  Joint determinateness, nowhere-commutation
+and JPD existence all read the joint eigenspaces E^A(λ) ∧ E^B(μ) of
+:func:`lattice.joint_eigenspaces`, one ``rank_tol`` cutoff for all three.
 """
 
 from __future__ import annotations
@@ -20,13 +20,15 @@ from .errors import DimMismatchError, UnboundObservableError
 from .lattice import Projection
 from .numlin import DEFAULT_TOL, ToleranceConfig, _eigenspace, as_state
 from .qlang import And, Atom, Com, Equal, Formula, Iff, Not, Or, Sasaki
-from .spectral import (
-    Observable,
-    born_distribution,
-    cluster_indices,
-    spectral_family,
-    spectral_projection,
-)
+from .spectral import Observable, cluster_indices, eigenframe, spectral_family, spectral_projection
+
+
+def _common_dim(observables) -> int:
+    """The dimension every observable shares."""
+    dims = {obs.dim for obs in observables}
+    if len(dims) != 1:
+        raise DimMismatchError(f"observables span several dimensions: {sorted(dims)}")
+    return dims.pop()
 
 
 class Environment:
@@ -37,12 +39,8 @@ class Environment:
     def __init__(self, bindings: Mapping[str, Observable]):
         if not bindings:
             raise ValueError("environment needs at least one observable")
-        items = dict(bindings)
-        dims = {obs.dim for obs in items.values()}
-        if len(dims) != 1:
-            raise DimMismatchError(f"observables span several dimensions: {sorted(dims)}")
-        self._bindings = items
-        self.dim = dims.pop()
+        self._bindings = dict(bindings)
+        self.dim = _common_dim(self._bindings.values())
 
     def __getitem__(self, obs_id: str) -> Observable:
         try:
@@ -90,11 +88,18 @@ def truth_projection(formula: Formula, env: Environment, *,
     raise TypeError(f"not a formula node: {formula!r}")
 
 
+def _joint_pieces(observables, tol: ToleranceConfig):
+    """(eigenvalue tuples, joint eigenspaces keyed by eigenvalue indices)."""
+    _common_dim(observables)
+    frames = [eigenframe(obs, tol) for obs in observables]
+    pieces = lattice.joint_eigenspaces([(v, slices) for _, v, slices in frames], tol)
+    return [values for values, _, _ in frames], pieces
+
+
 def _spectral_com(observables, tol: ToleranceConfig) -> Projection:
-    """com of the observables' spectral projections taken together: the
+    """com of the observables: the span of their joint eigenspaces, the
     largest subspace on which they all behave classically."""
-    projections = [p for obs in observables for p in spectral_family(obs, tol=tol).projections]
-    return lattice.com_family(projections, tol=tol)
+    return lattice._span(_joint_pieces(observables, tol)[1], observables[0].dim)
 
 
 def holds_in(formula: Formula, env: Environment, psi: np.ndarray, *,
@@ -128,9 +133,11 @@ def _spectral_differences(fam_a, fam_b, tol: ToleranceConfig) -> list[np.ndarray
     return diffs
 
 
-def _matrices(family) -> list[tuple[float, np.ndarray]]:
-    """(value, matrix) pairs of a family of (value, Projection) pairs."""
-    return [(lam, p.matrix) for lam, p in family]
+def _value_differences(a: Observable, b: Observable, tol: ToleranceConfig) -> list[np.ndarray]:
+    """E^A(c) − E^B(c) for each cluster c of spec(a) ∪ spec(b)."""
+    _common_dim((a, b))
+    fam_a, fam_b = ([(lam, p.matrix) for lam, p in spectral_family(obs, tol=tol)] for obs in (a, b))
+    return _spectral_differences(fam_a, fam_b, tol)
 
 
 def value_identity(a: Observable, b: Observable, *,
@@ -144,11 +151,16 @@ def value_identity(a: Observable, b: Observable, *,
     within eig_cluster_tol of 0, the rule :func:`lattice.meet` applies to
     (I − P) + (I − Q).
     """
-    if a.dim != b.dim:
-        raise DimMismatchError(f"dims differ: {a.dim} vs {b.dim}")
-    diffs = _spectral_differences(_matrices(spectral_family(a, tol=tol)),
-                                  _matrices(spectral_family(b, tol=tol)), tol)
+    diffs = _value_differences(a, b, tol)
     return Projection._spanned(_eigenspace(sum(d @ d for d in diffs), hi=tol.eig_cluster_tol))
+
+
+def _state_for(observables, psi, tol: ToleranceConfig) -> np.ndarray:
+    """psi as a unit vector in the observables' common dimension."""
+    psi = as_state(psi, tol=tol)
+    if psi.shape[0] != _common_dim(observables):
+        raise DimMismatchError(f"state dim {psi.shape[0]} differs from observable dim")
+    return psi
 
 
 def perfectly_correlated(a: Observable, b: Observable, psi: np.ndarray, *,
@@ -158,14 +170,8 @@ def perfectly_correlated(a: Observable, b: Observable, psi: np.ndarray, *,
     Decided vector by vector, without forming the value-identity subspace;
     the tests use it as an oracle for equality truth.
     """
-    if a.dim != b.dim:
-        raise DimMismatchError(f"dims differ: {a.dim} vs {b.dim}")
-    psi = as_state(psi, tol=tol)
-    if psi.shape[0] != a.dim:
-        raise DimMismatchError(f"state dim {psi.shape[0]} != observable dim {a.dim}")
-    diffs = _spectral_differences(_matrices(spectral_family(a, tol=tol)),
-                                  _matrices(spectral_family(b, tol=tol)), tol)
-    return all(np.linalg.norm(diff @ psi) <= tol.eq_tol for diff in diffs)
+    psi = _state_for([a, b], psi, tol)
+    return all(np.linalg.norm(d @ psi) <= tol.eq_tol for d in _value_differences(a, b, tol))
 
 
 def jointly_determinate(observables: list[Observable], psi: np.ndarray, *,
@@ -177,12 +183,7 @@ def jointly_determinate(observables: list[Observable], psi: np.ndarray, *,
     """
     if len(observables) < 2:
         raise ValueError("joint determinateness needs at least two observables")
-    dims = {obs.dim for obs in observables}
-    if len(dims) != 1:
-        raise DimMismatchError(f"observables span several dimensions: {sorted(dims)}")
-    psi = as_state(psi, tol=tol)
-    if psi.shape[0] != dims.pop():
-        raise DimMismatchError("state dim differs from observable dim")
+    psi = _state_for(observables, psi, tol)
     proj = _spectral_com(observables, tol)
     return proj.contains(psi, tol=tol), proj
 
@@ -190,41 +191,22 @@ def jointly_determinate(observables: list[Observable], psi: np.ndarray, *,
 def nowhere_commuting(a: Observable, b: Observable, *,
                       tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when no state makes a and b jointly determinate."""
-    if a.dim != b.dim:
-        raise DimMismatchError(f"dims differ: {a.dim} vs {b.dim}")
     return _spectral_com([a, b], tol).rank == 0
 
 
 def jpd_exists(a: Observable, b: Observable, psi: np.ndarray, *,
                tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, dict[tuple[float, float], float]]:
-    """Meet-based joint-distribution candidate and whether it is a genuine JPD.
+    """Joint-eigenspace distribution p(λ, μ) = ||S_λμ† psi||² and whether it
+    is a genuine JPD, S_λμ an orthonormal basis of E^A(λ) ∧ E^B(μ).
 
-    The candidate weights are Born weights of pairwise meets; existence
-    requires normalization and both marginals to reproduce the single-
-    observable Born distributions.
+    It exists exactly when psi lies in the span of the joint eigenspaces,
+    the test :func:`jointly_determinate` applies.  The Born marginals then
+    follow: each row deficit ||(E^A(λ) − Σ_μ S_λμ S_λμ†) psi||² is
+    nonnegative, and A's row deficits (likewise B's) sum to 1 − Σ p(λ, μ).
     """
-    if a.dim != b.dim:
-        raise DimMismatchError(f"dims differ: {a.dim} vs {b.dim}")
-    psi = as_state(psi, tol=tol)
-    if psi.shape[0] != a.dim:
-        raise DimMismatchError(f"state dim {psi.shape[0]} != observable dim {a.dim}")
-    fam_a = spectral_family(a, tol=tol)
-    fam_b = spectral_family(b, tol=tol)
-    candidate: dict[tuple[float, float], float] = {}
-    for lam, proj_a in fam_a.entries:
-        for mu, proj_b in fam_b.entries:
-            both = lattice.meet(proj_a, proj_b, tol=tol)
-            weight = float(np.clip(np.real(np.vdot(psi, both.apply(psi))), 0.0, 1.0))
-            candidate[(lam, mu)] = weight
-    total = sum(candidate.values())
-    born_a = born_distribution(a, psi, tol=tol)
-    born_b = born_distribution(b, psi, tol=tol)
-    marginals_ok = all(
-        abs(sum(candidate[(lam, mu)] for mu in fam_b.eigenvalues) - born_a[lam]) <= tol.eq_tol
-        for lam in fam_a.eigenvalues
-    ) and all(
-        abs(sum(candidate[(lam, mu)] for lam in fam_a.eigenvalues) - born_b[mu]) <= tol.eq_tol
-        for mu in fam_b.eigenvalues
-    )
-    exists = abs(total - 1.0) <= tol.eq_tol and marginals_ok
-    return exists, candidate
+    psi = _state_for([a, b], psi, tol)
+    (values_a, values_b), pieces = _joint_pieces([a, b], tol)
+    candidate = {(lam, mu): 0.0 for lam in values_a for mu in values_b}
+    for (i, j), cols in pieces.items():
+        candidate[(values_a[i], values_b[j])] = float(np.linalg.norm(cols.conj().T @ psi) ** 2)
+    return lattice._span(pieces, a.dim).contains(psi, tol=tol), candidate

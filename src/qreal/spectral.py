@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimMismatchError, NonFiniteLabelError, NotHermitianError, UnmappedEigenvalueError
 from .lattice import Projection
-from .numlin import DEFAULT_TOL, ToleranceConfig, as_square, eigh, op_norm
+from .numlin import DEFAULT_TOL, ToleranceConfig, as_square, eigh, is_hermitian
 
 
 class Observable:
@@ -24,10 +24,9 @@ class Observable:
     __slots__ = ("matrix", "name")
 
     def __init__(self, matrix, name: str = "A", tol: ToleranceConfig = DEFAULT_TOL):
-        m = as_square(matrix)
-        if op_norm(m - m.conj().T) > tol.eq_tol * max(1.0, op_norm(m)):
+        if not is_hermitian(matrix, tol):
             raise NotHermitianError(f"observable {name!r} is not Hermitian within eq_tol")
-        m = np.array(m, dtype=complex)
+        m = np.array(as_square(matrix), dtype=complex)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "name", str(name))
@@ -101,13 +100,20 @@ def cluster_indices(values: np.ndarray, gap: float) -> list[slice]:
     return slices
 
 
+def eigenframe(obs: Observable, tol: ToleranceConfig = DEFAULT_TOL
+               ) -> tuple[tuple[float, ...], np.ndarray, list[slice]]:
+    """(values, V, slices) from one ``eigh``: the distinct eigenvalues,
+    degeneracies merged, and the column slices of the unitary V that span
+    their eigenspaces."""
+    w, v = eigh(obs.matrix, tol)
+    slices = cluster_indices(w, tol.eig_cluster_tol)
+    return tuple(float(np.mean(w[sl])) for sl in slices), v, slices
+
+
 def spectral_family(obs: Observable, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralFamily:
     """Spectral resolution of an observable, degeneracies merged."""
-    w, v = eigh(obs.matrix, tol)
-    entries = []
-    for sl in cluster_indices(w, tol.eig_cluster_tol):
-        entries.append((float(np.mean(w[sl])), Projection._spanned(v[:, sl])))
-    return SpectralFamily(entries)
+    values, v, slices = eigenframe(obs, tol)
+    return SpectralFamily((value, Projection._spanned(v[:, sl])) for value, sl in zip(values, slices))
 
 
 def spectral_projection(
@@ -116,12 +122,10 @@ def spectral_projection(
     """Projection onto the eigenspaces whose eigenvalue lies within
     eig_cluster_tol of some element of ``values``; zero if none match."""
     wanted = [float(x) for x in values]
-    family = spectral_family(obs, tol)
-    total = np.zeros((obs.dim, obs.dim), dtype=complex)
-    for eigval, proj in family:
-        if any(abs(eigval - x) <= tol.eig_cluster_tol for x in wanted):
-            total = total + proj.matrix
-    return Projection._trusted(total)
+    eigvals, v, slices = eigenframe(obs, tol)
+    return Projection._spanned(np.hstack([v[:, :0]] + [
+        v[:, sl] for eigval, sl in zip(eigvals, slices)
+        if any(abs(eigval - x) <= tol.eig_cluster_tol for x in wanted)]))
 
 
 def _meter_labels(meter: Observable, label_map: Mapping[float, float],
@@ -166,7 +170,6 @@ def born_distribution(
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.size != obs.dim:
         raise DimMismatchError(f"state dim {v.size} vs observable dim {obs.dim}")
-    family = spectral_family(obs, tol)
-    return {
-        eigval: float(np.linalg.norm(proj.matrix @ v) ** 2) for eigval, proj in family
-    }
+    values, frame, slices = eigenframe(obs, tol)
+    return {value: float(np.linalg.norm(frame[:, sl].conj().T @ v) ** 2)
+            for value, sl in zip(values, slices)}

@@ -8,6 +8,7 @@ import numpy as np
 import scipy.linalg
 
 from qreal import (
+    DEFAULT_TOL,
     Projection,
     biconditional,
     meet,
@@ -16,6 +17,8 @@ from qreal import (
     spectral_family,
     spectral_projection,
 )
+from qreal.errors import EmptyFamilyError
+from qreal.numlin import null_basis
 from qreal.spectral import cluster_indices
 
 
@@ -132,6 +135,61 @@ def equality_corpus(rng: np.random.Generator, count: int):
     return out
 
 
+def stacked_com_family(projections, tol=DEFAULT_TOL) -> Projection:
+    """com of a family by its definition: the common kernel of every
+    pairwise commutator, shrunk to its largest invariant subspace by a
+    fixed point (restrict to vectors whose images under every member stay
+    inside).  The reference for :func:`qreal.com_family`."""
+    ps = list(projections)
+    if not ps:
+        raise EmptyFamilyError("com_family requires at least one projection")
+    dim = ps[0].dim
+    mats = [p.matrix for p in ps]
+    commutators = [mats[i] @ mats[j] - mats[j] @ mats[i]
+                   for i in range(len(mats)) for j in range(i + 1, len(mats))]
+    basis = null_basis(np.vstack(commutators), tol) if commutators else np.eye(dim, dtype=complex)
+    while basis.shape[1] > 0:
+        outside = np.eye(dim, dtype=complex) - basis @ basis.conj().T
+        coeffs = null_basis(np.vstack([outside @ m @ basis for m in mats]), tol)
+        if coeffs.shape[1] == basis.shape[1]:
+            break
+        basis = basis @ coeffs
+    return Projection._spanned(basis)
+
+
+PLANTED_KINDS = ("commuting", "block", "generic", "degenerate")
+
+
+def planted_pair(kind: str, dim: int, rng: np.random.Generator):
+    """(A, B, com rank) with the rank fixed by construction.
+
+    commuting: one eigenbasis, nondegenerate spectra, rank dim.  block: one
+    eigenbasis except a 2x2 block where the two act as noncommuting qubit
+    observables, rank dim - 2.  generic: independent eigenbases, rank 0.
+    degenerate: a block pair whose spectra repeat values across the
+    commuting part and into the block, rank dim - 2.
+    """
+    u = random_unitary(dim, rng)
+    a_vals = rng.permutation(dim).astype(float)
+    b_vals = rng.permutation(dim).astype(float)
+    if kind == "degenerate":
+        a_vals = rng.integers(0, 3, size=dim).astype(float)
+        b_vals = rng.integers(0, 3, size=dim).astype(float)
+        a_vals[-1], b_vals[-1] = a_vals[-2] + 1.0, b_vals[-2] + 1.0
+    if kind == "generic":
+        w = random_unitary(dim, rng)
+        return (u * a_vals) @ u.conj().T, (w * b_vals) @ w.conj().T, 0
+    a = np.diag(a_vals).astype(complex)
+    b = np.diag(b_vals).astype(complex)
+    if kind == "commuting":
+        return u @ a @ u.conj().T, u @ b @ u.conj().T, dim
+    r1, r2 = random_unitary(2, rng), random_unitary(2, rng)
+    a[-2:, -2:] = (r1 * a_vals[-2:]) @ r1.conj().T
+    b[-2:, -2:] = (r2 * b_vals[-2:]) @ r2.conj().T
+    a, b = u @ a @ u.conj().T, u @ b @ u.conj().T
+    return (a + a.conj().T) / 2, (b + b.conj().T) / 2, dim - 2
+
+
 def random_model_parts(rng: np.random.Generator, sys_dim: int, probe_dim: int):
     """Unitary, probe state and a nondegenerate meter matrix."""
     u = random_unitary(sys_dim * probe_dim, rng)
@@ -195,3 +253,63 @@ def random_formula(rng: np.random.Generator, depth: int = 4):
         return node(build(level - 1), build(level - 1))
 
     return build(depth)
+
+
+# ---------------------------------------------------------------------------
+# Joint-space oracle for the measurement layer: every operator is formed on
+# the n·k-dimensional joint space with np.kron, as the definitions read.
+
+CLUSTER_GAP = 1e-8
+
+
+def clusters(values) -> list[list[float]]:
+    out: list[list[float]] = []
+    for x in sorted(values):
+        if out and x - out[-1][-1] <= CLUSTER_GAP:
+            out[-1].append(x)
+        else:
+            out.append([x])
+    return out
+
+
+def eigenprojectors(h: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    w, v = np.linalg.eigh(h)
+    out = []
+    for cluster in clusters(w):
+        cols = v[:, np.isin(w, cluster)]
+        out.append((float(np.mean(cluster)), cols @ cols.conj().T))
+    return out
+
+
+def in_cluster(value: float, cluster) -> bool:
+    return any(abs(value - c) <= CLUSTER_GAP for c in cluster)
+
+
+def cluster_sums(family, cluster, dim) -> np.ndarray:
+    return sum((p for value, p in family if in_cluster(value, cluster)), np.zeros((dim, dim), complex))
+
+
+def mapped_lift(model, label_map):
+    """(f(m), U†(1 ⊗ E^M(m))U) for every meter outcome m."""
+    u, n = model.unitary, model.sys_dim
+    out = []
+    for m, proj in eigenprojectors(model.meter.matrix):
+        key = min(label_map, key=lambda k: abs(k - m))
+        out.append((label_map[key], u.conj().T @ np.kron(np.eye(n), proj) @ u))
+    return out
+
+
+def tensor_eye(family, k):
+    return [(value, np.kron(p, np.eye(k))) for value, p in family]
+
+
+def joint_space_defect(model, a, label_map, psi) -> float:
+    """max over the clusters c of spec(A) ∪ range(label map) of
+    ||(E^{f(O)}(c) − E^A(c) ⊗ 1)(psi ⊗ xi)||: the certificate's defect."""
+    n, k = model.sys_dim, model.probe_dim
+    joint = np.kron(psi, model.probe_state)
+    outputs = mapped_lift(model, label_map)
+    fam_a = tensor_eye(eigenprojectors(a.matrix), k)
+    values = [lam for lam, _ in fam_a] + list(label_map.values())
+    return max(float(np.linalg.norm((cluster_sums(outputs, c, n * k) - cluster_sums(fam_a, c, n * k)) @ joint))
+               for c in clusters(values))

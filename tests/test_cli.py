@@ -187,6 +187,22 @@ def test_loaders_reject_bodies_that_are_not_lists(data_dir, tmp_path, capsys):
         code, out, err = run_cli(capsys, "jointdet", sigma_x, sigma_x, "--state", bad)
         assert code == 2 and out is None and err.startswith("error:"), name
 
+    # JSON true is a Python int subclass; the schemas ask for an integer.
+    one_by_one = _write_json(tmp_path / "bool_dim.json", {"dim": True, "matrix": [[[1, 0]]]})
+    code, out, err = run_cli(capsys, "com", one_by_one, one_by_one)
+    assert code == 2 and out is None and err.startswith("error:") and "'dim'" in err
+    bad = _write_json(tmp_path / "state_bool_dim.json", {"dim": True, "vector": [[1, 0]]})
+    code, out, err = run_cli(capsys, "jointdet", one_by_one, one_by_one, "--state", bad)
+    assert code == 2 and out is None and err.startswith("error:") and "'dim'" in err
+    for key in ("sys_dim", "probe_dim"):
+        model = json.loads((data_dir / "model_cnot.json").read_text(encoding="utf-8"))
+        model[key] = True
+        code, out, err = run_cli(
+            capsys, "measure", _write_json(tmp_path / f"model_{key}.json", model),
+            "--state", str(data_dir / "state_zero2.json"),
+        )
+        assert code == 2 and out is None and err.startswith("error:") and repr(key) in err, key
+
     model = json.loads((data_dir / "model_cnot.json").read_text(encoding="utf-8"))
     model["label_maps"] = [["f", [[1.0, 1.0]]]]
     code, out, err = run_cli(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from corpus import kernel
+from corpus import kernel, stacked_com_family
 from qreal import (
     KET_MINUS,
     KET_PLUS,
@@ -279,3 +279,17 @@ def test_com_family_result_is_invariant_and_classical():
                 left = cm @ p.matrix @ cm @ q.matrix @ cm
                 right = cm @ q.matrix @ cm @ p.matrix @ cm
                 assert op_norm(left - right) < 1e-9
+
+
+def test_com_family_matches_stacked_commutator_reference():
+    # Random families of 1-4 projections with random ranks in dims 2-6.
+    rng = np.random.default_rng(41)
+    partial = 0
+    for _ in range(300):
+        dim = int(rng.integers(2, 7))
+        family = [random_projection(rng, dim) for _ in range(int(rng.integers(1, 5)))]
+        got, want = com_family(family), stacked_com_family(family)
+        assert got.rank == want.rank
+        assert op_norm(got.matrix - want.matrix) < 1e-8
+        partial += 0 < got.rank < dim
+    assert partial >= 50

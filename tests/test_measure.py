@@ -3,7 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from corpus import kernel, random_model_parts
+from corpus import (
+    cluster_sums,
+    clusters,
+    eigenprojectors,
+    joint_space_defect,
+    kernel,
+    mapped_lift,
+    random_model_parts,
+    tensor_eye,
+)
 from qreal import (
     CNOT,
     KET_PLUS,
@@ -281,50 +290,6 @@ def test_statistics_can_match_born_without_correlation(uncoupled_model):
 # ---------------------------------------------------------------------------
 # Certificate and statistics against definitions written on the joint space.
 
-_GAP = 1e-8
-
-
-def _clusters(values) -> list[list[float]]:
-    out: list[list[float]] = []
-    for x in sorted(values):
-        if out and x - out[-1][-1] <= _GAP:
-            out[-1].append(x)
-        else:
-            out.append([x])
-    return out
-
-
-def _eigenprojectors(h: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    w, v = np.linalg.eigh(h)
-    out = []
-    for cluster in _clusters(w):
-        cols = v[:, np.isin(w, cluster)]
-        out.append((float(np.mean(cluster)), cols @ cols.conj().T))
-    return out
-
-
-def _in(value: float, cluster) -> bool:
-    return any(abs(value - c) <= _GAP for c in cluster)
-
-
-def _cluster_sums(family, cluster, dim) -> np.ndarray:
-    return sum((p for value, p in family if _in(value, cluster)), np.zeros((dim, dim), complex))
-
-
-def _mapped_lift(model, label_map):
-    """(f(m), U†(1 ⊗ E^M(m))U) for every meter outcome m."""
-    u, n = model.unitary, model.sys_dim
-    out = []
-    for m, proj in _eigenprojectors(model.meter.matrix):
-        key = min(label_map, key=lambda k: abs(k - m))
-        out.append((label_map[key], u.conj().T @ np.kron(np.eye(n), proj) @ u))
-    return out
-
-
-def _tensor_eye(family, k):
-    return [(value, np.kron(p, np.eye(k))) for value, p in family]
-
-
 def _contains_kernel(differences, joint) -> bool:
     basis = kernel(np.vstack(differences))
     return float(np.linalg.norm(basis @ (basis.conj().T @ joint) - joint)) <= 1e-9
@@ -380,11 +345,9 @@ def test_measurement_layer_matches_joint_space_definitions():
     for model, a, label_map, psi, rng in _oracle_cases():
         n, k, xi = model.sys_dim, model.probe_dim, model.probe_state
         joint = np.kron(psi, xi)
-        outputs = _mapped_lift(model, label_map)
-        fam_a = _tensor_eye(_eigenprojectors(a.matrix), k)
-        diffs = [_cluster_sums(outputs, c, n * k) - _cluster_sums(fam_a, c, n * k)
-                 for c in _clusters([lam for lam, _ in fam_a] + list(label_map.values()))]
-        want = max(float(np.linalg.norm(d @ joint)) for d in diffs)
+        outputs = mapped_lift(model, label_map)
+        fam_a = tensor_eye(eigenprojectors(a.matrix), k)
+        want = joint_space_defect(model, a, label_map, psi)
         assert measures_in_state(model, a, label_map, psi).defect == pytest.approx(want, abs=1e-12)
 
         f_out = sum(value * lifted for value, lifted in outputs)
@@ -392,7 +355,7 @@ def test_measurement_layer_matches_joint_space_definitions():
         assert rms_noise(model, a, label_map, psi) == pytest.approx(noise, abs=1e-12)
 
         embed = np.kron(np.eye(n), xi.reshape(-1, 1))
-        lifted = _mapped_lift(model, {m: m for m in np.linalg.eigvalsh(model.meter.matrix)})
+        lifted = mapped_lift(model, {m: m for m in np.linalg.eigvalsh(model.meter.matrix)})
         effects = povm(model)
         dist = output_distribution(model, psi)
         assert len(effects) == len(lifted) == len(dist)
@@ -405,7 +368,7 @@ def test_measurement_layer_matches_joint_space_definitions():
         # Meter and lifted equalities: a scipy kernel of the stacked differences.
         b_basis = random_unitary(n, rng)
         b = Observable(b_basis @ np.diag(rng.choice([-1.0, 2.0], size=n)) @ b_basis.conj().T, name="B")
-        fam_b = _tensor_eye(_eigenprojectors(b.matrix), k)
+        fam_b = tensor_eye(eigenprojectors(b.matrix), k)
         b_joint = np.kron(b.matrix, np.eye(k))
         u = model.unitary
         eta = np.linalg.norm((u.conj().T @ b_joint @ u - b_joint) @ joint)
@@ -416,13 +379,13 @@ def test_measurement_layer_matches_joint_space_definitions():
         report = context_report(model, a, label_map, b, label_map, psi)
         for got, fam in ((report.meter_equality_a, fam_a), (report.meter_equality_b, fam_b)):
             values = list(label_map.values()) + [lam for lam, _ in fam]
-            want_eq = _contains_kernel([_cluster_sums(outputs, c, n * k) - _cluster_sums(fam, c, n * k)
-                                        for c in _clusters(values)], joint)
+            want_eq = _contains_kernel([cluster_sums(outputs, c, n * k) - cluster_sums(fam, c, n * k)
+                                        for c in clusters(values)], joint)
             assert got == want_eq
             checked_equal += want_eq
         values = [lam for lam, _ in fam_a] + [lam for lam, _ in fam_b]
         assert report.lifted_equality == _contains_kernel(
-            [_cluster_sums(fam_a, c, n * k) - _cluster_sums(fam_b, c, n * k) for c in _clusters(values)],
+            [cluster_sums(fam_a, c, n * k) - cluster_sums(fam_b, c, n * k) for c in clusters(values)],
             joint)
     # Every planted model makes the A-side meter equality hold.
     assert checked_equal >= 9

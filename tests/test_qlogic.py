@@ -3,7 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from corpus import equality_corpus, nowhere_pair, shared_vector_pair
+from corpus import (
+    PLANTED_KINDS,
+    equality_corpus,
+    nowhere_pair,
+    planted_pair,
+    shared_vector_pair,
+    stacked_com_family,
+)
 from qreal import (
     And,
     Atom,
@@ -20,13 +27,16 @@ from qreal import (
     holds_in,
     jointly_determinate,
     jpd_exists,
+    meet,
     nowhere_commuting,
     parse,
     perfectly_correlated,
+    spectral_family,
     truth_projection,
     value_identity,
 )
 from qreal.errors import DimMismatchError, UnboundObservableError
+from qreal.numlin import op_norm
 from qreal.standard import random_state, random_unitary
 
 
@@ -244,20 +254,25 @@ def test_jointly_determinate_block_case():
 
 
 def test_joint_reality_of_generic_d32_pair_within_memory_budget():
-    # 64 spectral projections stack 2016 commutators into a 64512x32 matrix;
-    # its kernel must be found without a rows x rows factor (62 GiB here).
+    # A generic pair has d distinct eigenvalues each; joint determinateness,
+    # nowhere-commutation and the JPD must cost O(d²) memory, not the
+    # (2d)² × d² of a stack of pairwise commutators (485 MiB at d=48).
     rng = np.random.default_rng(101)
-    a, b = nowhere_pair(rng, 32)
-    oa, ob = Observable(a), Observable(b)
-    tracemalloc.start()
-    try:
-        flag, proj = jointly_determinate([oa, ob], random_state(32, rng))
-        nowhere = nowhere_commuting(oa, ob)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert not flag and proj.rank == 0 and nowhere
-    assert peak < 256 * 2**20
+    for dim in (32, 48):
+        a, b = nowhere_pair(rng, dim)
+        oa, ob = Observable(a), Observable(b)
+        psi = random_state(dim, rng)
+        tracemalloc.start()
+        try:
+            flag, proj = jointly_determinate([oa, ob], psi)
+            nowhere = nowhere_commuting(oa, ob)
+            exists, candidate = jpd_exists(oa, ob, psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not flag and proj.rank == 0 and nowhere, dim
+        assert not exists and len(candidate) == dim * dim and not any(candidate.values()), dim
+        assert peak < 16 * 2**20, (dim, peak)
 
 
 def test_com_rank_of_planted_d16_block_pair():
@@ -311,3 +326,64 @@ def test_jpd_agrees_with_joint_determinateness():
         exists, _ = jpd_exists(oa, ob, psi)
         determinate, _ = jointly_determinate([oa, ob], psi)
         assert exists == determinate, kind
+
+
+def _meet_weights(oa, ob, psi):
+    """Born weights of the meets E^A(λ) ∧ E^B(μ): the lattice-route JPD."""
+    return {(lam, mu): float(np.real(np.vdot(psi, meet(pa, pb).apply(psi))))
+            for lam, pa in spectral_family(oa) for mu, pb in spectral_family(ob)}
+
+
+def test_joint_eigenspaces_match_stacked_reference_on_planted_pairs():
+    rng = np.random.default_rng(107)
+    for kind in PLANTED_KINDS:
+        for dim in range(3, 11):
+            a, b, rank = planted_pair(kind, dim, rng)
+            oa, ob = Observable(a), Observable(b)
+            projections = [p for obs in (oa, ob) for p in spectral_family(obs).projections]
+            want = stacked_com_family(projections)
+            psi = random_state(dim, rng)
+            flag, com = jointly_determinate([oa, ob], psi)
+            assert com.rank == want.rank == rank, (kind, dim)
+            assert op_norm(com.matrix - want.matrix) < 1e-8, (kind, dim)
+            assert nowhere_commuting(oa, ob) == (rank == 0)
+            states = [psi]
+            if rank:
+                inside = com.apply(psi)
+                states.append(inside / np.linalg.norm(inside))
+            for state in states:
+                exists, candidate = jpd_exists(oa, ob, state)
+                determinate, _ = jointly_determinate([oa, ob], state)
+                assert exists == determinate == (rank == dim or state is not psi), (kind, dim)
+                weights = _meet_weights(oa, ob, state)
+                assert candidate.keys() == weights.keys()
+                assert all(abs(candidate[key] - w) <= 1e-9 for key, w in weights.items())
+
+
+def test_jpd_agrees_with_joint_determinateness_near_the_cutoff():
+    # diag(0, 1) against a copy rotated by theta: the pair shares no
+    # eigenvector once sin(theta) exceeds rank_tol, and then no state has a JPD.
+    # At the cutoffs themselves (sin theta = rank_tol, eps = eq_tol) either
+    # verdict is right, but the two questions must still give the same one.
+    for theta in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        a = Observable(np.diag([0.0, 1.0]))
+        b = Observable(rot @ np.diag([0.0, 1.0]) @ rot.T)
+        nowhere = nowhere_commuting(a, b)
+        assert nowhere == (theta > 1e-10) or theta == 1e-10, theta
+        for psi in (np.array([1.0, 0.0]), np.array([0.6, 0.8])):
+            exists, _ = jpd_exists(a, b, psi)
+            assert exists == jointly_determinate([a, b], psi)[0], theta
+            assert not (nowhere and exists), theta
+    # A Z/X qubit block plus a diagonal block; psi at distance eps from com.
+    a = np.diag([1.0, -1.0, 2.0, 3.0]).astype(complex)
+    b = np.zeros((4, 4), dtype=complex)
+    b[:2, :2] = PAULI_X
+    b[2, 2], b[3, 3] = 4.0, 5.0
+    oa, ob = Observable(a), Observable(b)
+    for eps in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4):
+        psi = np.cos(eps) * np.array([0.0, 0.0, 0.6, 0.8]) + np.sin(eps) * np.array([1.0, 0.0, 0.0, 0.0])
+        determinate, _ = jointly_determinate([oa, ob], psi)
+        exists, _ = jpd_exists(oa, ob, psi)
+        assert exists == determinate, eps
+        assert determinate == (eps < 1e-9) or eps == 1e-9, eps
