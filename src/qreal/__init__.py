@@ -13,7 +13,6 @@ from .errors import (
     EmptyFamilyError,
     NonFiniteLabelError,
     NotHermitianError,
-    NotOrthonormalInputError,
     NotSquareError,
     NotUnitaryError,
     ParseError,
@@ -49,7 +48,7 @@ from .measure import (
     simultaneously_measures,
     uncertainty_report,
 )
-from .numlin import DEFAULT_TOL, ToleranceConfig, kron, probe_compress, subspace_intersection
+from .numlin import DEFAULT_TOL, ToleranceConfig, kron, probe_compress
 from .qlang import (
     And,
     Atom,
@@ -104,9 +103,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QrealError", "NotSquareError", "NotHermitianError", "NotUnitaryError",
-    "NotOrthonormalInputError", "DimMismatchError", "EmptyFamilyError",
+    "DimMismatchError", "EmptyFamilyError",
     "UnboundObservableError", "UnmappedEigenvalueError", "NonFiniteLabelError", "ParseError",
-    "ToleranceConfig", "DEFAULT_TOL", "kron", "probe_compress", "subspace_intersection",
+    "ToleranceConfig", "DEFAULT_TOL", "kron", "probe_compress",
     "Projection", "complement", "meet", "join", "sasaki", "biconditional",
     "com_pair", "com_family",
     "Observable", "SpectralFamily", "spectral_family", "spectral_projection",

@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -64,11 +65,20 @@ def _load_json(path: str) -> dict:
     return body
 
 
+def _number_pairs(items, path: str, message: str) -> np.ndarray:
+    """``items`` as an (m, 2) float array, if it is a list of [x, y] lists of
+    JSON numbers; JSON true and false and strings are not numbers."""
+    if (isinstance(items, list) and {type(pair) for pair in items} <= {list}
+            and {len(pair) for pair in items} <= {2}):
+        numbers = list(chain.from_iterable(items))
+        if set(map(type, numbers)) <= {int, float}:
+            return np.array(numbers, dtype=float).reshape(-1, 2)
+    raise DataError(f"{path}: {message}")
+
+
 def _complex_entries(rows, path: str, what: str) -> np.ndarray:
-    try:
-        array = np.asarray([[complex(re, im) for re, im in row] for row in rows])
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: {what} entries must be [re, im] pairs") from exc
+    pairs = _number_pairs(list(chain.from_iterable(rows)), path, f"{what} entries must be [re, im] pairs")
+    array = pairs.view(complex).reshape(len(rows), -1)
     if not np.all(np.isfinite(array.view(float))):
         raise DataError(f"{path}: {what} has non-finite entries")
     return array
@@ -146,10 +156,8 @@ def load_model(path: str, tol: ToleranceConfig) -> tuple[MeasurementModel, np.nd
         raise DataError(f"{path}: 'label_maps' must be an object")
     label_maps = {}
     for name, pairs in maps.items():
-        try:
-            label_maps[name] = {float(eig): float(out) for eig, out in pairs}
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}: label map {name!r} must be [eigenvalue, output] pairs") from exc
+        label_maps[name] = dict(_number_pairs(
+            pairs, path, f"label map {name!r} must be [eigenvalue, output] pairs").tolist())
     try:
         model = MeasurementModel(
             sys_dim=n, probe_dim=k, probe_state=xi, unitary=u,
@@ -379,6 +387,8 @@ def _cmd_search(args, tol: ToleranceConfig) -> int:
     a, b = _load_pair(args, tol)
     if args.probe_dim < 2:
         raise DataError("--probe-dim must be at least 2")
+    if not (np.isfinite(args.success_tol) and args.success_tol >= 0):
+        raise DataError("--success-tol must be a finite non-negative number")
     progress = None
     if args.verbose:
         def progress(index: int, defect: float) -> None:
@@ -443,7 +453,7 @@ def main(argv=None) -> int:
     except QrealError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

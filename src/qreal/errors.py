@@ -17,10 +17,6 @@ class NotUnitaryError(QrealError):
     """A coupling matrix failed the unitarity check."""
 
 
-class NotOrthonormalInputError(QrealError):
-    """A basis argument was not orthonormal within tolerance."""
-
-
 class DimMismatchError(QrealError):
     """Operands live on spaces of incompatible dimension."""
 

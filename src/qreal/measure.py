@@ -409,48 +409,23 @@ class _SearchProblem:
     def outcome_vectors(self, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
         return _outcome_vectors(u, kron(psi, self.xi), self.n, self.effects)
 
-    def _side_table(self, vectors: np.ndarray, targets: np.ndarray, one_hot: np.ndarray) -> np.ndarray:
-        """Per-assignment defect: max_i ||sum_{m in slot i} v_m − t_i||.
-
-        Gram-matrix form: fast for ranking assignments, but the cancellation
-        floors it near sqrt(eps), so winners are re-scored directly."""
-        gram = vectors @ vectors.conj().T
-        cross = targets.conj() @ vectors.T
-        tnorm = np.sum(np.abs(targets) ** 2, axis=1)
-        quad = np.einsum("aim,mn,ain->ai", one_hot, gram, one_hot).real
-        mixed = np.einsum("aim,im->ai", one_hot, cross.real)
-        squares = np.clip(quad - 2.0 * mixed + tnorm[None, :], 0.0, None)
+    def defects(self, vectors, psi, projections, one_hot) -> np.ndarray:
+        """Certificate defect of every assignment in ``one_hot``: the largest
+        ||sum_{m in slot i} v_m − (E_i psi) ⊗ xi|| over slots i."""
+        residual = one_hot @ vectors - _target_vectors(projections, psi, self.xi)
+        re, im = residual.real, residual.imag
+        # Row dot products through matmul round as np.linalg.norm does.
+        squares = (re[..., None, :] @ re[..., None] + im[..., None, :] @ im[..., None])[..., 0, 0]
         return np.sqrt(squares.max(axis=1))
 
-    @staticmethod
-    def side_defect(vectors: np.ndarray, targets: np.ndarray, assignment: np.ndarray) -> float:
-        """Exact defect of one assignment, by direct vector arithmetic."""
-        assignment = np.asarray(assignment)
-        worst = 0.0
-        for i, target in enumerate(targets):
-            total = vectors[assignment == i].sum(axis=0) - target
-            worst = max(worst, float(np.linalg.norm(total)))
-        return worst
-
-    def _best_side(self, vectors, targets, maps, one_hot):
-        table = self._side_table(vectors, targets, one_hot)
-        winner = int(np.argmin(table))
-        best = self.side_defect(vectors, targets, maps[winner])
-        # Near zero the table is cancellation-limited; rescore all contenders.
-        if table[winner] < 1e-6:
-            for j in np.flatnonzero(table < 1e-6):
-                if j == winner:
-                    continue
-                exact = self.side_defect(vectors, targets, maps[j])
-                if exact < best:
-                    best, winner = exact, int(j)
-        return best, winner
-
     def best_maps(self, vectors, psi, side_a, side_b):
-        """Exhaust label maps; the two sides decouple in the max-defect."""
-        defect_a, ia = self._best_side(vectors, _target_vectors(self.proj_a, psi, self.xi), *side_a)
-        defect_b, ib = self._best_side(vectors, _target_vectors(self.proj_b, psi, self.xi), *side_b)
-        return max(defect_a, defect_b), side_a[0][ia], side_b[0][ib]
+        """Exhaust label maps; the two sides decouple in the max-defect, and
+        each side keeps its lowest-index least defect."""
+        (maps_a, hot_a), (maps_b, hot_b) = side_a, side_b
+        table_a = self.defects(vectors, psi, self.proj_a, hot_a)
+        table_b = self.defects(vectors, psi, self.proj_b, hot_b)
+        ia, ib = int(np.argmin(table_a)), int(np.argmin(table_b))
+        return float(max(table_a[ia], table_b[ib])), maps_a[ia], maps_b[ib]
 
     def objective(self, theta: np.ndarray, side_a, side_b):
         u = _unitary_from_params(theta[:self.u_params], self.joint)
@@ -483,9 +458,8 @@ class _SearchProblem:
             _, v = np.linalg.eigh(_hermitian_part(forms_a[ia] + forms_b[ib]))
             psi = v[:, 0]
             vectors = self.outcome_vectors(u, psi)
-            defect = max(
-                self.side_defect(vectors, _target_vectors(self.proj_a, psi, self.xi), maps_a[ia]),
-                self.side_defect(vectors, _target_vectors(self.proj_b, psi, self.xi), maps_b[ib]))
+            defect = float(max(self.defects(vectors, psi, self.proj_a, hot_a[ia:ia + 1])[0],
+                               self.defects(vectors, psi, self.proj_b, hot_b[ib:ib + 1])[0]))
             if best is None or defect < best[0]:
                 best = (defect, psi, maps_a[ia], maps_b[ib])
         return best
@@ -587,7 +561,7 @@ def search_simultaneous(a: Observable, b: Observable, probe_dim: int, restarts: 
         sys_dim=a.dim, probe_dim=probe_dim, probe_state=problem.xi, unitary=u,
         meter=meter, label_maps={"fA": map_a, "fB": map_b}, tol=tol,
     )
-    # Final defect comes from the full certification path, not the fast one.
+    # The reported defect is the certificates' own, recomputed from the model.
     report = simultaneously_measures(model, a, map_a, b, map_b, psi, tol=tol)
     final = max(report.cert_a.defect, report.cert_b.defect)
     return SearchResult(model=model, psi=psi, map_a=map_a, map_b=map_b,

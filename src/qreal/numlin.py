@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimMismatchError,
-    NotHermitianError,
-    NotOrthonormalInputError,
-    NotSquareError,
-)
+from .errors import DimMismatchError, NotHermitianError, NotSquareError
 
 
 @dataclass(frozen=True)
@@ -147,38 +142,11 @@ def _rank(s: np.ndarray, tol: ToleranceConfig) -> int:
     return int(np.sum(s > tol.rank_tol * max(float(s[0]) if s.size else 0.0, 1.0)))
 
 
-def _check_orthonormal(basis: np.ndarray, tol: ToleranceConfig) -> None:
-    gram = basis.conj().T @ basis
-    if op_norm(gram - np.eye(basis.shape[1])) > tol.eq_tol * max(1.0, op_norm(gram)):
-        raise NotOrthonormalInputError("basis columns are not orthonormal within eq_tol")
-
-
 def _eigenspace(matrix: np.ndarray, lo: float = -np.inf, hi: float = np.inf) -> np.ndarray:
     """Orthonormal eigenvectors (as columns) of the Hermitian part of
     ``matrix`` whose eigenvalues lie in [lo, hi]."""
     w, v = np.linalg.eigh(_hermitian_part(matrix))
     return v[:, (w >= lo) & (w <= hi)]
-
-
-def subspace_intersection(
-    basis_a, basis_b, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
-    """Orthonormal basis of span(basis_a) ∩ span(basis_b).
-
-    Both inputs must have orthonormal columns.  The intersection is read
-    off the top eigenspace of the sum of the two orthogonal projectors:
-    eigenvalues within ``eig_cluster_tol`` of 2 correspond to principal
-    angles of (numerically) zero.
-    """
-    a = as_operator(basis_a)
-    b = as_operator(basis_b)
-    if a.shape[0] != b.shape[0]:
-        raise DimMismatchError(f"ambient dims differ: {a.shape[0]} vs {b.shape[0]}")
-    _check_orthonormal(a, tol)
-    _check_orthonormal(b, tol)
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return a[:, :0]
-    return _eigenspace(a @ a.conj().T + b @ b.conj().T, lo=2.0 - tol.eig_cluster_tol)
 
 
 def kron(a, b) -> np.ndarray:

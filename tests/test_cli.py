@@ -211,6 +211,31 @@ def test_loaders_reject_bodies_that_are_not_lists(data_dir, tmp_path, capsys):
     )
     assert code == 2 and out is None and "label_maps" in err
 
+    # Entries the schemas type as numbers: no strings, no JSON true/false, no
+    # string "11" unpacked character by character, no integer beyond a float.
+    sigma_z = str(data_dir / "obs_sigma_z.json")
+    for name, pairs, said in (
+            ("strings", [["1", "-1"], ["-1", "1"]], "label map 'f'"),
+            ("pair_string", ["11", [-1, -1]], "label map 'f'"),
+            ("booleans", [[True, 1], [-1, -1]], "label map 'f'"),
+            ("triple", [[1, 1, 0], [-1, -1]], "label map 'f'"),
+            ("huge", [[10 ** 400, 1], [-1, -1]], "too large")):
+        model = json.loads((data_dir / "model_cnot.json").read_text(encoding="utf-8"))
+        model["label_maps"] = {"f": pairs}
+        code, out, err = run_cli(
+            capsys, "measure", _write_json(tmp_path / f"map_{name}.json", model),
+            "--state", str(data_dir / "state_zero2.json"), "--observable", f"Z={sigma_z}", "--map", "f",
+        )
+        assert code == 2 and out is None and err.startswith("error:") and said in err, name
+    for name, entry, said in (("booleans", [True, False], "entries"), ("string", ["1", 0], "entries"),
+                              ("huge", [10 ** 400, 0], "too large")):
+        body = {"dim": 2, "matrix": [[entry, [0, 0]], [[0, 0], [-1, 0]]]}
+        code, out, err = run_cli(capsys, "com", _write_json(tmp_path / f"entry_{name}.json", body), sigma_x)
+        assert code == 2 and out is None and err.startswith("error:") and said in err, name
+        bad = _write_json(tmp_path / f"state_entry_{name}.json", {"dim": 2, "vector": [entry, [0, 0]]})
+        code, out, err = run_cli(capsys, "jointdet", sigma_x, sigma_x, "--state", bad)
+        assert code == 2 and out is None and err.startswith("error:") and said in err, name
+
 
 # ---------------------------------------------------------------------------
 # measure
@@ -354,6 +379,15 @@ def test_search_nonsuccess_exit(data_dir, capsys):
     )
     assert code == 1
     assert out["success"] is False and out["defect"] > 1e-8
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+def test_search_rejects_success_tol_that_is_not_finite_and_non_negative(data_dir, capsys, value):
+    sigma_z = str(data_dir / "obs_sigma_z.json")
+    code, out, err = run_cli(capsys, "search", sigma_z, sigma_z, "--probe-dim", "2",
+                             "--restarts", "1", f"--success-tol={value}")
+    assert code == 2 and out is None
+    assert err.startswith("error:") and "--success-tol" in err
 
 
 def test_search_verbose_progress_on_stderr(data_dir, capsys):

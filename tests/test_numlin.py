@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
-from qreal import DEFAULT_TOL, ToleranceConfig, kron, probe_compress, subspace_intersection
+from qreal import DEFAULT_TOL, ToleranceConfig, kron, probe_compress
 from qreal.errors import (
     DimMismatchError,
     NotHermitianError,
-    NotOrthonormalInputError,
     NotSquareError,
 )
 from qreal.numlin import (
@@ -22,7 +20,7 @@ from qreal.numlin import (
     op_norm,
     range_basis,
 )
-from qreal.standard import random_hermitian, random_unitary
+from qreal.standard import random_hermitian
 
 
 def test_tolerance_config_validation():
@@ -136,33 +134,6 @@ def test_range_and_null_basis_against_svd_rank():
 def test_range_basis_of_zero_matrix_is_empty():
     assert range_basis(np.zeros((3, 3))).shape == (3, 0)
     assert null_basis(np.zeros((3, 3))).shape == (3, 3)
-
-
-def test_subspace_intersection_known_answer():
-    rng = np.random.default_rng(17)
-    for _ in range(25):
-        q = random_unitary(6, rng)
-        a = q[:, :3]          # span{q0, q1, q2}
-        b = q[:, [0, 3, 4]]   # span{q0, q3, q4}
-        got = subspace_intersection(a, b)
-        assert got.shape == (6, 1)
-        # One principal angle against span{q0}, and it is zero.
-        angle = scipy.linalg.subspace_angles(got, q[:, :1])
-        assert float(angle.max()) < 1e-8
-
-
-def test_subspace_intersection_generic_is_trivial():
-    rng = np.random.default_rng(19)
-    a = random_unitary(5, rng)[:, :2]
-    b = random_unitary(5, rng)[:, :2]
-    assert subspace_intersection(a, b).shape == (5, 0)
-
-
-def test_subspace_intersection_validates_inputs():
-    with pytest.raises(NotOrthonormalInputError):
-        subspace_intersection(np.ones((3, 2)), np.eye(3)[:, :1])
-    with pytest.raises(DimMismatchError):
-        subspace_intersection(np.eye(3)[:, :1], np.eye(4)[:, :1])
 
 
 def test_kron_is_system_major():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qreal import (
+    DEFAULT_TOL,
     MeasurementModel,
     Observable,
     PAULI_X,
@@ -10,7 +11,10 @@ from qreal import (
     measures_in_state,
     search_simultaneous,
 )
+from qreal.cli import load_model
 from qreal.errors import DimMismatchError
+from qreal.measure import _SearchProblem
+from qreal.standard import random_hermitian, random_state, random_unitary
 
 
 def test_search_validates_arguments():
@@ -86,3 +90,65 @@ def test_search_reports_nonzero_defect_when_budget_is_tiny():
     cert = measures_in_state(result.model, Observable(PAULI_X, name="A"),
                              result.map_a, result.psi)
     assert cert.defect <= result.defect + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The defect table the search ranks label maps by.
+
+
+def _table_entry(problem, model, values, projections, label_map, psi) -> float:
+    """The search's defect for ``label_map`` on ``model``, whose meter is
+    diagonal in the probe basis and whose probe state is e_0."""
+    slots = [int(np.argmin(np.abs(np.asarray(values) - label_map[m])))
+             for m in np.diag(model.meter.matrix).real]
+    one_hot = (np.array(slots)[None, None, :] == np.arange(len(values))[None, :, None]).astype(float)
+    vectors = problem.outcome_vectors(model.unitary, psi)
+    return float(problem.defects(vectors, psi, projections, one_hot)[0])
+
+
+def _degenerate(n: int, rng) -> np.ndarray:
+    v = random_unitary(n, rng)
+    return v @ np.diag([0.0] * (n - 1) + [1.0]) @ v.conj().T
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_defect_table_is_the_certificate_defect_of_every_label_map(n, k):
+    rng = np.random.default_rng(100 + 10 * n + k)
+    meter = Observable(np.diag(np.arange(1.0, k + 1.0)), name="M")
+    for a_matrix in (random_hermitian(n, rng), _degenerate(n, rng)):
+        a, b = Observable(a_matrix, name="A"), Observable(random_hermitian(n, rng), name="B")
+        problem = _SearchProblem(a, b, k, DEFAULT_TOL)
+        sides = problem.candidate_maps(rng)
+        for _ in range(3):
+            u, psi = random_unitary(n * k, rng), random_state(n, rng)
+            vectors = problem.outcome_vectors(u, psi)
+            for obs, values, projections, (maps, one_hot) in (
+                    (a, problem.vals_a, problem.proj_a, sides[0]),
+                    (b, problem.vals_b, problem.proj_b, sides[1])):
+                table = problem.defects(vectors, psi, projections, one_hot)
+                assert table.shape == (len(values) ** k,)
+                for assignment, entry in zip(maps, table):
+                    label_map = {float(m + 1): values[slot] for m, slot in enumerate(assignment)}
+                    model = MeasurementModel(sys_dim=n, probe_dim=k, probe_state=problem.xi,
+                                             unitary=u, meter=meter, label_maps={"f": label_map})
+                    cert = measures_in_state(model, obs, label_map, psi)
+                    assert entry == pytest.approx(cert.defect, abs=1e-12)
+
+
+def test_defect_table_is_exact_near_zero(data_dir):
+    # A Gram-matrix form of the table loses half the digits to cancellation:
+    # it read 1.05e-8 for the fixture's fA, whose certificate defect is 3e-16.
+    x, y = Observable(PAULI_X, name="A"), Observable(PAULI_Y, name="B")
+    problem = _SearchProblem(x, y, 2, DEFAULT_TOL)
+    fixture, fixture_psi = load_model(str(data_dir / "model_headline.json"), DEFAULT_TOL)
+    # The X/Y search winner, restart 8 of seed 0, sits at 7.7e-10.
+    found = search_simultaneous(x, y, probe_dim=2, restarts=1, seed=8)
+    assert 1e-10 < found.defect < 1e-9
+    for model, map_a, map_b, psi in (
+            (fixture, fixture.label_maps["fA"], fixture.label_maps["fB"], fixture_psi),
+            (found.model, found.map_a, found.map_b, found.psi)):
+        for obs, values, projections, label_map in ((x, problem.vals_a, problem.proj_a, map_a),
+                                                    (y, problem.vals_b, problem.proj_b, map_b)):
+            entry = _table_entry(problem, model, values, projections, label_map, psi)
+            cert = measures_in_state(model, obs, label_map, psi)
+            assert entry == pytest.approx(cert.defect, abs=1e-15)
