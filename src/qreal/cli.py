@@ -20,6 +20,7 @@ QREAL_EIG_TOL and QREAL_RANK_TOL override the clustering and rank cutoffs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -441,10 +442,17 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use.  Reuse leaks nothing
+    between calls: each parse starts a new namespace, and ``append``
+    copies its default list before appending."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -460,3 +468,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -96,13 +96,13 @@ def eigh(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
 
     Returns ascending real eigenvalues ``w`` and a unitary ``v`` with
     ``v @ diag(w) @ v.conj().T`` reconstructing the input to around 1e-15
-    relative accuracy.  The input is symmetrized before factorization so a
+    relative accuracy.  The input must pass :func:`is_hermitian`, the rule
+    ``Observable`` checks too; it is symmetrized before factorization so a
     Hermiticity defect below ``eq_tol`` cannot leak into the results.
     """
-    m = as_square(matrix)
-    if op_norm(m - m.conj().T) > tol.eq_tol * op_norm(m):
+    if not is_hermitian(matrix, tol):
         raise NotHermitianError("matrix is not Hermitian within eq_tol")
-    return np.linalg.eigh(_hermitian_part(m))
+    return np.linalg.eigh(_hermitian_part(np.asarray(matrix, dtype=complex)))
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:

@@ -5,6 +5,10 @@ Degenerate eigenvalues are merged by single-linkage clustering at
 projection.  Value lookups (``spectral_projection``, value maps) also
 match at ``eig_cluster_tol``, which lets file-supplied values like 1.0
 find computed eigenvalues like 0.9999999999.
+
+An observable's spectrum is computed once per ``ToleranceConfig`` and kept
+on the immutable ``Observable``, so asking one object many questions
+diagonalises its matrix once.
 """
 
 from __future__ import annotations
@@ -19,9 +23,13 @@ from .numlin import DEFAULT_TOL, ToleranceConfig, as_square, eigh, is_hermitian
 
 
 class Observable:
-    """A Hermitian operator with a text label."""
+    """A Hermitian operator with a text label.
 
-    __slots__ = ("matrix", "name")
+    ``_spectra`` keeps the results of :func:`eigenframe` and
+    :func:`spectral_family`, keyed by the frozen ``ToleranceConfig``.
+    """
+
+    __slots__ = ("matrix", "name", "_spectra")
 
     def __init__(self, matrix, name: str = "A", tol: ToleranceConfig = DEFAULT_TOL):
         if not is_hermitian(matrix, tol):
@@ -30,6 +38,7 @@ class Observable:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "name", str(name))
+        object.__setattr__(self, "_spectra", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Observable is immutable")
@@ -101,19 +110,34 @@ def cluster_indices(values: np.ndarray, gap: float) -> list[slice]:
 
 
 def eigenframe(obs: Observable, tol: ToleranceConfig = DEFAULT_TOL
-               ) -> tuple[tuple[float, ...], np.ndarray, list[slice]]:
+               ) -> tuple[tuple[float, ...], np.ndarray, tuple[slice, ...]]:
     """(values, V, slices) from one ``eigh``: the distinct eigenvalues,
     degeneracies merged, and the column slices of the unitary V that span
-    their eigenspaces."""
-    w, v = eigh(obs.matrix, tol)
-    slices = cluster_indices(w, tol.eig_cluster_tol)
-    return tuple(float(np.mean(w[sl])) for sl in slices), v, slices
+    their eigenspaces.
+
+    Computed on the first call for each ``tol`` and kept on ``obs``; later
+    calls return the same objects, with V read-only.
+    """
+    frame = obs._spectra.get(("frame", tol))
+    if frame is None:
+        w, v = eigh(obs.matrix, tol)
+        v.setflags(write=False)
+        slices = tuple(cluster_indices(w, tol.eig_cluster_tol))
+        frame = tuple(float(np.mean(w[sl])) for sl in slices), v, slices
+        obs._spectra[("frame", tol)] = frame
+    return frame
 
 
 def spectral_family(obs: Observable, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralFamily:
-    """Spectral resolution of an observable, degeneracies merged."""
-    values, v, slices = eigenframe(obs, tol)
-    return SpectralFamily((value, Projection._spanned(v[:, sl])) for value, sl in zip(values, slices))
+    """Spectral resolution of an observable, degeneracies merged; built on
+    the first call for each ``tol`` and kept on ``obs``."""
+    family = obs._spectra.get(("family", tol))
+    if family is None:
+        values, v, slices = eigenframe(obs, tol)
+        family = SpectralFamily((value, Projection._spanned(v[:, sl]))
+                                for value, sl in zip(values, slices))
+        obs._spectra[("family", tol)] = family
+    return family
 
 
 def spectral_projection(

@@ -1,4 +1,5 @@
 import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -50,3 +51,18 @@ def uncoupled_model() -> MeasurementModel:
         meter=Observable(PAULI_X, name="M"),
         label_maps={"f": {-1.0: -1.0, 1.0: 1.0}},
     )
+
+
+@pytest.fixture
+def eigh_inputs(monkeypatch) -> Counter:
+    """Counts every matrix handed to ``np.linalg.eigh``, keyed by (shape, bytes)."""
+    seen = Counter()
+    eigh = np.linalg.eigh
+
+    def recording(matrix, *args, **kwargs):
+        m = np.asarray(matrix)
+        seen[(m.shape, m.tobytes())] += 1
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return seen

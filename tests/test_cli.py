@@ -1,13 +1,18 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
 
 import qreal
-from corpus import nowhere_pair
-from qreal.cli import _matrix_body, main
+import qreal.cli
+from corpus import nowhere_pair, random_model_parts
+from qreal.cli import _matrix_body, _state_body, main
+from qreal.standard import random_hermitian, random_state
 
 SCHEMA_DIR = pathlib.Path(qreal.__file__).parent / "schemas"
 
@@ -514,3 +519,78 @@ def test_fixture_files_validate_against_file_schemas(data_dir):
     for name in ("model_cnot", "model_headline", "model_uncoupled"):
         with open(data_dir / f"{name}.json", encoding="utf-8") as handle:
             jsonschema.validate(json.load(handle), schema("model_file"))
+
+
+@pytest.mark.parametrize("pair, code, payload", [
+    (("obs_sigma_x.json", "obs_sigma_y.json"), 0, {"rank": 0, "nowhere_commuting": True}),
+    (("obs_sigma_z.json", "obs_sigma_z.json"), 1, {"rank": 2, "nowhere_commuting": False}),
+])
+def test_module_entry_point_runs_the_command(data_dir, pair, code, payload):
+    src = str(pathlib.Path(qreal.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "qreal.cli", "com", *(str(data_dir / name) for name in pair)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == code, done.stderr
+    assert json.loads(done.stdout) == payload
+
+
+def test_reused_parser_answers_as_a_fresh_one(data_dir, capsys):
+    model, state = str(data_dir / "model_cnot.json"), str(data_dir / "state_plus.json")
+    z, x = f"Z={data_dir / 'obs_sigma_z.json'}", f"X={data_dir / 'obs_sigma_x.json'}"
+    context = ["context", str(data_dir / "model_headline.json"),
+               str(data_dir / "obs_sigma_x.json"), "fA", str(data_dir / "obs_sigma_y.json"), "fB"]
+    calls = [
+        ["measure", model, "--state", state, "--observable", z, "--map", "f",
+         "--observable", x, "--map", "f"],
+        ["measure", model, "--state", state, "--observable", z, "--map", "f"],
+        context + ["--pretty"],
+        context,
+    ]
+
+    def answers(fresh: bool) -> list[tuple[int, str, str]]:
+        out = []
+        for argv in calls:
+            if fresh:
+                qreal.cli._parser.cache_clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    reused = answers(fresh=False)
+    assert qreal.cli._parser() is qreal.cli._parser()
+    assert reused == answers(fresh=True)
+    assert [code for code, _, _ in reused] == [1, 0, 0, 0]
+    assert "certificate A" in reused[2][1] and json.loads(reused[3][1])["both_passed"] is True
+
+
+@pytest.mark.parametrize("command", ["measure", "context"])
+def test_cli_diagonalises_each_matrix_once(tmp_path, capsys, eigh_inputs, command):
+    rng = np.random.default_rng(41)
+    u, xi, meter = random_model_parts(rng, 2, 2)
+    bodies = {
+        "model": {"sys_dim": 2, "probe_dim": 2, "probe_state": _state_body(xi),
+                  "unitary": _matrix_body(u), "meter": _matrix_body(meter),
+                  "label_maps": {"f": [[1.0, 1.0], [2.0, 2.0]]}},
+        "a": _matrix_body(random_hermitian(2, rng)),
+        "b": _matrix_body(random_hermitian(2, rng)),
+        "state": _state_body(random_state(2, rng)),
+    }
+    path = {}
+    for name, body in bodies.items():
+        path[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(body))
+    argv = {
+        "measure": ["measure", path["model"], "--state", path["state"],
+                    "--observable", f"A={path['a']}", "--map", "f",
+                    "--observable", f"B={path['b']}", "--map", "f"],
+        "context": ["context", path["model"], path["a"], "f", path["b"], "f",
+                    "--state", path["state"]],
+    }[command]
+    assert main(argv) in (0, 1)
+    assert capsys.readouterr().out.startswith("{")
+    # measure: the meter, A and B; context: those and the value-identity Gram matrix.
+    assert len(eigh_inputs) == {"measure": 3, "context": 4}[command]
+    assert max(eigh_inputs.values()) == 1

@@ -403,27 +403,34 @@ def test_unreached_label_value_still_joins_clusters(cnot_model):
     assert report.meter_equality_a is True and report.cert_a.passed
 
 
-def test_measurement_layer_diagonalises_only_factor_sized_matrices(monkeypatch):
+def test_measurement_layer_diagonalises_only_factor_sized_matrices(eigh_inputs):
     rng = np.random.default_rng(31)
     model = _model(rng, sys_dim=4, probe_dim=4)
     a = Observable(random_hermitian(4, rng), name="A")
     b = Observable(random_hermitian(4, rng), name="B")
     f = model.label_maps["f"]
     psi = random_state(4, rng)
-    sizes = []
-    eigh = np.linalg.eigh
-
-    def recording(matrix, *args, **kwargs):
-        sizes.append(np.shape(matrix)[0])
-        return eigh(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", recording)
     measures_in_state(model, a, f, psi)
     rms_noise(model, a, f, psi)
     povm(model)
     output_distribution(model, psi)
     context_report(model, a, f, b, f, psi)
-    assert sizes and max(sizes) <= 4
+    assert eigh_inputs and max(shape[0] for shape, _ in eigh_inputs) <= 4
+    # The meter, A and B are each diagonalised once, from the model's
+    # construction through all five calls.
+    assert max(eigh_inputs.values()) == 1
+
+
+def test_context_report_diagonalises_each_matrix_once(eigh_inputs):
+    rng = np.random.default_rng(37)
+    model = _model(rng, sys_dim=3, probe_dim=3)
+    a = Observable(random_hermitian(3, rng), name="A")
+    b = Observable(random_hermitian(3, rng), name="B")
+    f = model.label_maps["f"]
+    context_report(model, a, f, b, f, random_state(3, rng))
+    # The meter (first at the model's construction), A, B and the
+    # value-identity Gram matrix.
+    assert len(eigh_inputs) == 4 and max(eigh_inputs.values()) == 1
 
 
 def test_measurement_layer_allocates_no_joint_space_matrix():

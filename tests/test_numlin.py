@@ -40,6 +40,20 @@ def test_tolerance_config_rejects_non_finite_values(field, value):
         ToleranceConfig(**{field: value})
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-7, 1e-3, 1.0, 1e6])
+def test_eigh_accepts_exactly_what_is_hermitian_accepts(scale):
+    # The defect is 1e-3 * scale: under eq_tol * max(1, ||m||) for small
+    # scales only, the one Hermiticity rule for eigh and Observable.
+    m = scale * np.array([[0.0, 1.0], [1.001, 0.0]])
+    if is_hermitian(m):
+        w, _ = eigh(m)
+        assert np.allclose(w, [-scale * 1.0005, scale * 1.0005], rtol=1e-9, atol=1e-15)
+    else:
+        with pytest.raises(NotHermitianError):
+            eigh(m)
+    assert is_hermitian(m) == (scale < 1e-6)
+
+
 def test_as_operator_rejects_non_matrices():
     with pytest.raises(NotSquareError):
         as_operator([1.0, 2.0])

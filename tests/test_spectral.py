@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qreal import (
+    DEFAULT_TOL,
     Observable,
     PAULI_X,
     PAULI_Z,
+    ToleranceConfig,
     apply_value_map,
     born_distribution,
     spectral_family,
     spectral_projection,
 )
 from qreal.errors import DimMismatchError, NotHermitianError, UnmappedEigenvalueError
-from qreal.spectral import cluster_indices
+from qreal.spectral import cluster_indices, eigenframe
 from qreal.standard import random_hermitian, random_state, random_unitary
 
 
@@ -22,6 +26,13 @@ def test_observable_validation_and_metadata():
         Observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(AttributeError):
         obs.name = "other"
+
+
+def test_observable_and_its_spectrum_share_one_hermiticity_rule():
+    # Tiny entries: the defect 1e-15 is within eq_tol * max(1, ||m||).
+    obs = Observable(1e-12 * np.array([[0.0, 1.0], [1.001, 0.0]]))
+    fam = spectral_family(obs)
+    assert len(fam) == 1 and fam.projections[0].rank == 2
 
 
 def test_spectral_family_near_float_max():
@@ -126,3 +137,68 @@ def test_born_distribution_golden_plus_state():
     assert dist[-1.0] == pytest.approx(0.5)
     with pytest.raises(DimMismatchError):
         born_distribution(Observable(PAULI_X), np.array([1.0, 0.0, 0.0]))
+
+
+def test_spectrum_is_kept_on_the_observable():
+    obs = Observable(random_hermitian(4, np.random.default_rng(13)))
+    frame = eigenframe(obs)
+    family = spectral_family(obs)
+    assert eigenframe(obs) is frame and spectral_family(obs) is family
+    v = frame[1]
+    assert not v.flags.writeable
+    assert not any(p.matrix.flags.writeable for p in family.projections)
+    with pytest.raises(ValueError):
+        v[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("fine_first", [False, True])
+def test_spectrum_cache_is_keyed_by_tolerance(fine_first):
+    obs = Observable(np.diag([0.0, 1e-9, 1.0]))
+    fine = ToleranceConfig(eig_cluster_tol=1e-10)
+    order = [(fine, 3), (DEFAULT_TOL, 2)]
+    for tol, clusters in (order if fine_first else order[::-1]):
+        assert len(spectral_family(obs, tol)) == clusters
+        assert len(eigenframe(obs, tol)[0]) == clusters
+        assert len(born_distribution(obs, [1.0, 0.0, 0.0], tol)) == clusters
+        # 0 matches {0, 1e-9} when merged, {0} alone when split.
+        assert spectral_projection(obs, [0.0], tol).rank == 4 - clusters
+
+
+@st.composite
+def planted_hermitian(draw):
+    """A = V diag(values) V† with repeated values (planted degeneracies),
+    each jittered far below eig_cluster_tol; returns (A, distinct values)."""
+    values = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jittered = np.array(values, dtype=float) + rng.uniform(-1e-12, 1e-12, size=len(values))
+    v = random_unitary(len(values), rng)
+    return (v * jittered) @ v.conj().T, sorted(set(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_hermitian())
+def test_spectral_family_resolves_planted_degeneracies(case):
+    m, distinct = case
+    fam = spectral_family(Observable(m))
+    assert fam.eigenvalues == pytest.approx(distinct, abs=1e-10)
+    projections = [p.matrix for p in fam.projections]
+    dim = m.shape[0]
+    assert np.linalg.norm(sum(projections) - np.eye(dim), 2) < 1e-10
+    assert np.linalg.norm(sum(lam * p for lam, p in zip(fam.eigenvalues, projections)) - m, 2) < 1e-10
+    for i, p in enumerate(projections):
+        for q in projections[i + 1:]:
+            assert np.linalg.norm(p @ q, 2) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_hermitian())
+def test_kept_spectrum_is_bit_identical_to_a_fresh_one(case):
+    m, _ = case
+    kept = Observable(m)
+    spectral_family(kept)
+    cached, fresh = spectral_family(kept), spectral_family(Observable(m))
+    assert cached.eigenvalues == fresh.eigenvalues
+    assert all(np.array_equal(p.matrix, q.matrix)
+               for p, q in zip(cached.projections, fresh.projections))
+    (values, v, slices), (values2, v2, slices2) = eigenframe(kept), eigenframe(Observable(m))
+    assert values == values2 and slices == slices2 and np.array_equal(v, v2)
