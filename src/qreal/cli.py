@@ -218,6 +218,13 @@ def _named_path(text: str) -> tuple[str, str]:
     return name, path
 
 
+def _unique_names(bindings, flag: str) -> None:
+    names = [name for name, _ in bindings]
+    for name in names:
+        if names.count(name) > 1:
+            raise DataError(f"{flag} name {name!r} is given more than once")
+
+
 def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
     def env_float(var: str, fallback: float) -> float:
         raw = os.environ.get(var)
@@ -314,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_eval(args, tol: ToleranceConfig) -> int:
     formula = parse(args.formula)
+    _unique_names(args.obs, "--obs")
     env = Environment({
         name: load_observable(path, name, tol) for name, path in args.obs
     })
@@ -357,6 +365,7 @@ def _cmd_measure(args, tol: ToleranceConfig) -> int:
     psi = load_state(args.state, tol)
     if len(args.observable) != len(args.maps):
         raise DataError("each --observable needs a matching --map")
+    _unique_names(args.observable, "--observable")
     distribution = output_distribution(model, psi, tol=tol)
     payload: dict = {
         "distribution": [[m, p] for m, p in sorted(distribution.items())],

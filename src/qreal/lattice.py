@@ -24,6 +24,7 @@ from .numlin import (
     _eigenspace,
     _hermitian_part,
     as_square,
+    eigh,
     null_basis,
     op_norm,
     range_basis,
@@ -200,7 +201,7 @@ def com_family(projections: Sequence[Projection], tol: ToleranceConfig = DEFAULT
         _same_dim(ps[0], p)
     frames = []
     for p in ps:
-        w, v = np.linalg.eigh(p.matrix)
+        w, v = eigh(p.matrix)
         split = int(np.sum(w < 0.5))
         frames.append((v, [slice(0, split), slice(split, p.dim)]))
     return _span(joint_eigenspaces(frames, tol), ps[0].dim)

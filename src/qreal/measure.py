@@ -31,9 +31,9 @@ from .errors import DimMismatchError, NonFiniteLabelError, NotUnitaryError, Unma
 from .numlin import (
     DEFAULT_TOL,
     ToleranceConfig,
-    _hermitian_part,
     as_square,
     as_state,
+    eigh,
     kron,
     op_norm,
 )
@@ -51,9 +51,7 @@ class MeasurementModel:
                  tol: ToleranceConfig = DEFAULT_TOL):
         if sys_dim < 1 or probe_dim < 1:
             raise DimMismatchError("system and probe dimensions must be positive")
-        xi = as_state(probe_state, tol=tol)
-        if xi.shape[0] != probe_dim:
-            raise DimMismatchError(f"probe state dim {xi.shape[0]} != probe_dim {probe_dim}")
+        xi = as_state(probe_state, probe_dim, tol)
         u = as_square(unitary)
         joint = sys_dim * probe_dim
         if u.shape[0] != joint:
@@ -121,7 +119,7 @@ def _correlation_rows(model: MeasurementModel, a: Observable, label_map: Mapping
     in ``operators``, on a validated psi ⊗ xi."""
     if a.dim != model.sys_dim:
         raise DimMismatchError(f"observable dim {a.dim} != system dim {model.sys_dim}")
-    psi = as_state(psi, tol=tol)
+    psi = as_state(psi, model.sys_dim, tol)
     values, effects = zip(*_meter_labels(model.meter, label_map, tol))
     rows = _outcome_vectors(model.unitary, model.joint_state(psi), model.sys_dim, np.stack(effects))
     return values, rows, _target_vectors(np.stack(operators), psi, model.probe_state)
@@ -145,9 +143,7 @@ def povm(model: MeasurementModel, tol: ToleranceConfig = DEFAULT_TOL) -> list[tu
 def output_distribution(model: MeasurementModel, psi,
                         tol: ToleranceConfig = DEFAULT_TOL) -> dict[float, float]:
     """Meter statistics p(m) = <psi|Pi(m)|psi> in the system state psi."""
-    psi = as_state(psi, tol=tol)
-    if psi.shape[0] != model.sys_dim:
-        raise DimMismatchError(f"state dim {psi.shape[0]} != system dim {model.sys_dim}")
+    psi = as_state(psi, model.sys_dim, tol)
     return {
         outcome: float(np.clip(np.real(np.vdot(psi, effect @ psi)), 0.0, 1.0))
         for outcome, effect in povm(model, tol=tol)
@@ -182,7 +178,7 @@ def rms_disturbance(model: MeasurementModel, b: Observable, psi,
     """Root-mean-square disturbance: ||U†((b⊗1)U(psi ⊗ xi)) − (b psi) ⊗ xi||."""
     if b.dim != model.sys_dim:
         raise DimMismatchError(f"observable dim {b.dim} != system dim {model.sys_dim}")
-    psi = as_state(psi, tol=tol)
+    psi = as_state(psi, model.sys_dim, tol)
     u, n = model.unitary, model.sys_dim
     phi = (u @ model.joint_state(psi)).reshape(n, -1)
     moved = ((b.matrix @ phi).reshape(-1).conj() @ u).conj()
@@ -210,7 +206,7 @@ def uncertainty_report(model: MeasurementModel, a: Observable, label_map: Mappin
                        b: Observable, psi, tol: ToleranceConfig = DEFAULT_TOL) -> UncertaintyReport:
     """Noise-disturbance trade-off check:
     eps*eta + eps*sigma(b) + sigma(a)*eta >= |<psi|[a,b]|psi>| / 2."""
-    psi = as_state(psi, tol=tol)
+    psi = as_state(psi, model.sys_dim, tol)
     epsilon = rms_noise(model, a, label_map, psi, tol=tol)
     eta = rms_disturbance(model, b, psi, tol=tol)
     sigma_a = a.std_dev(psi)
@@ -302,7 +298,7 @@ def context_report(model: MeasurementModel, a: Observable, map_a: Mapping[float,
                    b: Observable, map_b: Mapping[float, float], psi,
                    tol: ToleranceConfig = DEFAULT_TOL) -> ContextReport:
     """Assemble the contextual-measurement exhibit for (model, a, b, psi)."""
-    psi = as_state(psi, tol=tol)
+    psi = as_state(psi, model.sys_dim, tol)
     pair = simultaneously_measures(model, a, map_a, b, map_b, psi, tol=tol)
     flag, proj = jointly_determinate([a, b], psi, tol=tol)
 
@@ -455,7 +451,7 @@ class _SearchProblem:
         forms_a, forms_b = forms(self.proj_a, hot_a), forms(self.proj_b, hot_b)
         best = None
         for ia, ib in pairs:
-            _, v = np.linalg.eigh(_hermitian_part(forms_a[ia] + forms_b[ib]))
+            _, v = eigh(forms_a[ia] + forms_b[ib])
             psi = v[:, 0]
             vectors = self.outcome_vectors(u, psi)
             defect = float(max(self.defects(vectors, psi, self.proj_a, hot_a[ia:ia + 1])[0],
@@ -541,6 +537,8 @@ def search_simultaneous(a: Observable, b: Observable, probe_dim: int, restarts: 
         raise ValueError("probe_dim must be at least 2")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     problem = _SearchProblem(a, b, probe_dim, tol)
     best = None
     for index in range(restarts):

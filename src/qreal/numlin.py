@@ -1,11 +1,11 @@
 """Dense complex linear-algebra kernel with explicit tolerance discipline.
 
-Operators are square ``complex128`` numpy arrays, states are 1-d unit
-vectors.  Everything in this module is a pure function: arguments are never
-mutated and results are freshly allocated.  Tensor ordering is fixed
-package-wide as system-first: the joint index ``(i, a)`` of system index
-``i`` and probe index ``a`` flattens to ``i * probe_dim + a``, which is
-exactly numpy's Kronecker / C-order convention.
+Operators are square ``complex128`` numpy arrays, states 1-d unit vectors
+of the length their caller names.  :func:`eigh` factors Hermitian parts and
+checks nothing; ``Observable`` decides Hermiticity.  Functions are pure:
+arguments are never mutated, results are fresh.  Tensor ordering is
+system-first: the joint index ``(i, a)`` of system index ``i`` and probe
+index ``a`` flattens to ``i * probe_dim + a``, numpy's Kronecker order.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, NotHermitianError, NotSquareError
+from .errors import DimMismatchError, NotSquareError
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,11 @@ def as_square(matrix) -> np.ndarray:
     return m
 
 
-def as_state(vector, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Coerce to a 1-d complex unit vector (norm within eq_tol of 1)."""
+def as_state(vector, dim: int, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Coerce to a 1-d complex unit vector (norm within eq_tol of 1) of length ``dim``."""
     v = np.asarray(vector, dtype=complex).reshape(-1)
+    if v.shape[0] != dim:
+        raise DimMismatchError(f"state dim {v.shape[0]} != expected dim {dim}")
     if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
         raise ValueError("state amplitudes must be finite")
     nrm = np.linalg.norm(v)
@@ -91,17 +93,14 @@ def is_hermitian(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return op_norm(m - m.conj().T) <= tol.eq_tol * max(1.0, op_norm(m))
 
 
-def eigh(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ascending real eigenvalues ``w`` and a unitary ``v`` with
-    ``v @ diag(w) @ v.conj().T`` reconstructing the input to around 1e-15
-    relative accuracy.  The input must pass :func:`is_hermitian`, the rule
-    ``Observable`` checks too; it is symmetrized before factorization so a
-    Hermiticity defect below ``eq_tol`` cannot leak into the results.
+def eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues ``w`` and unitary ``v`` of the Hermitian part
+    (m + m†)/2 of a square matrix, ``v @ diag(w) @ v.conj().T`` to around
+    1e-15 relative accuracy.  Nothing is checked: ``Observable`` decides
+    Hermiticity once, under its own ``eq_tol``, and is not re-checked when
+    factored under another tolerance; other callers pass matrices that are
+    Hermitian by construction.  A defect the check accepted cannot leak in.
     """
-    if not is_hermitian(matrix, tol):
-        raise NotHermitianError("matrix is not Hermitian within eq_tol")
     return np.linalg.eigh(_hermitian_part(np.asarray(matrix, dtype=complex)))
 
 
@@ -145,7 +144,7 @@ def _rank(s: np.ndarray, tol: ToleranceConfig) -> int:
 def _eigenspace(matrix: np.ndarray, lo: float = -np.inf, hi: float = np.inf) -> np.ndarray:
     """Orthonormal eigenvectors (as columns) of the Hermitian part of
     ``matrix`` whose eigenvalues lie in [lo, hi]."""
-    w, v = np.linalg.eigh(_hermitian_part(matrix))
+    w, v = eigh(matrix)
     return v[:, (w >= lo) & (w <= hi)]
 
 

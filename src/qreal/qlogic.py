@@ -20,7 +20,7 @@ from .errors import DimMismatchError, UnboundObservableError
 from .lattice import Projection
 from .numlin import DEFAULT_TOL, ToleranceConfig, _eigenspace, as_state
 from .qlang import And, Atom, Com, Equal, Formula, Iff, Not, Or, Sasaki
-from .spectral import Observable, cluster_indices, eigenframe, spectral_family, spectral_projection
+from .spectral import Observable, cluster_indices, spectral_family, spectral_projection
 
 
 def _common_dim(observables) -> int:
@@ -91,9 +91,9 @@ def truth_projection(formula: Formula, env: Environment, *,
 def _joint_pieces(observables, tol: ToleranceConfig):
     """(eigenvalue tuples, joint eigenspaces keyed by eigenvalue indices)."""
     _common_dim(observables)
-    frames = [eigenframe(obs, tol) for obs in observables]
-    pieces = lattice.joint_eigenspaces([(v, slices) for _, v, slices in frames], tol)
-    return [values for values, _, _ in frames], pieces
+    families = [spectral_family(obs, tol) for obs in observables]
+    pieces = lattice.joint_eigenspaces([(f.vectors, f.slices) for f in families], tol)
+    return [f.eigenvalues for f in families], pieces
 
 
 def _spectral_com(observables, tol: ToleranceConfig) -> Projection:
@@ -105,9 +105,7 @@ def _spectral_com(observables, tol: ToleranceConfig) -> Projection:
 def holds_in(formula: Formula, env: Environment, psi: np.ndarray, *,
              tol: ToleranceConfig = DEFAULT_TOL) -> TruthReport:
     """Evaluate ``formula`` at the state ``psi``."""
-    psi = as_state(psi, tol=tol)
-    if psi.shape[0] != env.dim:
-        raise DimMismatchError(f"state dim {psi.shape[0]} != environment dim {env.dim}")
+    psi = as_state(psi, env.dim, tol)
     proj = truth_projection(formula, env, tol=tol)
     image = proj.apply(psi)
     probability = float(np.clip(np.real(np.vdot(psi, image)), 0.0, 1.0))
@@ -155,14 +153,6 @@ def value_identity(a: Observable, b: Observable, *,
     return Projection._spanned(_eigenspace(sum(d @ d for d in diffs), hi=tol.eig_cluster_tol))
 
 
-def _state_for(observables, psi, tol: ToleranceConfig) -> np.ndarray:
-    """psi as a unit vector in the observables' common dimension."""
-    psi = as_state(psi, tol=tol)
-    if psi.shape[0] != _common_dim(observables):
-        raise DimMismatchError(f"state dim {psi.shape[0]} differs from observable dim")
-    return psi
-
-
 def perfectly_correlated(a: Observable, b: Observable, psi: np.ndarray, *,
                          tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Direct vector test: every spectral projection acts identically on psi.
@@ -170,7 +160,7 @@ def perfectly_correlated(a: Observable, b: Observable, psi: np.ndarray, *,
     Decided vector by vector, without forming the value-identity subspace;
     the tests use it as an oracle for equality truth.
     """
-    psi = _state_for([a, b], psi, tol)
+    psi = as_state(psi, _common_dim((a, b)), tol)
     return all(np.linalg.norm(d @ psi) <= tol.eq_tol for d in _value_differences(a, b, tol))
 
 
@@ -183,7 +173,7 @@ def jointly_determinate(observables: list[Observable], psi: np.ndarray, *,
     """
     if len(observables) < 2:
         raise ValueError("joint determinateness needs at least two observables")
-    psi = _state_for(observables, psi, tol)
+    psi = as_state(psi, _common_dim(observables), tol)
     proj = _spectral_com(observables, tol)
     return proj.contains(psi, tol=tol), proj
 
@@ -204,7 +194,7 @@ def jpd_exists(a: Observable, b: Observable, psi: np.ndarray, *,
     follow: each row deficit ||(E^A(λ) − Σ_μ S_λμ S_λμ†) psi||² is
     nonnegative, and A's row deficits (likewise B's) sum to 1 − Σ p(λ, μ).
     """
-    psi = _state_for([a, b], psi, tol)
+    psi = as_state(psi, _common_dim((a, b)), tol)
     (values_a, values_b), pieces = _joint_pieces([a, b], tol)
     candidate = {(lam, mu): 0.0 for lam in values_a for mu in values_b}
     for (i, j), cols in pieces.items():

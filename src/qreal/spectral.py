@@ -6,9 +6,10 @@ projection.  Value lookups (``spectral_projection``, value maps) also
 match at ``eig_cluster_tol``, which lets file-supplied values like 1.0
 find computed eigenvalues like 0.9999999999.
 
-An observable's spectrum is computed once per ``ToleranceConfig`` and kept
-on the immutable ``Observable``, so asking one object many questions
-diagonalises its matrix once.
+An observable's :class:`SpectralFamily` (eigenvalues, eigenvectors and
+cluster slices from one ``eigh``) is computed once per ``ToleranceConfig``
+and kept on the immutable ``Observable``, so asking one object many
+questions diagonalises its matrix once; d×d projections are formed on demand.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from .numlin import DEFAULT_TOL, ToleranceConfig, as_square, eigh, is_hermitian
 class Observable:
     """A Hermitian operator with a text label.
 
-    ``_spectra`` keeps the results of :func:`eigenframe` and
-    :func:`spectral_family`, keyed by the frozen ``ToleranceConfig``.
+    Hermiticity is decided here, once, under ``tol``.  ``_spectra`` keeps
+    the :func:`spectral_family` per frozen ``ToleranceConfig``; a family
+    under another tolerance factors the Hermitian part without a re-check.
     """
 
     __slots__ = ("matrix", "name", "_spectra")
@@ -62,30 +64,39 @@ class Observable:
 
 
 class SpectralFamily:
-    """Distinct eigenvalues of an observable with their spectral projections.
+    """Distinct eigenvalues of an observable and their spectral projections,
+    from one ``eigh``.
 
-    Entries are sorted ascending, pairwise separated by more than
-    eig_cluster_tol, with mutually orthogonal projections summing to the
-    identity.
+    ``eigenvalues`` ascend, pairwise more than eig_cluster_tol apart;
+    ``vectors`` is the read-only unitary V and ``slices`` its column slices
+    spanning each eigenspace.  The projections V_c V_c†, mutually orthogonal
+    and summing to the identity, are formed on first use and kept.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("eigenvalues", "vectors", "slices", "_entries")
 
-    def __init__(self, entries: Iterable[tuple[float, Projection]]):
-        object.__setattr__(self, "entries", tuple((float(v), p) for v, p in entries))
+    def __init__(self, eigenvalues: Iterable[float], vectors: np.ndarray, slices: Iterable[slice]):
+        object.__setattr__(self, "eigenvalues", tuple(float(v) for v in eigenvalues))
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "slices", tuple(slices))
+        object.__setattr__(self, "_entries", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectralFamily is immutable")
+
+    @property
+    def entries(self) -> tuple[tuple[float, Projection], ...]:
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(
+                (value, Projection._spanned(self.vectors[:, sl]))
+                for value, sl in zip(self.eigenvalues, self.slices)))
+        return self._entries
 
     def __iter__(self):
         return iter(self.entries)
 
     def __len__(self):
-        return len(self.entries)
-
-    @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(v for v, _ in self.entries)
+        return len(self.slices)
 
     @property
     def projections(self) -> tuple[Projection, ...]:
@@ -93,7 +104,7 @@ class SpectralFamily:
 
     @property
     def dim(self) -> int:
-        return self.entries[0][1].dim
+        return self.vectors.shape[0]
 
 
 def cluster_indices(values: np.ndarray, gap: float) -> list[slice]:
@@ -109,35 +120,25 @@ def cluster_indices(values: np.ndarray, gap: float) -> list[slice]:
     return slices
 
 
-def eigenframe(obs: Observable, tol: ToleranceConfig = DEFAULT_TOL
-               ) -> tuple[tuple[float, ...], np.ndarray, tuple[slice, ...]]:
-    """(values, V, slices) from one ``eigh``: the distinct eigenvalues,
-    degeneracies merged, and the column slices of the unitary V that span
-    their eigenspaces.
-
-    Computed on the first call for each ``tol`` and kept on ``obs``; later
-    calls return the same objects, with V read-only.
-    """
-    frame = obs._spectra.get(("frame", tol))
-    if frame is None:
-        w, v = eigh(obs.matrix, tol)
-        v.setflags(write=False)
-        slices = tuple(cluster_indices(w, tol.eig_cluster_tol))
-        frame = tuple(float(np.mean(w[sl])) for sl in slices), v, slices
-        obs._spectra[("frame", tol)] = frame
-    return frame
-
-
 def spectral_family(obs: Observable, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralFamily:
-    """Spectral resolution of an observable, degeneracies merged; built on
-    the first call for each ``tol`` and kept on ``obs``."""
-    family = obs._spectra.get(("family", tol))
+    """Spectral resolution of an observable, degeneracies merged, from one
+    ``eigh``; built on the first call for each ``tol`` and kept on ``obs``."""
+    family = obs._spectra.get(tol)
     if family is None:
-        values, v, slices = eigenframe(obs, tol)
-        family = SpectralFamily((value, Projection._spanned(v[:, sl]))
-                                for value, sl in zip(values, slices))
-        obs._spectra[("family", tol)] = family
+        w, v = eigh(obs.matrix)
+        v.setflags(write=False)
+        slices = cluster_indices(w, tol.eig_cluster_tol)
+        family = SpectralFamily((np.mean(w[sl]) for sl in slices), v, slices)
+        obs._spectra[tol] = family
     return family
+
+
+def _value_hits(eigenvalues, keys, tol: ToleranceConfig) -> np.ndarray:
+    """hits[i, j] = |eigenvalues[i] − float(keys[j])| <= eig_cluster_tol, the one
+    rule matching values to eigenvalues; a difference that overflows is inf, a miss."""
+    keys = np.array(list(keys), dtype=float)
+    with np.errstate(over="ignore"):
+        return np.abs(np.subtract.outer(eigenvalues, keys)) <= tol.eig_cluster_tol
 
 
 def spectral_projection(
@@ -145,11 +146,11 @@ def spectral_projection(
 ) -> Projection:
     """Projection onto the eigenspaces whose eigenvalue lies within
     eig_cluster_tol of some element of ``values``; zero if none match."""
-    wanted = [float(x) for x in values]
-    eigvals, v, slices = eigenframe(obs, tol)
+    family = spectral_family(obs, tol)
+    hit = _value_hits(family.eigenvalues, values, tol).any(axis=1)
+    v = family.vectors
     return Projection._spanned(np.hstack([v[:, :0]] + [
-        v[:, sl] for eigval, sl in zip(eigvals, slices)
-        if any(abs(eigval - x) <= tol.eig_cluster_tol for x in wanted)]))
+        v[:, sl] for sl, wanted in zip(family.slices, hit) if wanted]))
 
 
 def _meter_labels(meter: Observable, label_map: Mapping[float, float],
@@ -164,14 +165,15 @@ def _meter_labels(meter: Observable, label_map: Mapping[float, float],
         if not (np.isfinite(float(key)) and np.isfinite(float(value))):
             raise NonFiniteLabelError(
                 f"label map entry {float(key)!r} -> {float(value)!r} is not finite")
-    labels = []
-    for m, proj in spectral_family(meter, tol):
-        key = next((k for k in label_map if abs(m - float(k)) <= tol.eig_cluster_tol), None)
-        if key is None:
+    family = spectral_family(meter, tol)
+    keys = list(label_map)
+    hits = _value_hits(family.eigenvalues, keys, tol)
+    for m, row in zip(family.eigenvalues, hits):
+        if not row.any():
             raise UnmappedEigenvalueError(
                 f"label map is undefined on eigenvalue {m!r} of {meter.name!r}")
-        labels.append((float(label_map[key]), proj.matrix))
-    return labels
+    return [(float(label_map[keys[j]]), proj.matrix)
+            for j, proj in zip(hits.argmax(axis=1), family.projections)]
 
 
 def apply_value_map(
@@ -194,6 +196,6 @@ def born_distribution(
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.size != obs.dim:
         raise DimMismatchError(f"state dim {v.size} vs observable dim {obs.dim}")
-    values, frame, slices = eigenframe(obs, tol)
-    return {value: float(np.linalg.norm(frame[:, sl].conj().T @ v) ** 2)
-            for value, sl in zip(values, slices)}
+    family = spectral_family(obs, tol)
+    return {value: float(np.linalg.norm(family.vectors[:, sl].conj().T @ v) ** 2)
+            for value, sl in zip(family.eigenvalues, family.slices)}

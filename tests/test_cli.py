@@ -395,6 +395,32 @@ def test_search_rejects_success_tol_that_is_not_finite_and_non_negative(data_dir
     assert err.startswith("error:") and "--success-tol" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_search_rejects_a_budget_below_one(data_dir, capsys, value):
+    sigma_z = str(data_dir / "obs_sigma_z.json")
+    code, out, err = run_cli(capsys, "search", sigma_z, sigma_z, "--probe-dim", "2",
+                             "--restarts", "1", f"--budget={value}")
+    assert code == 2 and out is None
+    assert err.startswith("error:") and "budget" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "measure"])
+def test_repeated_observable_name_exits_two(data_dir, capsys, command):
+    x, z = data_dir / "obs_sigma_x.json", data_dir / "obs_sigma_z.json"
+    plus = str(data_dir / "state_plus.json")
+    # Each name was silently bound to its last file.
+    flag, argv = {
+        "eval": ("--obs", ["eval", "X in {1}", "--obs", f"X={x}", "--obs", f"X={z}",
+                           "--state", plus]),
+        "measure": ("--observable", ["measure", str(data_dir / "model_cnot.json"), "--state", plus,
+                                     "--observable", f"X={z}", "--map", "f",
+                                     "--observable", f"X={x}", "--map", "f"]),
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out is None
+    assert err == f"error: {flag} name 'X' is given more than once\n"
+
+
 def test_search_verbose_progress_on_stderr(data_dir, capsys):
     code, _, err = run_cli(
         capsys, "search",

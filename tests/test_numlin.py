@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qreal import DEFAULT_TOL, ToleranceConfig, kron, probe_compress
+from qreal import DEFAULT_TOL, Observable, ToleranceConfig, kron, probe_compress, spectral_family
 from qreal.errors import (
     DimMismatchError,
     NotHermitianError,
@@ -43,15 +43,29 @@ def test_tolerance_config_rejects_non_finite_values(field, value):
 @pytest.mark.parametrize("scale", [1e-12, 1e-7, 1e-3, 1.0, 1e6])
 def test_eigh_accepts_exactly_what_is_hermitian_accepts(scale):
     # The defect is 1e-3 * scale: under eq_tol * max(1, ||m||) for small
-    # scales only, the one Hermiticity rule for eigh and Observable.
+    # scales only.  Observable applies that one rule; eigh checks nothing
+    # and factors the Hermitian part of whatever it is given.
     m = scale * np.array([[0.0, 1.0], [1.001, 0.0]])
+    w, v = eigh(m)
+    assert np.allclose(w, [-scale * 1.0005, scale * 1.0005], rtol=1e-9, atol=1e-15)
     if is_hermitian(m):
-        w, _ = eigh(m)
-        assert np.allclose(w, [-scale * 1.0005, scale * 1.0005], rtol=1e-9, atol=1e-15)
+        assert np.array_equal(spectral_family(Observable(m)).vectors, v)
     else:
         with pytest.raises(NotHermitianError):
-            eigh(m)
+            Observable(m)
     assert is_hermitian(m) == (scale < 1e-6)
+
+
+def test_observable_accepted_under_a_loose_tolerance_factors_under_the_default():
+    # Defect 1e-7: rejected at the default eq_tol, accepted at 1e-6, and then
+    # factored under DEFAULT_TOL without a second check.
+    m = np.array([[0.0, 1.0], [1.0 + 1e-7, 0.0]])
+    with pytest.raises(NotHermitianError):
+        Observable(m)
+    obs = Observable(m, tol=ToleranceConfig(eq_tol=1e-6))
+    family = spectral_family(obs, DEFAULT_TOL)
+    w, v = np.linalg.eigh(_hermitian_part(m))
+    assert family.eigenvalues == tuple(w) and np.array_equal(family.vectors, v)
 
 
 def test_as_operator_rejects_non_matrices():
@@ -64,12 +78,14 @@ def test_as_operator_rejects_non_matrices():
 
 
 def test_as_state_norm_check():
-    v = as_state([1.0, 0.0])
+    v = as_state([1.0, 0.0], 2)
     assert v.dtype == complex
     with pytest.raises(ValueError):
-        as_state([1.0, 1.0])
+        as_state([1.0, 1.0], 2)
     with pytest.raises(ValueError):
-        as_state([np.inf, 0.0])
+        as_state([np.inf, 0.0], 2)
+    with pytest.raises(DimMismatchError):
+        as_state([1.0, 0.0], 3)
 
 
 def test_op_norm_matches_largest_singular_value():
@@ -100,8 +116,9 @@ def test_eigh_contract():
         assert np.all(np.diff(w) >= 0)
         assert np.allclose(v @ v.conj().T, np.eye(dim), atol=1e-12)
         assert np.allclose((v * w) @ v.conj().T, m, atol=1e-12)
+    # The rejection lives where a matrix becomes an observable.
     with pytest.raises(NotHermitianError):
-        eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        Observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_symmetrization_survives_entries_near_float_max():

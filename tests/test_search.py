@@ -25,6 +25,9 @@ def test_search_validates_arguments():
         search_simultaneous(z, z, probe_dim=1)
     with pytest.raises(ValueError):
         search_simultaneous(z, z, probe_dim=2, restarts=0)
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="budget"):
+            search_simultaneous(z, z, probe_dim=2, budget=budget)
 
 
 def test_planted_pair_resolves_immediately():

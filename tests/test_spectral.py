@@ -14,8 +14,9 @@ from qreal import (
     spectral_family,
     spectral_projection,
 )
+from qreal import numlin
 from qreal.errors import DimMismatchError, NotHermitianError, UnmappedEigenvalueError
-from qreal.spectral import cluster_indices, eigenframe
+from qreal.spectral import _meter_labels, cluster_indices
 from qreal.standard import random_hermitian, random_state, random_unitary
 
 
@@ -141,10 +142,10 @@ def test_born_distribution_golden_plus_state():
 
 def test_spectrum_is_kept_on_the_observable():
     obs = Observable(random_hermitian(4, np.random.default_rng(13)))
-    frame = eigenframe(obs)
     family = spectral_family(obs)
-    assert eigenframe(obs) is frame and spectral_family(obs) is family
-    v = frame[1]
+    assert spectral_family(obs) is family
+    assert family.projections[0] is family.projections[0]
+    v = family.vectors
     assert not v.flags.writeable
     assert not any(p.matrix.flags.writeable for p in family.projections)
     with pytest.raises(ValueError):
@@ -158,7 +159,7 @@ def test_spectrum_cache_is_keyed_by_tolerance(fine_first):
     order = [(fine, 3), (DEFAULT_TOL, 2)]
     for tol, clusters in (order if fine_first else order[::-1]):
         assert len(spectral_family(obs, tol)) == clusters
-        assert len(eigenframe(obs, tol)[0]) == clusters
+        assert len(spectral_family(obs, tol).slices) == clusters
         assert len(born_distribution(obs, [1.0, 0.0, 0.0], tol)) == clusters
         # 0 matches {0, 1e-9} when merged, {0} alone when split.
         assert spectral_projection(obs, [0.0], tol).rank == 4 - clusters
@@ -200,5 +201,42 @@ def test_kept_spectrum_is_bit_identical_to_a_fresh_one(case):
     assert cached.eigenvalues == fresh.eigenvalues
     assert all(np.array_equal(p.matrix, q.matrix)
                for p, q in zip(cached.projections, fresh.projections))
-    (values, v, slices), (values2, v2, slices2) = eigenframe(kept), eigenframe(Observable(m))
-    assert values == values2 and slices == slices2 and np.array_equal(v, v2)
+    assert cached.slices == fresh.slices and np.array_equal(cached.vectors, fresh.vectors)
+
+
+def test_first_spectral_family_decides_no_hermiticity(monkeypatch):
+    obs = Observable(random_hermitian(4, np.random.default_rng(19)))
+    calls = []
+    op_norm = numlin.op_norm
+    monkeypatch.setattr(numlin, "op_norm", lambda x: calls.append(x) or op_norm(x))
+    spectral_family(obs)
+    spectral_family(obs, ToleranceConfig(eig_cluster_tol=1e-10))
+    assert calls == []
+
+
+def test_value_matching_at_the_cutoff_agrees_with_the_scalar_rule():
+    cut = DEFAULT_TOL.eig_cluster_tol
+    # 0 and 1.5e-8 are separate clusters, and a key between them hits both.
+    obs = Observable(np.diag([0.0, 1.5e-8, 1.0]), name="M")
+    eigenvalues = spectral_family(obs).eigenvalues
+    assert len(eigenvalues) == 3
+    edges = [lam + sign * cut for lam in eigenvalues for sign in (-1, 1)] + [0.75e-8]
+    keys = edges + [float(np.nextafter(e, d)) for e in edges for d in (-np.inf, np.inf)]
+    rng = np.random.default_rng(17)
+    mapped = unmapped = 0
+    for _ in range(300):
+        chosen = [keys[i] for i in rng.permutation(len(keys))[:int(rng.integers(1, 12))]]
+        # The scalar rule: a key matches when |eigenvalue − key| <= eig_cluster_tol.
+        hits = [[k for k in chosen if abs(lam - k) <= cut] for lam in eigenvalues]
+        selected = np.diag(spectral_projection(obs, chosen).matrix).real > 0.5
+        assert list(selected) == [bool(h) for h in hits]
+        label_map = {k: float(i) for i, k in enumerate(chosen)}
+        if all(hits):
+            mapped += 1
+            labels = [value for value, _ in _meter_labels(obs, label_map, DEFAULT_TOL)]
+            assert labels == [label_map[h[0]] for h in hits]  # first key in map order
+        else:
+            unmapped += 1
+            with pytest.raises(UnmappedEigenvalueError):
+                _meter_labels(obs, label_map, DEFAULT_TOL)
+    assert mapped and unmapped
