@@ -34,6 +34,7 @@ from .measure import (
     ContextReport,
     CorrelationCertificate,
     MeasurementModel,
+    RestartTelemetry,
     SearchResult,
     SimultaneousReport,
     UncertaintyReport,
@@ -120,7 +121,7 @@ __all__ = [
     "value_identity", "perfectly_correlated", "jointly_determinate",
     "nowhere_commuting", "jpd_exists",
     "MeasurementModel", "CorrelationCertificate", "UncertaintyReport",
-    "SimultaneousReport", "ContextReport", "SearchResult",
+    "SimultaneousReport", "ContextReport", "SearchResult", "RestartTelemetry",
     "meter_output", "povm", "output_distribution", "measures_in_state",
     "rms_noise", "rms_disturbance", "uncertainty_report",
     "simultaneously_measures", "search_simultaneous", "context_report",

@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="defect at or below which the search exits 0")
     p.add_argument("--out", default=None, help="write the witness model file here")
     p.add_argument("--verbose", action="store_true",
-                   help="print one summary line per restart")
+                   help="print one telemetry line per restart to stderr when the search ends")
 
     p = sub.add_parser("context", parents=[common],
                        help="full contextual-measurement exhibit")
@@ -399,14 +399,13 @@ def _cmd_search(args, tol: ToleranceConfig) -> int:
         raise DataError("--probe-dim must be at least 2")
     if not (np.isfinite(args.success_tol) and args.success_tol >= 0):
         raise DataError("--success-tol must be a finite non-negative number")
-    progress = None
-    if args.verbose:
-        def progress(index: int, defect: float) -> None:
-            print(f"restart {index}: defect {defect:.6e}", file=sys.stderr)
     result = search_simultaneous(
         a, b, probe_dim=args.probe_dim, restarts=args.restarts,
-        seed=args.seed, budget=args.budget, tol=tol, progress=progress,
+        seed=args.seed, budget=args.budget, tol=tol,
     )
+    if args.verbose:
+        for record in result.telemetry:
+            print(record.summary(), file=sys.stderr)
     if args.out:
         save_witness(args.out, result)
     success = result.defect <= args.success_tol

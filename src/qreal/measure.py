@@ -22,6 +22,8 @@ so only ``meter_output`` forms a joint-space operator.
 from __future__ import annotations
 
 import itertools
+import math
+import time
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
@@ -327,6 +329,26 @@ def context_report(model: MeasurementModel, a: Observable, map_a: Mapping[float,
 
 
 @dataclass(frozen=True)
+class RestartTelemetry:
+    """What one pattern-search restart did: its defect, objective
+    evaluations, accepted coordinate moves, state polishes that beat the
+    iterate, the step size it stopped at, and its wall time."""
+
+    index: int
+    defect: float
+    evals: int
+    accepted: int
+    polish_wins: int
+    step: float
+    wall_ms: float
+
+    def summary(self) -> str:
+        return (f"restart {self.index}: defect {self.defect:.6e} evals={self.evals} "
+                f"accepted={self.accepted} polish_wins={self.polish_wins} "
+                f"step={self.step:.3e} wall_ms={self.wall_ms:.1f}")
+
+
+@dataclass(frozen=True)
 class SearchResult:
     model: MeasurementModel
     psi: np.ndarray
@@ -334,29 +356,17 @@ class SearchResult:
     map_b: dict[float, float]
     defect: float
     restart_index: int
+    telemetry: tuple[RestartTelemetry, ...]
 
 
 _SUCCESS_CUTOFF = 1e-10
 
 
-def _hermitian_from_params(theta: np.ndarray, dim: int) -> np.ndarray:
-    h = np.zeros((dim, dim), dtype=complex)
-    h[np.diag_indices(dim)] = theta[:dim]
-    rows, cols = np.triu_indices(dim, k=1)
-    upper = theta[dim::2] + 1j * theta[dim + 1::2]
-    h[rows, cols] = upper
-    h[cols, rows] = upper.conj()
-    return h
-
-
-def _unitary_from_params(theta: np.ndarray, dim: int) -> np.ndarray:
-    w, v = np.linalg.eigh(_hermitian_from_params(theta, dim))
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
 def _state_from_params(theta: np.ndarray, dim: int) -> np.ndarray:
     vec = theta[:dim] + 1j * theta[dim:]
-    norm = np.linalg.norm(vec)
+    re, im = vec.real, vec.imag
+    # np.linalg.norm's own sum, without its dispatch.
+    norm = math.sqrt(re.dot(re) + im.dot(im))
     if norm < 1e-12:
         vec = vec.copy()
         vec[0] += 1.0
@@ -365,7 +375,11 @@ def _state_from_params(theta: np.ndarray, dim: int) -> np.ndarray:
 
 
 class _SearchProblem:
-    """Shared geometry for one search run (observables fixed, meter fixed)."""
+    """Shared geometry for one search run (observables fixed, meter fixed).
+
+    Everything that depends only on the dimensions is built here once, so an
+    objective evaluation pays for its own arithmetic alone.  The probe state
+    is e_0, so psi ⊗ xi is psi written at every k-th joint position."""
 
     def __init__(self, a: Observable, b: Observable, probe_dim: int, tol: ToleranceConfig):
         self.n = a.dim
@@ -382,10 +396,16 @@ class _SearchProblem:
         self.effects = np.array([np.diag(row) for row in np.eye(self.k)])
         self.u_params = self.joint * self.joint
         self.s_params = 2 * self.n
+        # Flat positions of the generator's diagonal and of its strict upper
+        # and lower triangles, the upper one in triu_indices (row-major) order.
+        rows, cols = np.triu_indices(self.joint, k=1)
+        self._diagonal = np.arange(self.joint) * (self.joint + 1)
+        self._upper = rows * self.joint + cols
+        self._lower = cols * self.joint + rows
 
     def candidate_maps(self, rng: np.random.Generator):
         """Assignments meter outcome -> eigenvalue index, one (maps, one-hot)
-        pair per side.
+        pair per side; the one-hot rows are complex, as the rows they sum.
 
         Exhaustive below the size guard; beyond it, a seeded sample plus all
         constant assignments (those solve any eigenstate measurement)."""
@@ -398,17 +418,37 @@ class _SearchProblem:
                 picks.update({(i,) * self.k for i in range(count)})
                 combos = sorted(picks)
             maps = np.array(combos, dtype=int)
-            return maps, (maps[:, None, :] == np.arange(count)[None, :, None]).astype(float)
+            return maps, (maps[:, None, :] == np.arange(count)[None, :, None]).astype(complex)
 
         return side(len(self.vals_a)), side(len(self.vals_b))
 
+    def unitary(self, theta: np.ndarray) -> np.ndarray:
+        """exp(iH) for the Hermitian H with diagonal theta[:d] and strict upper
+        triangle theta[d::2] + i theta[d+1::2], row by row, d = nk; only the
+        first d² entries of ``theta`` are read."""
+        d = self.joint
+        generator = theta[:self.u_params]
+        h = np.zeros(d * d, dtype=complex)
+        h[self._diagonal] = generator[:d]
+        upper = generator[d::2] + 1j * generator[d + 1::2]
+        h[self._upper] = upper
+        h[self._lower] = upper.conj()
+        w, v = np.linalg.eigh(h.reshape(d, d))
+        return (v * np.exp(1j * w)) @ v.conj().T
+
     def outcome_vectors(self, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        return _outcome_vectors(u, kron(psi, self.xi), self.n, self.effects)
+        joint = np.zeros(self.joint, dtype=complex)
+        joint[::self.k] = psi  # psi ⊗ xi, as xi = e_0
+        return _outcome_vectors(u, joint, self.n, self.effects)
 
     def defects(self, vectors, psi, projections, one_hot) -> np.ndarray:
         """Certificate defect of every assignment in ``one_hot``: the largest
         ||sum_{m in slot i} v_m − (E_i psi) ⊗ xi|| over slots i."""
-        residual = one_hot @ vectors - _target_vectors(projections, psi, self.xi)
+        targets = np.zeros((len(projections), self.joint), dtype=complex)
+        targets[:, ::self.k] = np.einsum("snm,m->sn", projections, psi)
+        # One full pass; an in-place update of the strided slots measured
+        # twice as slow at k = 4.
+        residual = one_hot @ vectors - targets
         re, im = residual.real, residual.imag
         # Row dot products through matmul round as np.linalg.norm does.
         squares = (re[..., None, :] @ re[..., None] + im[..., None, :] @ im[..., None])[..., 0, 0]
@@ -420,11 +460,11 @@ class _SearchProblem:
         (maps_a, hot_a), (maps_b, hot_b) = side_a, side_b
         table_a = self.defects(vectors, psi, self.proj_a, hot_a)
         table_b = self.defects(vectors, psi, self.proj_b, hot_b)
-        ia, ib = int(np.argmin(table_a)), int(np.argmin(table_b))
+        ia, ib = table_a.argmin(), table_b.argmin()
         return float(max(table_a[ia], table_b[ib])), maps_a[ia], maps_b[ib]
 
     def objective(self, theta: np.ndarray, side_a, side_b):
-        u = _unitary_from_params(theta[:self.u_params], self.joint)
+        u = self.unitary(theta)
         psi = _state_from_params(theta[self.u_params:], self.n)
         return self.best_maps(self.outcome_vectors(u, psi), psi, side_a, side_b)
 
@@ -461,11 +501,13 @@ class _SearchProblem:
         return best
 
 
-def _pattern_search(problem: _SearchProblem, rng: np.random.Generator, budget: int):
+def _pattern_search(problem: _SearchProblem, rng: np.random.Generator, budget: int, index: int):
     """One restart: coordinate pattern search over the generator and state
     parameters, label maps enumerated exactly at every iterate.  Before each
     shrink-on-fail the closed-form state polish gets a chance to jump ahead,
-    so the step cascade is traversed once instead of restarting."""
+    so the step cascade is traversed once instead of restarting.  Returns the
+    restart's record and its telemetry."""
+    start = time.perf_counter()
     side_a, side_b = problem.candidate_maps(rng)
     theta = np.concatenate([
         rng.normal(0.0, 0.6, size=problem.u_params),
@@ -473,6 +515,7 @@ def _pattern_search(problem: _SearchProblem, rng: np.random.Generator, budget: i
     ])
     best_val, best_a, best_b = problem.objective(theta, side_a, side_b)
     evals = 1
+    accepted = polish_wins = 0
     step = 0.5
     while step > 1e-10 and evals < budget and best_val > _SUCCESS_CUTOFF:
         improved = False
@@ -490,24 +533,29 @@ def _pattern_search(problem: _SearchProblem, rng: np.random.Generator, budget: i
                     if val >= best_val - 1e-15:
                         break
                     theta, best_val, best_a, best_b = candidate, val, g_a, g_b
+                    accepted += 1
                     moved = improved = True
                 if moved or evals >= budget:
                     break
         if not improved:
-            u = _unitary_from_params(theta[:problem.u_params], problem.joint)
-            polished = problem.polish(u, side_a, side_b)
+            polished = problem.polish(problem.unitary(theta), side_a, side_b)
             if polished is not None and polished[0] < best_val - 1e-15:
                 best_val, psi, best_a, best_b = polished
                 theta = np.concatenate([theta[:problem.u_params], psi.real, psi.imag])
+                polish_wins += 1
             else:
                 step *= 0.5
 
-    u = _unitary_from_params(theta[:problem.u_params], problem.joint)
+    u = problem.unitary(theta)
     polished = problem.polish(u, side_a, side_b)
     psi = _state_from_params(theta[problem.u_params:], problem.n)
     if polished is not None and polished[0] < best_val:
         best_val, psi, best_a, best_b = polished
-    return best_val, u, psi, best_a, best_b
+        polish_wins += 1
+    telemetry = RestartTelemetry(index=index, defect=float(best_val), evals=evals,
+                                 accepted=accepted, polish_wins=polish_wins, step=step,
+                                 wall_ms=1e3 * (time.perf_counter() - start))
+    return (best_val, u, psi, best_a, best_b), telemetry
 
 
 def search_simultaneous(a: Observable, b: Observable, probe_dim: int, restarts: int = 20,
@@ -529,7 +577,8 @@ def search_simultaneous(a: Observable, b: Observable, probe_dim: int, restarts: 
     record.  Exhausting the budget is not an error; the best record found is
     returned regardless.
     ``progress``, when given, is called with (restart_index, defect) after
-    each restart.
+    each restart.  The result's ``telemetry`` holds one
+    :class:`RestartTelemetry` per restart that ran.
     """
     if a.dim != b.dim:
         raise DimMismatchError(f"dims differ: {a.dim} vs {b.dim}")
@@ -541,11 +590,13 @@ def search_simultaneous(a: Observable, b: Observable, probe_dim: int, restarts: 
         raise ValueError("budget must be at least 1")
     problem = _SearchProblem(a, b, probe_dim, tol)
     best = None
+    telemetry = []
     for index in range(restarts):
         rng = np.random.default_rng(seed + index)
-        defect, u, psi, g_a, g_b = _pattern_search(problem, rng, budget)
+        (defect, u, psi, g_a, g_b), record = _pattern_search(problem, rng, budget, index)
+        telemetry.append(record)
         if progress is not None:
-            progress(index, float(defect))
+            progress(index, record.defect)
         if best is None or defect < best[0]:
             best = (defect, u, psi, g_a, g_b, index)
         if best[0] <= tol.eq_tol:
@@ -563,4 +614,4 @@ def search_simultaneous(a: Observable, b: Observable, probe_dim: int, restarts: 
     report = simultaneously_measures(model, a, map_a, b, map_b, psi, tol=tol)
     final = max(report.cert_a.defect, report.cert_b.defect)
     return SearchResult(model=model, psi=psi, map_a=map_a, map_b=map_b,
-                        defect=final, restart_index=index)
+                        defect=final, restart_index=index, telemetry=tuple(telemetry))

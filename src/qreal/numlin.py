@@ -81,13 +81,6 @@ def op_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x, 2))
 
 
-def close(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Absolute-plus-relative comparison: ||x - y|| <= eq_tol * max(1, ||x||, ||y||)."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    return op_norm(x - y) <= tol.eq_tol * max(1.0, op_norm(x), op_norm(y))
-
-
 def is_hermitian(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     m = as_square(matrix)
     return op_norm(m - m.conj().T) <= tol.eq_tol * max(1.0, op_norm(m))

@@ -313,3 +313,100 @@ def joint_space_defect(model, a, label_map, psi) -> float:
     values = [lam for lam, _ in fam_a] + list(label_map.values())
     return max(float(np.linalg.norm((cluster_sums(outputs, c, n * k) - cluster_sums(fam_a, c, n * k)) @ joint))
                for c in clusters(values))
+
+
+# ---------------------------------------------------------------------------
+# The witness search's per-evaluation kernels as first written, kept as the
+# reference its set-up-free kernels must reproduce bit for bit: psi ⊗ xi by
+# np.kron, target rows by broadcasting against xi, a float one-hot, and the
+# generator's index arrays built on every call.
+
+
+def reference_unitary(theta: np.ndarray, dim: int) -> np.ndarray:
+    """exp(iH) for the Hermitian H of the dim² generator parameters, with
+    triu_indices and diag_indices built per call."""
+    h = np.zeros((dim, dim), dtype=complex)
+    h[np.diag_indices(dim)] = theta[:dim]
+    rows, cols = np.triu_indices(dim, k=1)
+    upper = theta[dim::2] + 1j * theta[dim + 1::2]
+    h[rows, cols] = upper
+    h[cols, rows] = upper.conj()
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def reference_state(theta: np.ndarray, dim: int) -> np.ndarray:
+    vec = theta[:dim] + 1j * theta[dim:]
+    norm = np.linalg.norm(vec)
+    if norm < 1e-12:
+        vec = vec.copy()
+        vec[0] += 1.0
+        norm = np.linalg.norm(vec)
+    return vec / norm
+
+
+def reference_outcome_rows(problem, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Rows U†(1 ⊗ E_m)U(psi ⊗ xi) with psi ⊗ xi from np.kron."""
+    phi = (u @ np.kron(psi, problem.xi)).reshape(problem.n, -1)
+    masked = (phi @ np.swapaxes(problem.effects, 1, 2)).reshape(len(problem.effects), -1)
+    return (masked.conj() @ u).conj()
+
+
+def reference_target_rows(projections: np.ndarray, psi: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    shrunk = np.einsum("snm,m->sn", projections, psi)
+    return (shrunk[:, :, None] * xi).reshape(shrunk.shape[0], -1)
+
+
+def reference_one_hot(maps: np.ndarray, count: int) -> np.ndarray:
+    return (maps[:, None, :] == np.arange(count)[None, :, None]).astype(float)
+
+
+def reference_defects(problem, vectors, psi, projections, maps) -> np.ndarray:
+    """Certificate defect of every assignment in ``maps``."""
+    one_hot = reference_one_hot(maps, len(projections))
+    residual = one_hot @ vectors - reference_target_rows(projections, psi, problem.xi)
+    re, im = residual.real, residual.imag
+    squares = (re[..., None, :] @ re[..., None] + im[..., None, :] @ im[..., None])[..., 0, 0]
+    return np.sqrt(squares.max(axis=1))
+
+
+def reference_objective(problem, theta: np.ndarray, maps_a: np.ndarray, maps_b: np.ndarray):
+    """(defect, map_a, map_b) at ``theta``, each side's lowest-index least defect."""
+    u = reference_unitary(theta[:problem.u_params], problem.joint)
+    psi = reference_state(theta[problem.u_params:], problem.n)
+    vectors = reference_outcome_rows(problem, u, psi)
+    table_a = reference_defects(problem, vectors, psi, problem.proj_a, maps_a)
+    table_b = reference_defects(problem, vectors, psi, problem.proj_b, maps_b)
+    ia, ib = int(np.argmin(table_a)), int(np.argmin(table_b))
+    return float(max(table_a[ia], table_b[ib])), maps_a[ia], maps_b[ib]
+
+
+def reference_polish(problem, u: np.ndarray, maps_a: np.ndarray, maps_b: np.ndarray):
+    """The closed-form state polish: per map pair, the least eigenvector of
+    the summed squared-defect forms built from the basis states' rows."""
+    basis = np.eye(problem.n)
+    columns = np.stack([reference_outcome_rows(problem, u, e) for e in basis])
+    proj_a, proj_b = problem.proj_a, problem.proj_b
+    if len(maps_a) * len(maps_b) <= 256:
+        pairs = [(ia, ib) for ia in range(len(maps_a)) for ib in range(len(maps_b))]
+    else:
+        pairs = [(0, 0)]
+        maps_a, maps_b = maps_a[:1], maps_b[:1]
+
+    def forms(projections, maps) -> np.ndarray:
+        targets = np.stack([reference_target_rows(projections, e, problem.xi) for e in basis], axis=1)
+        w = np.einsum("aim,jmx->aijx", reference_one_hot(maps, len(projections)), columns) - targets
+        return np.einsum("aijx,ailx->ajl", w.conj(), w)
+
+    forms_a, forms_b = forms(proj_a, maps_a), forms(proj_b, maps_b)
+    best = None
+    for ia, ib in pairs:
+        half = 0.5 * (forms_a[ia] + forms_b[ib])
+        _, v = np.linalg.eigh(half + half.conj().T)
+        psi = v[:, 0]
+        vectors = reference_outcome_rows(problem, u, psi)
+        defect = float(max(reference_defects(problem, vectors, psi, proj_a, maps_a[ia:ia + 1])[0],
+                           reference_defects(problem, vectors, psi, proj_b, maps_b[ib:ib + 1])[0]))
+        if best is None or defect < best[0]:
+            best = (defect, psi, maps_a[ia], maps_b[ib])
+    return best

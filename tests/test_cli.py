@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -429,6 +430,9 @@ def test_search_verbose_progress_on_stderr(data_dir, capsys):
     )
     assert code == 0
     assert "restart 0:" in err
+    # The planted pair succeeds at restart 0: one telemetry line.
+    assert re.fullmatch(r"restart 0: defect \S+ evals=\d+ accepted=\d+ polish_wins=\d+ "
+                        r"step=\S+ wall_ms=\S+\n", err)
 
 
 # ---------------------------------------------------------------------------

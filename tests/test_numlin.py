@@ -13,7 +13,6 @@ from qreal.numlin import (
     as_operator,
     as_square,
     as_state,
-    close,
     eigh,
     is_hermitian,
     null_basis,
@@ -94,13 +93,6 @@ def test_op_norm_matches_largest_singular_value():
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         assert op_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0])
     assert op_norm(np.array([3.0, 4.0])) == pytest.approx(5.0)
-
-
-def test_close_is_relative_above_unit_scale():
-    assert close(np.eye(2), np.eye(2) + 1e-10)
-    assert not close(np.eye(2), np.eye(2) + 1e-8)
-    big = 1e6 * np.eye(2)
-    assert close(big, big + 1e-4)  # 1e-4 <= 1e-9 * 1e6
 
 
 def test_is_hermitian():

@@ -13,8 +13,17 @@ from qreal import (
 )
 from qreal.cli import load_model
 from qreal.errors import DimMismatchError
-from qreal.measure import _SearchProblem
+from qreal.measure import _SearchProblem, _state_from_params
 from qreal.standard import random_hermitian, random_state, random_unitary
+
+from corpus import (
+    reference_defects,
+    reference_objective,
+    reference_outcome_rows,
+    reference_polish,
+    reference_state,
+    reference_unitary,
+)
 
 
 def test_search_validates_arguments():
@@ -80,6 +89,39 @@ def test_progress_callback_and_early_exit():
     assert calls[0][0] == 0
     assert len(calls) == 1
     assert result.restart_index == 0
+
+
+def test_telemetry_has_one_record_per_restart_that_ran(monkeypatch):
+    evaluations = []
+    objective = _SearchProblem.objective
+
+    def counted(self, theta, side_a, side_b):
+        evaluations.append(1)
+        return objective(self, theta, side_a, side_b)
+
+    monkeypatch.setattr(_SearchProblem, "objective", counted)
+    z = Observable(PAULI_Z, name="A")
+    planted = search_simultaneous(z, Observable(3 * PAULI_Z, name="B"),
+                                  probe_dim=2, restarts=5, seed=0)
+    assert len(planted.telemetry) == 1
+    assert sum(record.evals for record in planted.telemetry) == len(evaluations)
+
+    evaluations.clear()
+    calls = []
+    budget = 150
+    result = search_simultaneous(
+        Observable(PAULI_X, name="A"), Observable(PAULI_Y, name="B"),
+        probe_dim=2, restarts=3, seed=0, budget=budget,
+        progress=lambda index, defect: calls.append((index, defect)),
+    )
+    assert [record.index for record in result.telemetry] == [0, 1, 2]
+    assert [(record.index, record.defect) for record in result.telemetry] == calls
+    for record in result.telemetry:
+        assert 1 <= record.evals <= budget
+        assert 0 <= record.accepted <= record.evals
+        assert record.polish_wins >= 0 and record.step > 0 and record.wall_ms >= 0
+    assert sum(record.evals for record in result.telemetry) == len(evaluations)
+    assert result.telemetry[result.restart_index].defect == pytest.approx(result.defect, abs=1e-12)
 
 
 def test_search_reports_nonzero_defect_when_budget_is_tiny():
@@ -155,3 +197,46 @@ def test_defect_table_is_exact_near_zero(data_dir):
             entry = _table_entry(problem, model, values, projections, label_map, psi)
             cert = measures_in_state(model, obs, label_map, psi)
             assert entry == pytest.approx(cert.defect, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The search's kernels reproduce their first, set-up-per-call form bit for
+# bit, so a seeded search follows the same trajectory to the same winner.
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_search_kernels_are_bit_identical_to_the_reference(n, k):
+    rng = np.random.default_rng(7 + 10 * n + k)
+    a = Observable(random_hermitian(n, rng), name="A")
+    b = Observable(_degenerate(n, rng) if n > 2 else random_hermitian(n, rng), name="B")
+    problem = _SearchProblem(a, b, k, DEFAULT_TOL)
+    sides = problem.candidate_maps(rng)
+    maps_a, maps_b = sides[0][0], sides[1][0]
+    theta = np.concatenate([rng.normal(0.0, 0.6, size=problem.u_params),
+                            rng.normal(0.0, 1.0, size=problem.s_params)])
+    # A short walk of single-coordinate moves, as the pattern search makes,
+    # through both the generator and the state parameters.
+    for step in range(4):
+        u = problem.unitary(theta)
+        psi = _state_from_params(theta[problem.u_params:], n)
+        assert np.array_equal(u, reference_unitary(theta[:problem.u_params], n * k))
+        assert np.array_equal(psi, reference_state(theta[problem.u_params:], n))
+        vectors = problem.outcome_vectors(u, psi)
+        assert np.array_equal(vectors, reference_outcome_rows(problem, u, psi))
+        for projections, (maps, one_hot) in ((problem.proj_a, sides[0]), (problem.proj_b, sides[1])):
+            assert np.array_equal(problem.defects(vectors, psi, projections, one_hot),
+                                  reference_defects(problem, vectors, psi, projections, maps))
+        value, map_a, map_b = problem.objective(theta, *sides)
+        want, want_a, want_b = reference_objective(problem, theta, maps_a, maps_b)
+        assert value == want
+        assert np.array_equal(map_a, want_a) and np.array_equal(map_b, want_b)
+        polished, reference = problem.polish(u, *sides), reference_polish(problem, u, maps_a, maps_b)
+        assert polished[0] == reference[0]
+        for got, expected in zip(polished[1:], reference[1:]):
+            assert np.array_equal(got, expected)
+        # Rows at the polished state, whose components eigh may leave real.
+        assert np.array_equal(problem.outcome_vectors(u, polished[1]),
+                              reference_outcome_rows(problem, u, reference[1]))
+        index = rng.integers(problem.u_params) if step % 2 == 0 else problem.u_params + step
+        theta[index] += 0.5 ** step
