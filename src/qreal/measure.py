@@ -505,8 +505,8 @@ def _pattern_search(problem: _SearchProblem, rng: np.random.Generator, budget: i
     """One restart: coordinate pattern search over the generator and state
     parameters, label maps enumerated exactly at every iterate.  Before each
     shrink-on-fail the closed-form state polish gets a chance to jump ahead,
-    so the step cascade is traversed once instead of restarting.  Returns the
-    restart's record and its telemetry."""
+    so the step cascade is traversed once instead of restarting.  Returns
+    (U, psi, map_a, map_b, telemetry); the telemetry carries the defect."""
     start = time.perf_counter()
     side_a, side_b = problem.candidate_maps(rng)
     theta = np.concatenate([
@@ -555,7 +555,7 @@ def _pattern_search(problem: _SearchProblem, rng: np.random.Generator, budget: i
     telemetry = RestartTelemetry(index=index, defect=float(best_val), evals=evals,
                                  accepted=accepted, polish_wins=polish_wins, step=step,
                                  wall_ms=1e3 * (time.perf_counter() - start))
-    return (best_val, u, psi, best_a, best_b), telemetry
+    return u, psi, best_a, best_b, telemetry
 
 
 def search_simultaneous(a: Observable, b: Observable, probe_dim: int, restarts: int = 20,
@@ -593,12 +593,12 @@ def search_simultaneous(a: Observable, b: Observable, probe_dim: int, restarts: 
     telemetry = []
     for index in range(restarts):
         rng = np.random.default_rng(seed + index)
-        (defect, u, psi, g_a, g_b), record = _pattern_search(problem, rng, budget, index)
+        u, psi, g_a, g_b, record = _pattern_search(problem, rng, budget, index)
         telemetry.append(record)
         if progress is not None:
             progress(index, record.defect)
-        if best is None or defect < best[0]:
-            best = (defect, u, psi, g_a, g_b, index)
+        if best is None or record.defect < best[0]:
+            best = (record.defect, u, psi, g_a, g_b, index)
         if best[0] <= tol.eq_tol:
             break
 
