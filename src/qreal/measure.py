@@ -306,7 +306,6 @@ def context_report(model: MeasurementModel, a: Observable, map_a: Mapping[float,
 
     system_proj = value_identity(a, b, tol=tol)
     system_eq = system_proj.contains(psi, tol=tol)
-    probability = float(np.clip(np.real(np.vdot(psi, system_proj.apply(psi))), 0.0, 1.0))
 
     return ContextReport(
         cert_a=pair.cert_a,
@@ -320,7 +319,7 @@ def context_report(model: MeasurementModel, a: Observable, map_a: Mapping[float,
         meter_equality_b=pair.cert_b.passed,
         lifted_equality=system_eq,
         system_equality=system_eq,
-        system_equality_probability=probability,
+        system_equality_probability=system_proj.weight(psi),
     )
 
 

@@ -19,14 +19,17 @@ from .errors import DimMismatchError, NotSquareError
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical thresholds used throughout the package.
+    """Numerical thresholds used throughout the package, one role each.
 
     eq_tol
-        Operator/vector comparison threshold.
+        Operator/vector comparison threshold, and the principal-angle cutoff:
+        a direction at sine <= eq_tol to a subspace lies in it.  Membership,
+        inclusion, meet, commutator subspaces and value identity share it.
     eig_cluster_tol
-        Gap under which eigenvalues are treated as degenerate.
+        Only clusters eigenvalues and matches values to eigenvalues.
     rank_tol
-        Relative cutoff for numerical rank (floor 1 on the scale).
+        Only sets numerical rank in ``Projection.onto`` and :func:`range_basis`
+        (and :func:`null_basis`): relative cutoff, floor 1 on the scale.
     """
 
     eq_tol: float = 1e-9
@@ -104,41 +107,28 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def range_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (as columns) of the numerical range of ``matrix``.
-
-    Singular values below ``rank_tol * max(largest, 1)`` count as zero, so
-    the column count is the numerical rank.  A zero matrix yields an
-    ``(n, 0)`` array.
-    """
-    u, s, _ = np.linalg.svd(as_operator(matrix))
-    return u[:, :_rank(s, tol)]
+    """Orthonormal basis (as columns) of the numerical range of ``matrix``:
+    singular values at or below ``rank_tol * max(largest, 1)`` count as zero."""
+    return kernel_split(as_operator(matrix).conj().T, tol.rank_tol)[1]
 
 
 def null_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (as columns) of the numerical kernel of ``matrix``.
+    """Orthonormal basis (as columns) of the numerical kernel of ``matrix``:
+    singular values at or below ``rank_tol * max(largest, 1)`` count as zero."""
+    return kernel_split(as_operator(matrix), tol.rank_tol)[0]
 
-    Singular values at or below ``rank_tol * max(largest, 1)`` count as
-    zero.  A tall input is first reduced to its triangular QR factor, which
-    has the same singular values and right singular vectors, so memory stays
+
+def kernel_split(matrix: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Right singular vectors of ``matrix`` as orthonormal columns, split at
+    ``cutoff * max(largest, 1)`` into (the near-kernel, the rest); on
+    principal-angle sines the cutoff is absolute.  A tall input takes the
+    economic SVD, whose right vectors are already complete, so memory stays
     at rows x cols however many rows are stacked.
     """
-    m = as_operator(matrix)
-    if m.shape[0] > m.shape[1]:
-        m = np.linalg.qr(m, mode="r")
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    return vh[_rank(s, tol):, :].conj().T
-
-
-def _rank(s: np.ndarray, tol: ToleranceConfig) -> int:
-    """Count of descending singular values above ``rank_tol * max(largest, 1)``."""
-    return int(np.sum(s > tol.rank_tol * max(float(s[0]) if s.size else 0.0, 1.0)))
-
-
-def _eigenspace(matrix: np.ndarray, lo: float = -np.inf, hi: float = np.inf) -> np.ndarray:
-    """Orthonormal eigenvectors (as columns) of the Hermitian part of
-    ``matrix`` whose eigenvalues lie in [lo, hi]."""
-    w, v = eigh(matrix)
-    return v[:, (w >= lo) & (w <= hi)]
+    _, s, vh = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
+    rank = int(np.sum(s > cutoff * max(float(s[0]) if s.size else 0.0, 1.0)))
+    v = vh.conj().T
+    return v[:, rank:], v[:, :rank]
 
 
 def kron(a, b) -> np.ndarray:

@@ -3,13 +3,16 @@
 A formula denotes a projection, built compositionally from the spectral
 projections of the observables it mentions.  Truth in a state ``psi`` means
 ``psi`` lies in the range of that projection; the probability reading is
-the Born weight ``<psi|P|psi>``.  Joint determinateness, nowhere-commutation
-and JPD existence all read the joint eigenspaces E^A(λ) ∧ E^B(μ) of
-:func:`lattice.joint_eigenspaces`, one ``rank_tol`` cutoff for all three.
+the Born weight ``<psi|P|psi>``.  Commutator subspaces, joint
+determinateness, nowhere-commutation, JPD existence and value identity
+[A = B] all read the joint eigenspaces of :func:`lattice.joint_eigenspaces`,
+so every intersection here is decided by the principal-angle rule of
+:func:`lattice.meet`: sine at most ``eq_tol``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -18,7 +21,7 @@ import numpy as np
 from . import lattice
 from .errors import DimMismatchError, UnboundObservableError
 from .lattice import Projection
-from .numlin import DEFAULT_TOL, ToleranceConfig, _eigenspace, as_state
+from .numlin import DEFAULT_TOL, ToleranceConfig, as_state
 from .qlang import And, Atom, Com, Equal, Formula, Iff, Not, Or, Sasaki
 from .spectral import Observable, cluster_indices, spectral_family, spectral_projection
 
@@ -107,10 +110,7 @@ def holds_in(formula: Formula, env: Environment, psi: np.ndarray, *,
     """Evaluate ``formula`` at the state ``psi``."""
     psi = as_state(psi, env.dim, tol)
     proj = truth_projection(formula, env, tol=tol)
-    image = proj.apply(psi)
-    probability = float(np.clip(np.real(np.vdot(psi, image)), 0.0, 1.0))
-    holds = bool(np.linalg.norm(image - psi) <= tol.eq_tol)
-    return TruthReport(projection=proj, probability=probability, holds=holds)
+    return TruthReport(projection=proj, probability=proj.weight(psi), holds=proj.contains(psi, tol))
 
 
 def _spectral_differences(fam_a, fam_b, tol: ToleranceConfig) -> list[np.ndarray]:
@@ -131,37 +131,41 @@ def _spectral_differences(fam_a, fam_b, tol: ToleranceConfig) -> list[np.ndarray
     return diffs
 
 
-def _value_differences(a: Observable, b: Observable, tol: ToleranceConfig) -> list[np.ndarray]:
-    """E^A(c) − E^B(c) for each cluster c of spec(a) ∪ spec(b)."""
-    _common_dim((a, b))
-    fam_a, fam_b = ([(lam, p.matrix) for lam, p in spectral_family(obs, tol=tol)] for obs in (a, b))
-    return _spectral_differences(fam_a, fam_b, tol)
-
-
 def value_identity(a: Observable, b: Observable, *,
                    tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
-    """The projection expressing "a and b hold identical values".
+    """The projection [A = B] expressing "a and b hold identical values".
 
-    By definition the meet of E^A(λ) ↔ E^B(λ) over the merged spectrum.
-    By Ozawa's theorem (Ann. Phys. 321, 2006) its range is the set of
-    states on which every E^A(λ) − E^B(λ) vanishes, read off here as the
-    near-kernel of the Gram matrix Σ_λ (E^A(λ) − E^B(λ))²: eigenvalues
-    within eig_cluster_tol of 0, the rule :func:`lattice.meet` applies to
-    (I − P) + (I − Q).
+    By definition the meet of E^A(c) ↔ E^B(c) over the single-linkage
+    clusters c of spec(a) ∪ spec(b), which by Ozawa's theorem (Ann. Phys.
+    321, 2006) is ∨_c E^A(c) ∧ E^B(c): the joint eigenspaces keyed (c, c)
+    of the two families with their slices merged into the clusters, so a
+    chain a₁ ~ b ~ a₂ is one value.
     """
-    diffs = _value_differences(a, b, tol)
-    return Projection._spanned(_eigenspace(sum(d @ d for d in diffs), hi=tol.eig_cluster_tol))
+    _common_dim((a, b))
+    families = [spectral_family(obs, tol) for obs in (a, b)]
+    values = sorted(families[0].eigenvalues + families[1].eigenvalues)
+    tops = [values[block.stop - 1] for block in cluster_indices(values, tol.eig_cluster_tol)]
+    frames = [(f.vectors, _cluster_slices(f, tops)) for f in families]
+    return lattice._span(lattice.joint_eigenspaces(frames, tol, keep=lambda key: key[0] == key[1]), a.dim)
+
+
+def _cluster_slices(family, tops) -> list[slice]:
+    """One column slice of ``family.vectors`` per cluster, empty where the
+    family has no value in it; cluster k holds the values in (tops[k-1], tops[k]]."""
+    ids = [bisect_left(tops, value) for value in family.eigenvalues]
+    first = [bisect_left(ids, k) for k in range(len(tops) + 1)]
+    starts = [sl.start for sl in family.slices] + [family.dim]
+    return [slice(starts[i], starts[j]) for i, j in zip(first, first[1:])]
 
 
 def perfectly_correlated(a: Observable, b: Observable, psi: np.ndarray, *,
                          tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Direct vector test: every spectral projection acts identically on psi.
-
-    Decided vector by vector, without forming the value-identity subspace;
-    the tests use it as an oracle for equality truth.
-    """
+    """Direct vector test: every spectral projection acts identically on psi,
+    decided on the vectors E^A(c) psi and E^B(c) psi without forming
+    [A = B]; the tests use it as an oracle for equality truth."""
     psi = as_state(psi, _common_dim((a, b)), tol)
-    return all(np.linalg.norm(d @ psi) <= tol.eq_tol for d in _value_differences(a, b, tol))
+    fam_a, fam_b = ([(lam, p.apply(psi)) for lam, p in spectral_family(obs, tol=tol)] for obs in (a, b))
+    return all(np.linalg.norm(d) <= tol.eq_tol for d in _spectral_differences(fam_a, fam_b, tol))
 
 
 def jointly_determinate(observables: list[Observable], psi: np.ndarray, *,
@@ -181,7 +185,7 @@ def jointly_determinate(observables: list[Observable], psi: np.ndarray, *,
 def nowhere_commuting(a: Observable, b: Observable, *,
                       tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when no state makes a and b jointly determinate."""
-    return _spectral_com([a, b], tol).rank == 0
+    return not _joint_pieces([a, b], tol)[1]
 
 
 def jpd_exists(a: Observable, b: Observable, psi: np.ndarray, *,

@@ -69,8 +69,9 @@ class SpectralFamily:
 
     ``eigenvalues`` ascend, pairwise more than eig_cluster_tol apart;
     ``vectors`` is the read-only unitary V and ``slices`` its column slices
-    spanning each eigenspace.  The projections V_c V_c†, mutually orthogonal
-    and summing to the identity, are formed on first use and kept.
+    spanning each eigenspace.  The projections, mutually orthogonal and
+    summing to the identity, take V's slice as range and the other columns
+    as kernel; they are formed on first use and kept.
     """
 
     __slots__ = ("eigenvalues", "vectors", "slices", "_entries")
@@ -87,8 +88,9 @@ class SpectralFamily:
     @property
     def entries(self) -> tuple[tuple[float, Projection], ...]:
         if self._entries is None:
+            v = self.vectors
             object.__setattr__(self, "_entries", tuple(
-                (value, Projection._spanned(self.vectors[:, sl]))
+                (value, Projection._spanned(v[:, sl], np.delete(v, sl, axis=1)))
                 for value, sl in zip(self.eigenvalues, self.slices)))
         return self._entries
 
@@ -148,9 +150,8 @@ def spectral_projection(
     eig_cluster_tol of some element of ``values``; zero if none match."""
     family = spectral_family(obs, tol)
     hit = _value_hits(family.eigenvalues, values, tol).any(axis=1)
-    v = family.vectors
-    return Projection._spanned(np.hstack([v[:, :0]] + [
-        v[:, sl] for sl, wanted in zip(family.slices, hit) if wanted]))
+    columns = np.repeat(hit, [sl.stop - sl.start for sl in family.slices])
+    return Projection._spanned(family.vectors[:, columns], family.vectors[:, ~columns])
 
 
 def _meter_labels(meter: Observable, label_map: Mapping[float, float],

@@ -621,6 +621,6 @@ def test_cli_diagonalises_each_matrix_once(tmp_path, capsys, eigh_inputs, comman
     }[command]
     assert main(argv) in (0, 1)
     assert capsys.readouterr().out.startswith("{")
-    # measure: the meter, A and B; context: those and the value-identity Gram matrix.
-    assert len(eigh_inputs) == {"measure": 3, "context": 4}[command]
+    # measure and context: the meter, A and B.
+    assert len(eigh_inputs) == {"measure": 3, "context": 3}[command]
     assert max(eigh_inputs.values()) == 1

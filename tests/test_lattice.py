@@ -83,6 +83,19 @@ def test_projection_is_immutable():
         p.matrix = np.zeros((2, 2))
     with pytest.raises(ValueError):
         p.matrix[0, 0] = 5.0
+    rng = np.random.default_rng(8)
+    for q in (p, ~p, Projection.rank1([1.0, 2.0]), random_projection(rng, 4, 2),
+              meet(random_projection(rng, 4, 3), random_projection(rng, 4, 3))):
+        for name in ("range", "kernel"):
+            with pytest.raises(AttributeError):
+                setattr(q, name, np.eye(q.dim))
+            with pytest.raises(ValueError):
+                getattr(q, name)[0, 0] = 5.0
+        # The two frames complete each other; the rank is the column count.
+        frame = np.hstack([q.range, q.kernel])
+        assert frame.shape == (q.dim, q.dim) and q.rank == q.range.shape[1]
+        assert np.allclose(frame.conj().T @ frame, np.eye(q.dim), atol=1e-12)
+        assert q.basis() is q.range
 
 
 def test_operator_sugar_matches_functions():

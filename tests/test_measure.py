@@ -428,9 +428,8 @@ def test_context_report_diagonalises_each_matrix_once(eigh_inputs):
     b = Observable(random_hermitian(3, rng), name="B")
     f = model.label_maps["f"]
     context_report(model, a, f, b, f, random_state(3, rng))
-    # The meter (first at the model's construction), A, B and the
-    # value-identity Gram matrix.
-    assert len(eigh_inputs) == 4 and max(eigh_inputs.values()) == 1
+    # The meter (first at the model's construction), A and B.
+    assert len(eigh_inputs) == 3 and max(eigh_inputs.values()) == 1
 
 
 def test_measurement_layer_allocates_no_joint_space_matrix():

@@ -362,15 +362,15 @@ def test_joint_eigenspaces_match_stacked_reference_on_planted_pairs():
 
 def test_jpd_agrees_with_joint_determinateness_near_the_cutoff():
     # diag(0, 1) against a copy rotated by theta: the pair shares no
-    # eigenvector once sin(theta) exceeds rank_tol, and then no state has a JPD.
-    # At the cutoffs themselves (sin theta = rank_tol, eps = eq_tol) either
+    # eigenvector once sin(theta) exceeds eq_tol, and then no state has a JPD.
+    # At the cutoffs themselves (sin theta = eq_tol, eps = eq_tol) either
     # verdict is right, but the two questions must still give the same one.
     for theta in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         a = Observable(np.diag([0.0, 1.0]))
         b = Observable(rot @ np.diag([0.0, 1.0]) @ rot.T)
         nowhere = nowhere_commuting(a, b)
-        assert nowhere == (theta > 1e-10) or theta == 1e-10, theta
+        assert nowhere == (theta > 1e-9) or theta == 1e-9, theta
         for psi in (np.array([1.0, 0.0]), np.array([0.6, 0.8])):
             exists, _ = jpd_exists(a, b, psi)
             assert exists == jointly_determinate([a, b], psi)[0], theta
