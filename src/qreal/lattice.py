@@ -82,7 +82,10 @@ class Projection:
     @classmethod
     def rank1(cls, vector) -> "Projection":
         v = np.asarray(vector, dtype=complex).reshape(-1)
-        return cls._spanned((v / np.linalg.norm(v))[:, None])
+        norm = np.linalg.norm(v)
+        if not 0.0 < norm < np.inf:
+            raise ValueError("rank1 needs a nonzero vector of finite norm")
+        return cls._spanned((v / norm)[:, None])
 
     @property
     def matrix(self) -> np.ndarray:

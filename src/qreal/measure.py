@@ -12,11 +12,12 @@ quantified by a defect (max spectral-action mismatch) and certified when
 the defect is within eq_tol.  Reproducing the Born statistics of ``A`` is
 necessary but strictly weaker; the test suite exhibits the gap.
 
-Certificates, noise, disturbance and POVMs are computed on lifted vectors:
-the rows ``U† (1 ⊗ E^M(m)) U (psi ⊗ xi)``, one per meter outcome ``m``, and
-the targets ``(E^A(λ) psi) ⊗ xi``.  The joint-state equalities of
-``context_report`` are the certificates and the system-side value identity,
-so only ``meter_output`` forms a joint-space operator.
+Certificates, noise, disturbance and POVMs are computed on lifted vectors
+read off eigenvector columns: the rows ``U† (1 ⊗ |v⟩⟨v|) U (psi ⊗ xi)``, one
+per meter column ``v`` and labelled by its outcome, and the targets
+``v (v† psi) ⊗ xi``, one per column ``v`` of ``A``.  The joint-state
+equalities of ``context_report`` are the certificates and the system-side
+value identity, so only ``meter_output`` forms a joint-space operator.
 """
 
 from __future__ import annotations
@@ -30,16 +31,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DimMismatchError, NonFiniteLabelError, NotUnitaryError, UnmappedEigenvalueError
-from .numlin import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    as_square,
-    as_state,
-    eigh,
-    kron,
-    op_norm,
-)
-from .qlogic import _spectral_differences, jointly_determinate, value_identity
+from .numlin import DEFAULT_TOL, ToleranceConfig, as_square, as_state, eigh, kron, op_norm
+from .qlogic import _cluster_defect, _state_rows, jointly_determinate, value_identity
 from .spectral import Observable, _meter_labels, spectral_family
 
 
@@ -85,7 +78,7 @@ class MeasurementModel:
         psi = np.asarray(psi, dtype=complex).reshape(-1)
         if psi.shape[0] != self.sys_dim:
             raise DimMismatchError(f"state dim {psi.shape[0]} != system dim {self.sys_dim}")
-        return kron(psi, self.probe_state)
+        return _lift(psi, self.probe_state)
 
 
 @dataclass(frozen=True)
@@ -100,31 +93,28 @@ class CorrelationCertificate:
 
 
 def _outcome_vectors(u: np.ndarray, joint: np.ndarray, sys_dim: int,
-                     effects: np.ndarray) -> np.ndarray:
-    """Rows U† (1 ⊗ E_m) U (psi ⊗ xi), one per k×k meter projection E_m."""
+                     columns: np.ndarray) -> np.ndarray:
+    """Rows U† (1 ⊗ |v⟩⟨v|) U (psi ⊗ xi), one per probe column v of ``columns``."""
     phi = (u @ joint).reshape(sys_dim, -1)
-    # (1 ⊗ E_m) acts on the probe index of the joint amplitudes.
-    masked = (phi @ np.swapaxes(effects, 1, 2)).reshape(len(effects), -1)
-    # Rows of U†: conj(conj(v) U) needs no conjugated copy of U.
-    return (masked.conj() @ u).conj()
+    # (1 ⊗ |v⟩⟨v|) keeps ⟨v|phi_i⟩ v of each system row phi_i of the joint amplitudes.
+    masked = (columns.conj().T @ phi.T)[:, :, None] * columns.T[:, None, :]
+    # Rows of U†: conj(conj(w) U) needs no conjugated copy of U.
+    return (masked.reshape(columns.shape[1], -1).conj() @ u).conj()
 
 
-def _target_vectors(projections: np.ndarray, psi: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Rows (E psi) ⊗ xi, one per n×n matrix E in ``projections``."""
-    shrunk = np.einsum("snm,m->sn", projections, psi)
-    return (shrunk[:, :, None] * xi).reshape(shrunk.shape[0], -1)
+def _lift(rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Rows r ⊗ xi, one per system row r."""
+    return (rows[..., None] * xi).reshape(*rows.shape[:-1], -1)
 
 
-def _correlation_rows(model: MeasurementModel, a: Observable, label_map: Mapping[float, float],
-                      psi, operators, tol: ToleranceConfig):
-    """Labels f(m), outcome rows and target rows (X psi) ⊗ xi, one per n×n X
-    in ``operators``, on a validated psi ⊗ xi."""
+def _outcome_rows(model: MeasurementModel, a: Observable, label_map: Mapping[float, float],
+                  psi, tol: ToleranceConfig):
+    """The validated psi, and each meter column's label f(m) and outcome row."""
     if a.dim != model.sys_dim:
         raise DimMismatchError(f"observable dim {a.dim} != system dim {model.sys_dim}")
     psi = as_state(psi, model.sys_dim, tol)
-    values, effects = zip(*_meter_labels(model.meter, label_map, tol))
-    rows = _outcome_vectors(model.unitary, model.joint_state(psi), model.sys_dim, np.stack(effects))
-    return values, rows, _target_vectors(np.stack(operators), psi, model.probe_state)
+    columns, labels = _meter_labels(model.meter, label_map, tol)
+    return psi, labels, _outcome_vectors(model.unitary, model.joint_state(psi), model.sys_dim, columns)
 
 
 def meter_output(model: MeasurementModel, tol: ToleranceConfig = DEFAULT_TOL) -> Observable:
@@ -135,21 +125,25 @@ def meter_output(model: MeasurementModel, tol: ToleranceConfig = DEFAULT_TOL) ->
 
 
 def povm(model: MeasurementModel, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[float, np.ndarray]]:
-    """System-side effects (outcome, Pi) with Pi = W†(1⊗E_M)W, W = U(1⊗|xi>)."""
+    """System-side effects (outcome, Pi) with Pi = W†(1⊗E_M)W, W = U(1⊗|xi>):
+    Pi = Z†Z with Z = (1⊗V_m†)W, V_m the meter's eigenvector columns of m."""
     n, k = model.sys_dim, model.probe_dim
-    w = model.unitary.reshape(n * k, n, k) @ model.probe_state
-    return [(outcome, w.conj().T @ (proj.matrix @ w.reshape(n, k, n)).reshape(n * k, n))
-            for outcome, proj in spectral_family(model.meter, tol=tol)]
+    w = (model.unitary.reshape(n * k, n, k) @ model.probe_state).reshape(n, k, n)
+    family = spectral_family(model.meter, tol=tol)
+    zs = ((family.vectors[:, sl].conj().T @ w).reshape(-1, n) for sl in family.slices)
+    return [(outcome, z.conj().T @ z) for outcome, z in zip(family.eigenvalues, zs)]
 
 
 def output_distribution(model: MeasurementModel, psi,
                         tol: ToleranceConfig = DEFAULT_TOL) -> dict[float, float]:
-    """Meter statistics p(m) = <psi|Pi(m)|psi> in the system state psi."""
+    """Meter statistics p(m) = <psi|Pi(m)|psi> = ||(1⊗V_m†)U(psi ⊗ xi)||² in
+    the system state psi."""
     psi = as_state(psi, model.sys_dim, tol)
-    return {
-        outcome: float(np.clip(np.real(np.vdot(psi, effect @ psi)), 0.0, 1.0))
-        for outcome, effect in povm(model, tol=tol)
-    }
+    family = spectral_family(model.meter, tol=tol)
+    phi = (model.unitary @ model.joint_state(psi)).reshape(model.sys_dim, -1)
+    weights = np.sum(np.abs(phi @ family.vectors.conj()) ** 2, axis=0)
+    return {outcome: float(np.clip(weights[sl].sum(), 0.0, 1.0))
+            for outcome, sl in zip(family.eigenvalues, family.slices)}
 
 
 def measures_in_state(model: MeasurementModel, a: Observable, label_map: Mapping[float, float],
@@ -158,21 +152,19 @@ def measures_in_state(model: MeasurementModel, a: Observable, label_map: Mapping
     between f(O) and a⊗1 on psi ⊗ xi, with the defect the largest
     ||(E^{f(O)}(c) − E^a(c) ⊗ 1)(psi ⊗ xi)|| over the clusters c of spec(a)
     ∪ range(label map), read off the outcome and target rows."""
+    psi, labels, rows = _outcome_rows(model, a, label_map, psi, tol)
     family = spectral_family(a, tol=tol)
-    values, rows, targets = _correlation_rows(model, a, label_map, psi,
-                                              [p.matrix for p in family.projections], tol)
-    # Label values no meter outcome reaches still form clusters, with a zero row.
-    outputs = list(zip(values, rows)) + [(float(v), np.zeros_like(rows[0])) for v in label_map.values()]
-    diffs = _spectral_differences(outputs, list(zip(family.eigenvalues, targets)), tol)
-    defect = max(float(np.linalg.norm(diff)) for diff in diffs)
+    targets = _lift(_state_rows(family, psi), model.probe_state)
+    # Label values no meter outcome reaches still join clusters.
+    defect = _cluster_defect(labels, rows, family.column_values, targets, tol, bridges=label_map.values())
     return CorrelationCertificate(defect=defect, passed=defect <= tol.eq_tol)
 
 
 def rms_noise(model: MeasurementModel, a: Observable, label_map: Mapping[float, float],
               psi, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Root-mean-square noise: ||(f(O) − a⊗1)(psi ⊗ xi)||."""
-    values, rows, (target,) = _correlation_rows(model, a, label_map, psi, [a.matrix], tol)
-    return float(np.linalg.norm(np.asarray(values) @ rows - target))
+    psi, labels, rows = _outcome_rows(model, a, label_map, psi, tol)
+    return float(np.linalg.norm(labels @ rows - _lift(a.matrix @ psi, model.probe_state)))
 
 
 def rms_disturbance(model: MeasurementModel, b: Observable, psi,
@@ -184,7 +176,7 @@ def rms_disturbance(model: MeasurementModel, b: Observable, psi,
     u, n = model.unitary, model.sys_dim
     phi = (u @ model.joint_state(psi)).reshape(n, -1)
     moved = ((b.matrix @ phi).reshape(-1).conj() @ u).conj()
-    return float(np.linalg.norm(moved - kron(b.matrix @ psi, model.probe_state)))
+    return float(np.linalg.norm(moved - _lift(b.matrix @ psi, model.probe_state)))
 
 
 _INEQ_SLACK = 1e-9
@@ -384,15 +376,12 @@ class _SearchProblem:
         self.n = a.dim
         self.k = probe_dim
         self.joint = self.n * self.k
-        fam_a = spectral_family(a, tol=tol)
-        fam_b = spectral_family(b, tol=tol)
-        self.vals_a = fam_a.eigenvalues
-        self.vals_b = fam_b.eigenvalues
-        self.proj_a = np.stack([p.matrix for p in fam_a.projections])
-        self.proj_b = np.stack([p.matrix for p in fam_b.projections])
+        families = [spectral_family(obs, tol=tol) for obs in (a, b)]
+        self.vals_a, self.vals_b = (f.eigenvalues for f in families)
+        self.proj_a, self.proj_b = (np.stack([p.matrix for p in f.projections]) for f in families)
         self.xi = np.eye(self.k, dtype=complex)[0]
-        # The meter diag(1..k) read in the probe basis: E_m = |m><m|.
-        self.effects = np.array([np.diag(row) for row in np.eye(self.k)])
+        # The meter diag(1..k) read in the probe basis: outcome m is |m>.
+        self.meter_columns = np.eye(self.k, dtype=complex)
         self.u_params = self.joint * self.joint
         self.s_params = 2 * self.n
         # Flat positions of the generator's diagonal and of its strict upper
@@ -438,7 +427,7 @@ class _SearchProblem:
     def outcome_vectors(self, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
         joint = np.zeros(self.joint, dtype=complex)
         joint[::self.k] = psi  # psi ⊗ xi, as xi = e_0
-        return _outcome_vectors(u, joint, self.n, self.effects)
+        return _outcome_vectors(u, joint, self.n, self.meter_columns)
 
     def defects(self, vectors, psi, projections, one_hot) -> np.ndarray:
         """Certificate defect of every assignment in ``one_hot``: the largest
@@ -472,12 +461,11 @@ class _SearchProblem:
         a quadratic form in psi; its minimal eigenvector is the best state.
         The forms are built from the outcome and target rows of the basis
         states, computed once per call."""
-        basis = np.eye(self.n)
-        columns = np.stack([self.outcome_vectors(u, e) for e in basis])
+        columns = np.stack([self.outcome_vectors(u, e) for e in np.eye(self.n)])
 
         def forms(projections, one_hot) -> np.ndarray:
             # Column j of side slot i: sum_{m in slot i} v_m(e_j) − (E_i e_j) ⊗ xi.
-            targets = np.stack([_target_vectors(projections, e, self.xi) for e in basis], axis=1)
+            targets = _lift(np.swapaxes(projections, 1, 2), self.xi)
             w = np.einsum("aim,jmx->aijx", one_hot, columns) - targets
             return np.einsum("aijx,ailx->ajl", w.conj(), w)
 

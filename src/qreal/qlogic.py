@@ -12,7 +12,6 @@ so every intersection here is decided by the principal-angle rule of
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -23,7 +22,7 @@ from .errors import DimMismatchError, UnboundObservableError
 from .lattice import Projection
 from .numlin import DEFAULT_TOL, ToleranceConfig, as_state
 from .qlang import And, Atom, Com, Equal, Formula, Iff, Not, Or, Sasaki
-from .spectral import Observable, cluster_indices, spectral_family, spectral_projection
+from .spectral import Observable, cluster_ids, spectral_family, spectral_projection
 
 
 def _common_dim(observables) -> int:
@@ -113,22 +112,25 @@ def holds_in(formula: Formula, env: Environment, psi: np.ndarray, *,
     return TruthReport(projection=proj, probability=proj.weight(psi), holds=proj.contains(psi, tol))
 
 
-def _spectral_differences(fam_a, fam_b, tol: ToleranceConfig) -> list[np.ndarray]:
-    """Σ_{λ∈c} a_λ − Σ_{λ∈c} b_λ for each single-linkage cluster c of the two
-    families' values.  A family is a sequence of (value, ndarray) pairs of
-    one shape: spectral projections, or the outcome and target rows of the
-    measurement layer.
+def _cluster_defect(values_a, rows_a, values_b, rows_b, tol: ToleranceConfig, bridges=()) -> float:
+    """The largest ||Σ_{λ∈c} a_λ − Σ_{λ∈c} b_λ|| over the single-linkage
+    clusters c of both sides' values and ``bridges``, a_λ the rows of
+    ``rows_a`` whose value is λ.  A value held by one side only pairs with
+    zero on the other, so it counts against identity; a bridge has no row
+    and only joins clusters."""
+    ids_a, ids_b, _ = cluster_ids([values_a, values_b, list(bridges)], tol.eig_cluster_tol)
+    sums = np.zeros((1 + max(ids_a.max(), ids_b.max()), rows_a.shape[1]), dtype=complex)
+    np.add.at(sums, ids_a, rows_a)
+    np.subtract.at(sums, ids_b, rows_b)
+    re, im = sums.real, sums.imag  # row norms without a squared copy of the sums
+    return float(np.sqrt(np.max(np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im))))
 
-    A value held by only one family pairs with zero on the other side, so it
-    counts against identity.
-    """
-    values = sorted([lam for lam, _ in fam_a] + [lam for lam, _ in fam_b])
-    diffs = []
-    for block in cluster_indices(values, tol.eig_cluster_tol):
-        cluster = values[block]
-        diffs.append(sum(x for lam, x in fam_a if lam in cluster)
-                     - sum(x for lam, x in fam_b if lam in cluster))
-    return diffs
+
+def _state_rows(family, psi: np.ndarray) -> np.ndarray:
+    """Rows v_j (v_j† psi), one per eigenvector column v_j: summed over a
+    slice they give E(λ) psi."""
+    v = family.vectors
+    return v.T * (psi.conj() @ v).conj()[:, None]
 
 
 def value_identity(a: Observable, b: Observable, *,
@@ -143,29 +145,24 @@ def value_identity(a: Observable, b: Observable, *,
     """
     _common_dim((a, b))
     families = [spectral_family(obs, tol) for obs in (a, b)]
-    values = sorted(families[0].eigenvalues + families[1].eigenvalues)
-    tops = [values[block.stop - 1] for block in cluster_indices(values, tol.eig_cluster_tol)]
-    frames = [(f.vectors, _cluster_slices(f, tops)) for f in families]
+    ids = cluster_ids([f.column_values for f in families], tol.eig_cluster_tol)
+    clusters = np.arange(2 + max(column_ids[-1] for column_ids in ids))
+    # Columns ascend in value, so cluster c is one column slice of each family.
+    bounds = [np.searchsorted(column_ids, clusters).tolist() for column_ids in ids]
+    frames = [(f.vectors, list(map(slice, b, b[1:]))) for f, b in zip(families, bounds)]
     return lattice._span(lattice.joint_eigenspaces(frames, tol, keep=lambda key: key[0] == key[1]), a.dim)
-
-
-def _cluster_slices(family, tops) -> list[slice]:
-    """One column slice of ``family.vectors`` per cluster, empty where the
-    family has no value in it; cluster k holds the values in (tops[k-1], tops[k]]."""
-    ids = [bisect_left(tops, value) for value in family.eigenvalues]
-    first = [bisect_left(ids, k) for k in range(len(tops) + 1)]
-    starts = [sl.start for sl in family.slices] + [family.dim]
-    return [slice(starts[i], starts[j]) for i, j in zip(first, first[1:])]
 
 
 def perfectly_correlated(a: Observable, b: Observable, psi: np.ndarray, *,
                          tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Direct vector test: every spectral projection acts identically on psi,
-    decided on the vectors E^A(c) psi and E^B(c) psi without forming
-    [A = B]; the tests use it as an oracle for equality truth."""
+    decided by the cluster sums of the rows v_j (v_j† psi) of both families,
+    which are E^A(c) psi and E^B(c) psi, without forming [A = B]; the tests
+    use it as an oracle for equality truth."""
     psi = as_state(psi, _common_dim((a, b)), tol)
-    fam_a, fam_b = ([(lam, p.apply(psi)) for lam, p in spectral_family(obs, tol=tol)] for obs in (a, b))
-    return all(np.linalg.norm(d) <= tol.eq_tol for d in _spectral_differences(fam_a, fam_b, tol))
+    fam_a, fam_b = (spectral_family(obs, tol=tol) for obs in (a, b))
+    return _cluster_defect(fam_a.column_values, _state_rows(fam_a, psi),
+                           fam_b.column_values, _state_rows(fam_b, psi), tol) <= tol.eq_tol
 
 
 def jointly_determinate(observables: list[Observable], psi: np.ndarray, *,

@@ -15,6 +15,7 @@ questions diagonalises its matrix once; d×d projections are formed on demand.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from itertools import accumulate
 
 import numpy as np
 
@@ -68,45 +69,41 @@ class SpectralFamily:
     from one ``eigh``.
 
     ``eigenvalues`` ascend, pairwise more than eig_cluster_tol apart;
-    ``vectors`` is the read-only unitary V and ``slices`` its column slices
-    spanning each eigenspace.  The projections, mutually orthogonal and
-    summing to the identity, take V's slice as range and the other columns
-    as kernel; they are formed on first use and kept.
+    ``vectors`` is the read-only unitary V, ``slices`` its column slices
+    spanning each eigenspace and ``column_values`` each column's eigenvalue;
+    the package computes from these.  The member projections, mutually
+    orthogonal and summing to the identity, take V's slice as range and the
+    other columns as kernel; they are formed on first use and kept, and
+    inside the package only the witness search's set-up reads their matrices.
     """
 
-    __slots__ = ("eigenvalues", "vectors", "slices", "_entries")
+    __slots__ = ("eigenvalues", "vectors", "slices", "column_values", "_projections")
 
     def __init__(self, eigenvalues: Iterable[float], vectors: np.ndarray, slices: Iterable[slice]):
         object.__setattr__(self, "eigenvalues", tuple(float(v) for v in eigenvalues))
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "slices", tuple(slices))
-        object.__setattr__(self, "_entries", None)
+        column_values = np.repeat(self.eigenvalues, [sl.stop - sl.start for sl in self.slices])
+        column_values.setflags(write=False)
+        object.__setattr__(self, "column_values", column_values)
+        object.__setattr__(self, "_projections", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectralFamily is immutable")
 
     @property
-    def entries(self) -> tuple[tuple[float, Projection], ...]:
-        if self._entries is None:
+    def projections(self) -> tuple[Projection, ...]:
+        if self._projections is None:
             v = self.vectors
-            object.__setattr__(self, "_entries", tuple(
-                (value, Projection._spanned(v[:, sl], np.delete(v, sl, axis=1)))
-                for value, sl in zip(self.eigenvalues, self.slices)))
-        return self._entries
+            object.__setattr__(self, "_projections", tuple(
+                Projection._spanned(v[:, sl], np.delete(v, sl, axis=1)) for sl in self.slices))
+        return self._projections
 
     def __iter__(self):
-        return iter(self.entries)
+        return zip(self.eigenvalues, self.projections)
 
     def __len__(self):
         return len(self.slices)
-
-    @property
-    def projections(self) -> tuple[Projection, ...]:
-        return tuple(p for _, p in self.entries)
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
 
 
 def cluster_indices(values: np.ndarray, gap: float) -> list[slice]:
@@ -120,6 +117,21 @@ def cluster_indices(values: np.ndarray, gap: float) -> list[slice]:
     if len(values):
         slices.append(slice(start, len(values)))
     return slices
+
+
+def cluster_ids(spectra, gap: float) -> list[np.ndarray]:
+    """Single-linkage cluster ids of every value of each spectrum in their union,
+    counted in ascending order: one ascending spectrum's ids number the slices
+    of :func:`cluster_indices`."""
+    values = np.concatenate(spectra, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    with np.errstate(over="ignore"):  # an overflowing gap is inf, a split
+        splits = ordered[1:] - ordered[:-1] > gap
+    ids = np.zeros(values.size, dtype=np.intp)
+    ids[order[1:]] = np.add.accumulate(splits, dtype=np.intp)
+    ends = list(accumulate(len(s) for s in spectra))
+    return [ids[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def spectral_family(obs: Observable, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralFamily:
@@ -149,15 +161,15 @@ def spectral_projection(
     """Projection onto the eigenspaces whose eigenvalue lies within
     eig_cluster_tol of some element of ``values``; zero if none match."""
     family = spectral_family(obs, tol)
-    hit = _value_hits(family.eigenvalues, values, tol).any(axis=1)
-    columns = np.repeat(hit, [sl.stop - sl.start for sl in family.slices])
+    columns = _value_hits(family.column_values, values, tol).any(axis=1)
     return Projection._spanned(family.vectors[:, columns], family.vectors[:, ~columns])
 
 
 def _meter_labels(meter: Observable, label_map: Mapping[float, float],
-                  tol: ToleranceConfig) -> list[tuple[float, np.ndarray]]:
-    """(f(m), E(m)) for every eigenvalue m of ``meter``, where f(m) is the
-    value of the first key of ``label_map`` within eig_cluster_tol of m.
+                  tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The meter's eigenvector columns and f(m) for every column, m the
+    column's eigenvalue (its cluster's value) and f(m) the value of the
+    first key of ``label_map`` within eig_cluster_tol of m.
 
     The one rule by which label maps meet meter outcomes: value maps and
     the measurement layer both use it.  Every key and value must be finite.
@@ -167,14 +179,13 @@ def _meter_labels(meter: Observable, label_map: Mapping[float, float],
             raise NonFiniteLabelError(
                 f"label map entry {float(key)!r} -> {float(value)!r} is not finite")
     family = spectral_family(meter, tol)
-    keys = list(label_map)
-    hits = _value_hits(family.eigenvalues, keys, tol)
-    for m, row in zip(family.eigenvalues, hits):
-        if not row.any():
-            raise UnmappedEigenvalueError(
-                f"label map is undefined on eigenvalue {m!r} of {meter.name!r}")
-    return [(float(label_map[keys[j]]), proj.matrix)
-            for j, proj in zip(hits.argmax(axis=1), family.projections)]
+    values = family.column_values
+    hits = _value_hits(values, label_map, tol)
+    unmapped = ~hits.any(axis=1)
+    if unmapped.any():
+        raise UnmappedEigenvalueError(
+            f"label map is undefined on eigenvalue {float(values[unmapped.argmax()])!r} of {meter.name!r}")
+    return family.vectors, np.array(list(label_map.values()), dtype=float)[hits.argmax(axis=1)]
 
 
 def apply_value_map(
@@ -186,8 +197,8 @@ def apply_value_map(
     eig_cluster_tol; eigenspaces whose images coincide merge in the
     result's spectral family.
     """
-    out = sum(value * proj for value, proj in _meter_labels(obs, value_map, tol))
-    return Observable(out, name=f"f({obs.name})", tol=tol)
+    v, labels = _meter_labels(obs, value_map, tol)
+    return Observable((v * labels) @ v.conj().T, name=f"f({obs.name})", tol=tol)
 
 
 def born_distribution(

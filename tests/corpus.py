@@ -316,6 +316,49 @@ def joint_space_defect(model, a, label_map, psi) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The cluster-sum rule as first written: a Python scan over the sorted values
+# of both families, fed with d×d spectral projections.  The certificate,
+# perfect correlation and [A = B] must give the verdicts it gives.
+
+
+def reference_spectral_differences(fam_a, fam_b, tol=DEFAULT_TOL) -> list[np.ndarray]:
+    """Σ_{λ∈c} a_λ − Σ_{λ∈c} b_λ for each single-linkage cluster c of the two
+    families' values.  A family is a sequence of (value, ndarray) pairs of
+    one shape.  A value held by only one family pairs with zero on the other
+    side, so it counts against identity.
+    """
+    values = sorted([lam for lam, _ in fam_a] + [lam for lam, _ in fam_b])
+    diffs = []
+    for block in cluster_indices(values, tol.eig_cluster_tol):
+        cluster = values[block]
+        diffs.append(sum(x for lam, x in fam_a if lam in cluster)
+                     - sum(x for lam, x in fam_b if lam in cluster))
+    return diffs
+
+
+def reference_certificate_defect(model, a, label_map, psi, tol=DEFAULT_TOL) -> float:
+    """The certificate defect from one outcome row U†(1 ⊗ E^M(m))U(psi ⊗ xi)
+    per meter eigenvalue m, labelled by the first key within
+    eig_cluster_tol, and one target (E^A(λ) psi) ⊗ xi per eigenvalue of A;
+    label values no outcome reaches join with a zero row."""
+    u, xi = model.unitary, model.probe_state
+    phi = (u @ np.kron(psi, xi)).reshape(model.sys_dim, -1)
+    outputs = []
+    for m, proj in spectral_family(model.meter, tol):
+        key = next(k for k in label_map if abs(m - k) <= tol.eig_cluster_tol)
+        outputs.append((float(label_map[key]), ((phi @ proj.matrix.T).reshape(-1).conj() @ u).conj()))
+    outputs += [(float(v), np.zeros(u.shape[0], complex)) for v in label_map.values()]
+    targets = [(lam, np.kron(p.matrix @ psi, xi)) for lam, p in spectral_family(a, tol)]
+    return max(float(np.linalg.norm(d)) for d in reference_spectral_differences(outputs, targets, tol))
+
+
+def reference_perfectly_correlated(a, b, psi, tol=DEFAULT_TOL) -> bool:
+    """Every cluster's E^A(c) psi equals its E^B(c) psi within eq_tol."""
+    fam_a, fam_b = ([(lam, p.matrix @ psi) for lam, p in spectral_family(obs, tol)] for obs in (a, b))
+    return all(np.linalg.norm(d) <= tol.eq_tol for d in reference_spectral_differences(fam_a, fam_b, tol))
+
+
+# ---------------------------------------------------------------------------
 # The witness search's per-evaluation kernels as first written, kept as the
 # reference its set-up-free kernels must reproduce bit for bit: psi ⊗ xi by
 # np.kron, target rows by broadcasting against xi, a float one-hot, and the
@@ -346,9 +389,11 @@ def reference_state(theta: np.ndarray, dim: int) -> np.ndarray:
 
 
 def reference_outcome_rows(problem, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Rows U†(1 ⊗ E_m)U(psi ⊗ xi) with psi ⊗ xi from np.kron."""
+    """Rows U†(1 ⊗ E_m)U(psi ⊗ xi) with psi ⊗ xi from np.kron and the meter's
+    projections E_m = |m><m| as k×k matrices."""
+    effects = np.array([np.diag(row) for row in np.eye(problem.k)])
     phi = (u @ np.kron(psi, problem.xi)).reshape(problem.n, -1)
-    masked = (phi @ np.swapaxes(problem.effects, 1, 2)).reshape(len(problem.effects), -1)
+    masked = (phi @ np.swapaxes(effects, 1, 2)).reshape(len(effects), -1)
     return (masked.conj() @ u).conj()
 
 

@@ -77,6 +77,13 @@ def test_projection_constructors_and_queries():
     assert not i.leq(r1)
 
 
+@pytest.mark.parametrize("vector", [np.zeros(2), [np.nan, 1.0], [np.inf, 0.0], [0.0, complex(0.0, np.inf)]],
+                         ids=["zero", "nan", "inf", "imaginary inf"])
+def test_rank1_rejects_a_vector_without_a_finite_nonzero_norm(vector):
+    with pytest.raises(ValueError, match="nonzero vector of finite norm"):
+        Projection.rank1(vector)
+
+
 def test_projection_is_immutable():
     p = Projection.identity(2)
     with pytest.raises(AttributeError):

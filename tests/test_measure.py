@@ -28,10 +28,12 @@ from qreal import (
     measures_in_state,
     meter_output,
     output_distribution,
+    perfectly_correlated,
     povm,
     rms_disturbance,
     rms_noise,
     simultaneously_measures,
+    spectral_family,
     uncertainty_report,
 )
 from qreal.errors import (
@@ -450,12 +452,43 @@ def test_measurement_layer_allocates_no_joint_space_matrix():
     peaks = {}
     for name, call in calls.items():
         call()  # one-time allocations (imports, numpy internals) stay out
-        tracemalloc.start()
-        try:
-            call()
-            peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
-    # context_report also computes com(A, B) from a stack of 16 x 16 commutators.
-    budgets = {"context_report": 8.0}
-    assert all(peak < budgets.get(name, 2.0) for name, peak in peaks.items()), peaks
+        peaks[name] = _peak_mib(call)
+    assert all(peak < 2.0 for peak in peaks.values()), peaks
+
+
+def _peak_mib(call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _fresh(dim, rng, name):
+    """A new observable whose spectral family is built, and no projection matrix."""
+    obs = Observable(random_hermitian(dim, rng), name=name)
+    spectral_family(obs)
+    return obs
+
+
+def test_certificate_reads_columns_at_n_192():
+    # One n x n complex matrix is 0.56 MiB at n = 192; the certificate needs
+    # rows of length nk, not the n x n spectral projections of A.
+    rng = np.random.default_rng(53)
+    model = _model(rng, sys_dim=192, probe_dim=2)
+    f = model.label_maps["f"]
+    psi = random_state(192, rng)
+    measures_in_state(model, _fresh(192, rng, "A0"), f, psi)  # one-time allocations stay out
+    a = _fresh(192, rng, "A")
+    peak = _peak_mib(lambda: measures_in_state(model, a, f, psi))
+    assert peak < 8.0, peak
+
+
+def test_perfect_correlation_reads_columns_at_d_192():
+    rng = np.random.default_rng(59)
+    psi = random_state(192, rng)
+    perfectly_correlated(_fresh(192, rng, "A0"), _fresh(192, rng, "B0"), psi)
+    a, b = _fresh(192, rng, "A"), _fresh(192, rng, "B")
+    peak = _peak_mib(lambda: perfectly_correlated(a, b, psi))
+    assert peak < 4.0, peak

@@ -233,7 +233,8 @@ def test_value_matching_at_the_cutoff_agrees_with_the_scalar_rule():
         label_map = {k: float(i) for i, k in enumerate(chosen)}
         if all(hits):
             mapped += 1
-            labels = [value for value, _ in _meter_labels(obs, label_map, DEFAULT_TOL)]
+            # One label per eigenvector column; each eigenvalue here has one column.
+            labels = _meter_labels(obs, label_map, DEFAULT_TOL)[1].tolist()
             assert labels == [label_map[h[0]] for h in hits]  # first key in map order
         else:
             unmapped += 1
