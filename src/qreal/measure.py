@@ -31,7 +31,15 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DimMismatchError, NonFiniteLabelError, NotUnitaryError, UnmappedEigenvalueError
-from .numlin import DEFAULT_TOL, ToleranceConfig, as_square, as_state, eigh, kron, op_norm
+from .numlin import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    as_square,
+    as_state,
+    eigh,
+    kron,
+    op_norm,
+)
 from .qlogic import _cluster_defect, _state_rows, jointly_determinate, value_identity
 from .spectral import Observable, _meter_labels, spectral_family
 
@@ -376,9 +384,12 @@ class _SearchProblem:
         self.n = a.dim
         self.k = probe_dim
         self.joint = self.n * self.k
-        families = [spectral_family(obs, tol=tol) for obs in (a, b)]
-        self.vals_a, self.vals_b = (f.eigenvalues for f in families)
-        self.proj_a, self.proj_b = (np.stack([p.matrix for p in f.projections]) for f in families)
+        fam_a = spectral_family(a, tol=tol)
+        fam_b = spectral_family(b, tol=tol)
+        self.vals_a = fam_a.eigenvalues
+        self.vals_b = fam_b.eigenvalues
+        self.proj_a = np.stack([p.matrix for p in fam_a.projections])
+        self.proj_b = np.stack([p.matrix for p in fam_b.projections])
         self.xi = np.eye(self.k, dtype=complex)[0]
         # The meter diag(1..k) read in the probe basis: outcome m is |m>.
         self.meter_columns = np.eye(self.k, dtype=complex)
@@ -461,7 +472,8 @@ class _SearchProblem:
         a quadratic form in psi; its minimal eigenvector is the best state.
         The forms are built from the outcome and target rows of the basis
         states, computed once per call."""
-        columns = np.stack([self.outcome_vectors(u, e) for e in np.eye(self.n)])
+        basis = np.eye(self.n)
+        columns = np.stack([self.outcome_vectors(u, e) for e in basis])
 
         def forms(projections, one_hot) -> np.ndarray:
             # Column j of side slot i: sum_{m in slot i} v_m(e_j) − (E_i e_j) ⊗ xi.

@@ -122,8 +122,7 @@ def _cluster_defect(values_a, rows_a, values_b, rows_b, tol: ToleranceConfig, br
     sums = np.zeros((1 + max(ids_a.max(), ids_b.max()), rows_a.shape[1]), dtype=complex)
     np.add.at(sums, ids_a, rows_a)
     np.subtract.at(sums, ids_b, rows_b)
-    re, im = sums.real, sums.imag  # row norms without a squared copy of the sums
-    return float(np.sqrt(np.max(np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im))))
+    return float(np.linalg.norm(sums, axis=1).max())
 
 
 def _state_rows(family, psi: np.ndarray) -> np.ndarray:

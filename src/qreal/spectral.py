@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimMismatchError, NonFiniteLabelError, NotHermitianError, UnmappedEigenvalueError
 from .lattice import Projection
-from .numlin import DEFAULT_TOL, ToleranceConfig, as_square, eigh, is_hermitian
+from .numlin import DEFAULT_TOL, ToleranceConfig, _hermitian_part, as_square, eigh, is_hermitian
 
 
 class Observable:
@@ -106,30 +106,22 @@ class SpectralFamily:
         return len(self.slices)
 
 
-def cluster_indices(values: np.ndarray, gap: float) -> list[slice]:
-    """Single-linkage clusters of an ascending 1-d array: split where the gap exceeds ``gap``."""
-    slices = []
-    start = 0
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > gap:
-            slices.append(slice(start, i))
-            start = i
-    if len(values):
-        slices.append(slice(start, len(values)))
-    return slices
+def cluster_indices(values, gap: float) -> list[slice]:
+    """Single-linkage clusters of an ascending 1-d array: split where the gap
+    exceeds ``gap``.  Read as Python floats, an overflowing gap is inf, a split."""
+    values = np.asarray(values, dtype=float).tolist()
+    cuts = [0, *(i for i in range(1, len(values)) if values[i] - values[i - 1] > gap), len(values)]
+    return list(map(slice, cuts, cuts[1:])) if values else []
 
 
 def cluster_ids(spectra, gap: float) -> list[np.ndarray]:
-    """Single-linkage cluster ids of every value of each spectrum in their union,
-    counted in ascending order: one ascending spectrum's ids number the slices
-    of :func:`cluster_indices`."""
+    """Single-linkage cluster ids of every value of each spectrum in their
+    union: the index of its :func:`cluster_indices` slice of the sorted union."""
     values = np.concatenate(spectra, dtype=float)
     order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    with np.errstate(over="ignore"):  # an overflowing gap is inf, a split
-        splits = ordered[1:] - ordered[:-1] > gap
-    ids = np.zeros(values.size, dtype=np.intp)
-    ids[order[1:]] = np.add.accumulate(splits, dtype=np.intp)
+    sizes = [sl.stop - sl.start for sl in cluster_indices(values[order], gap)]
+    ids = np.empty(values.size, dtype=np.intp)
+    ids[order] = np.repeat(np.arange(len(sizes)), sizes)
     ends = list(accumulate(len(s) for s in spectra))
     return [ids[start:end] for start, end in zip([0, *ends], ends)]
 
@@ -195,10 +187,11 @@ def apply_value_map(
 
     Every eigenvalue must match a key of ``value_map`` within
     eig_cluster_tol; eigenspaces whose images coincide merge in the
-    result's spectral family.
+    result's spectral family.  The result is the Hermitian part of
+    V diag(f) V†, exactly Hermitian, so no ``eq_tol`` can reject it.
     """
     v, labels = _meter_labels(obs, value_map, tol)
-    return Observable((v * labels) @ v.conj().T, name=f"f({obs.name})", tol=tol)
+    return Observable(_hermitian_part((v * labels) @ v.conj().T), name=f"f({obs.name})", tol=tol)
 
 
 def born_distribution(

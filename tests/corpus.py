@@ -19,7 +19,21 @@ from qreal import (
 )
 from qreal.errors import EmptyFamilyError
 from qreal.numlin import null_basis
-from qreal.spectral import cluster_indices
+
+
+def reference_cluster_indices(values, gap: float) -> list[slice]:
+    """Single-linkage clusters of an ascending sequence: split where the gap
+    exceeds ``gap``.  The first, scalar-loop version of
+    ``qreal.spectral.cluster_indices``, kept as its reference."""
+    slices = []
+    start = 0
+    for i in range(1, len(values)):
+        if values[i] - values[i - 1] > gap:
+            slices.append(slice(start, i))
+            start = i
+    if len(values):
+        slices.append(slice(start, len(values)))
+    return slices
 
 
 def kernel(matrix: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
@@ -41,7 +55,7 @@ def lattice_value_identity(a, b) -> Projection:
     value_identity."""
     values = sorted(spectral_family(a).eigenvalues + spectral_family(b).eigenvalues)
     result = Projection.identity(a.dim)
-    for block in cluster_indices(values, 1e-8):
+    for block in reference_cluster_indices(values, 1e-8):
         cluster = values[block]
         result = meet(result, biconditional(spectral_projection(a, cluster),
                                             spectral_projection(b, cluster)))
@@ -329,7 +343,7 @@ def reference_spectral_differences(fam_a, fam_b, tol=DEFAULT_TOL) -> list[np.nda
     """
     values = sorted([lam for lam, _ in fam_a] + [lam for lam, _ in fam_b])
     diffs = []
-    for block in cluster_indices(values, tol.eig_cluster_tol):
+    for block in reference_cluster_indices(values, tol.eig_cluster_tol):
         cluster = values[block]
         diffs.append(sum(x for lam, x in fam_a if lam in cluster)
                      - sum(x for lam, x in fam_b if lam in cluster))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from corpus import (
     lattice_value_identity,
     reference_certificate_defect,
+    reference_cluster_indices,
     reference_perfectly_correlated,
 )
 from qreal import (
@@ -135,8 +136,10 @@ def test_cluster_ids_reproduce_cluster_indices(spectra, gap):
     spectra = [[float(np.nextafter(i * gap / 2, nudge * np.inf)) if nudge else i * gap / 2
                 for i, nudge in spectrum] for spectrum in spectra]
     union = sorted(v for spectrum in spectra for v in spectrum)
+    blocks = reference_cluster_indices(union, gap)
+    assert cluster_indices(np.array(union), gap) == blocks
     slice_of = {}
-    for index, block in enumerate(cluster_indices(union, gap)):
+    for index, block in enumerate(blocks):
         for value in union[block]:
             slice_of.setdefault(value, index)
     ids = cluster_ids(spectra, gap)
@@ -145,10 +148,12 @@ def test_cluster_ids_reproduce_cluster_indices(spectra, gap):
         assert got.tolist() == [slice_of[v] for v in spectrum]
     # On one ascending spectrum the ids number its cluster_indices slices.
     (alone,) = cluster_ids([union], gap)
-    assert alone.tolist() == [i for i, block in enumerate(cluster_indices(union, gap))
-                              for _ in range(block.stop - block.start)]
+    assert alone.tolist() == [i for i, block in enumerate(blocks) for _ in range(block.stop - block.start)]
 
 
-def test_cluster_ids_split_where_the_gap_overflows():
+def test_a_gap_that_overflows_splits_without_a_warning():
+    # The suite turns RuntimeWarnings into errors, so an overflow warning fails here.
+    assert cluster_indices(np.array([-1e308, 1e308, 1e308]), CUT) == [slice(0, 1), slice(1, 3)]
     (ids,) = cluster_ids([[-1e308, 1e308, 1e308]], CUT)
     assert ids.tolist() == [0, 1, 1]
+    assert spectral_family(Observable(np.diag([-1e308, 1e308]))).eigenvalues == (-1e308, 1e308)

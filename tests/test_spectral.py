@@ -105,6 +105,18 @@ def test_apply_value_map_against_diagonal_oracle():
         assert got.name == "f(A)"
 
 
+def test_apply_value_map_is_exactly_hermitian_under_the_tightest_tolerance():
+    # eq_tol = rank_tol = 1e-300 accepts only a matrix equal to its adjoint.
+    tight = ToleranceConfig(eq_tol=1e-300, rank_tol=1e-300)
+    rng = np.random.default_rng(4)
+    for dim in (3, 6, 12):
+        obs = Observable(numlin._hermitian_part(random_hermitian(dim, rng)), tol=tight)
+        family = spectral_family(obs, tight)
+        table = {value: float(rng.normal()) for value in family.eigenvalues}
+        got = apply_value_map(obs, table, tight)
+        assert np.array_equal(got.matrix, got.matrix.conj().T)
+
+
 def test_apply_value_map_requires_total_map():
     obs = Observable(np.diag([1.0, 2.0]))
     with pytest.raises(UnmappedEigenvalueError):
