@@ -13,8 +13,8 @@ A witness file written by `search` is a model file with three extra keys:
 embedded state when --state is omitted.
 
 Exit codes: 0 = predicate true / search success; 1 = predicate false /
-search non-success; 2 = usage or data error.  --tol overrides eq_tol only;
-QREAL_EIG_TOL and QREAL_RANK_TOL override the clustering and rank cutoffs.
+search non-success; 2 = usage or data error.  --tol overrides eq_tol, and
+QREAL_EIG_TOL overrides eig_cluster_tol.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def load_observable(path: str, name: str, tol: ToleranceConfig) -> Observable:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def load_state(path: str, tol: ToleranceConfig) -> np.ndarray:
+def load_state(path: str) -> np.ndarray:
     return state_from_body(_load_json(path), path)
 
 
@@ -226,22 +226,14 @@ def _unique_names(bindings, flag: str) -> None:
 
 
 def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
-    def env_float(var: str, fallback: float) -> float:
-        raw = os.environ.get(var)
-        if raw is None:
-            return fallback
-        try:
-            return float(raw)
-        except ValueError:
-            raise DataError(f"{var} must be a number, got {raw!r}") from None
-
+    raw = os.environ.get("QREAL_EIG_TOL", "1e-8")
+    try:
+        eig_cluster_tol = float(raw)
+    except ValueError:
+        raise DataError(f"QREAL_EIG_TOL must be a number, got {raw!r}") from None
     eq_tol = args.tol if args.tol is not None else 1e-9
     try:
-        return ToleranceConfig(
-            eq_tol=eq_tol,
-            eig_cluster_tol=env_float("QREAL_EIG_TOL", 1e-8),
-            rank_tol=env_float("QREAL_RANK_TOL", 1e-10),
-        )
+        return ToleranceConfig(eq_tol=eq_tol, eig_cluster_tol=eig_cluster_tol)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 
@@ -325,7 +317,7 @@ def _cmd_eval(args, tol: ToleranceConfig) -> int:
     env = Environment({
         name: load_observable(path, name, tol) for name, path in args.obs
     })
-    psi = load_state(args.state, tol)
+    psi = load_state(args.state)
     report = holds_in(formula, env, psi, tol=tol)
     _emit({
         "probability": report.probability,
@@ -337,7 +329,7 @@ def _cmd_eval(args, tol: ToleranceConfig) -> int:
 
 def _cmd_jointdet(args, tol: ToleranceConfig) -> int:
     a, b = _load_pair(args, tol)
-    psi = load_state(args.state, tol)
+    psi = load_state(args.state)
     flag, proj = jointly_determinate([a, b], psi, tol=tol)
     _emit({"determinate": flag, "com_rank": proj.rank})
     return 0 if flag else 1
@@ -345,7 +337,7 @@ def _cmd_jointdet(args, tol: ToleranceConfig) -> int:
 
 def _cmd_jpd(args, tol: ToleranceConfig) -> int:
     a, b = _load_pair(args, tol)
-    psi = load_state(args.state, tol)
+    psi = load_state(args.state)
     exists, candidate = jpd_exists(a, b, psi, tol=tol)
     table = [[lam, mu, p] for (lam, mu), p in sorted(candidate.items())]
     _emit({"exists": exists, "candidate": table})
@@ -362,7 +354,7 @@ def _cmd_com(args, tol: ToleranceConfig) -> int:
 
 def _cmd_measure(args, tol: ToleranceConfig) -> int:
     model, _ = load_model(args.model, tol)
-    psi = load_state(args.state, tol)
+    psi = load_state(args.state)
     if len(args.observable) != len(args.maps):
         raise DataError("each --observable needs a matching --map")
     _unique_names(args.observable, "--observable")
@@ -425,7 +417,7 @@ def _cmd_context(args, tol: ToleranceConfig) -> int:
         if name not in model.label_maps:
             raise DataError(f"model has no label map named {name!r}")
     if args.state is not None:
-        psi = load_state(args.state, tol)
+        psi = load_state(args.state)
     elif embedded_state is not None:
         psi = embedded_state
     else:

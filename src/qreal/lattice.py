@@ -18,7 +18,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import DimMismatchError, EmptyFamilyError
-from .numlin import DEFAULT_TOL, ToleranceConfig, _hermitian_part, as_square, eigh, kernel_split, op_norm
+from .numlin import DEFAULT_TOL, ToleranceConfig, _hermitian_part, as_operator, as_square, eigh, kernel_split, op_norm
 
 
 class Projection:
@@ -71,18 +71,19 @@ class Projection:
 
     @classmethod
     def onto(cls, columns, tol: ToleranceConfig = DEFAULT_TOL) -> "Projection":
-        """Projection onto the span of the given column vectors, at numerical
-        rank ``rank_tol``: one SVD gives the range and the kernel."""
+        """Projection onto the span of the given finite column vectors, at
+        numerical rank ``eq_tol``: one SVD gives the range and the kernel."""
         cols = np.asarray(columns, dtype=complex)
         if cols.ndim == 1:
             cols = cols[:, None]
-        kernel_cols, range_cols = kernel_split(cols.conj().T, tol.rank_tol)
+        kernel_cols, range_cols = kernel_split(as_operator(cols).conj().T, tol.eq_tol)
         return cls._spanned(range_cols, kernel_cols)
 
     @classmethod
     def rank1(cls, vector) -> "Projection":
         v = np.asarray(vector, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(v)
+        with np.errstate(over="ignore"):  # a norm that overflows is inf, rejected below
+            norm = np.linalg.norm(v)
         if not 0.0 < norm < np.inf:
             raise ValueError("rank1 needs a nonzero vector of finite norm")
         return cls._spanned((v / norm)[:, None])
@@ -154,7 +155,7 @@ def _same_dim(p: Projection, q: Projection) -> None:
         raise DimMismatchError(f"projection dims differ: {p.dim} vs {q.dim}")
 
 
-def complement(p: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
+def complement(p: Projection) -> Projection:
     """Orthocomplement I - P: the two frames swapped."""
     return Projection._spanned(p.kernel, p.range)
 
@@ -172,7 +173,7 @@ def meet(p: Projection, q: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> Pr
 
 def join(p: Projection, q: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
     """Lattice supremum P ∨ Q = (P⊥ ∧ Q⊥)⊥."""
-    return complement(meet(complement(p, tol), complement(q, tol), tol), tol)
+    return complement(meet(complement(p), complement(q), tol))
 
 
 def sasaki(p: Projection, q: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
@@ -180,7 +181,7 @@ def sasaki(p: Projection, q: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> 
 
     Reduces to material implication I - P + PQ when P and Q commute.
     """
-    return join(complement(p, tol), meet(p, q, tol), tol)
+    return join(complement(p), meet(p, q, tol), tol)
 
 
 def biconditional(p: Projection, q: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:

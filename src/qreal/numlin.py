@@ -22,25 +22,20 @@ class ToleranceConfig:
     """Numerical thresholds used throughout the package, one role each.
 
     eq_tol
-        Operator/vector comparison threshold, and the principal-angle cutoff:
-        a direction at sine <= eq_tol to a subspace lies in it.  Membership,
-        inclusion, meet, commutator subspaces and value identity share it.
+        Operator/vector comparison threshold and the one subspace cutoff: a
+        direction at sine <= eq_tol to a subspace lies in it.  Membership,
+        inclusion, meet, commutator subspaces, value identity and numerical
+        rank (:func:`kernel_split`) share it.
     eig_cluster_tol
         Only clusters eigenvalues and matches values to eigenvalues.
-    rank_tol
-        Only sets numerical rank in ``Projection.onto`` and :func:`range_basis`
-        (and :func:`null_basis`): relative cutoff, floor 1 on the scale.
     """
 
     eq_tol: float = 1e-9
     eig_cluster_tol: float = 1e-8
-    rank_tol: float = 1e-10
 
     def __post_init__(self):
-        if not all(0.0 < t < np.inf for t in (self.eq_tol, self.eig_cluster_tol, self.rank_tol)):
+        if not all(0.0 < t < np.inf for t in (self.eq_tol, self.eig_cluster_tol)):
             raise ValueError("tolerances must be finite and strictly positive")
-        if self.eq_tol < self.rank_tol:
-            raise ValueError("eq_tol must be at least rank_tol")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -85,8 +80,14 @@ def op_norm(x: np.ndarray) -> float:
 
 
 def is_hermitian(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """||m - m†|| <= eq_tol * max(1, ||m||), taken on halves so that no defect
+    overflows; a matrix whose operator norm overflows is rejected."""
     m = as_square(matrix)
-    return op_norm(m - m.conj().T) <= tol.eq_tol * max(1.0, op_norm(m))
+    scale = op_norm(m)
+    if not np.isfinite(scale):
+        raise ValueError("matrix operator norm is not finite")
+    half = 0.5 * m
+    return op_norm(half - half.conj().T) <= 0.5 * tol.eq_tol * max(1.0, scale)
 
 
 def eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -108,14 +109,14 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 def range_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (as columns) of the numerical range of ``matrix``:
-    singular values at or below ``rank_tol * max(largest, 1)`` count as zero."""
-    return kernel_split(as_operator(matrix).conj().T, tol.rank_tol)[1]
+    singular values at or below ``eq_tol * max(largest, 1)`` count as zero."""
+    return kernel_split(as_operator(matrix).conj().T, tol.eq_tol)[1]
 
 
 def null_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (as columns) of the numerical kernel of ``matrix``:
-    singular values at or below ``rank_tol * max(largest, 1)`` count as zero."""
-    return kernel_split(as_operator(matrix), tol.rank_tol)[0]
+    singular values at or below ``eq_tol * max(largest, 1)`` count as zero."""
+    return kernel_split(as_operator(matrix), tol.eq_tol)[0]
 
 
 def kernel_split(matrix: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
@@ -123,9 +124,11 @@ def kernel_split(matrix: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndar
     ``cutoff * max(largest, 1)`` into (the near-kernel, the rest); on
     principal-angle sines the cutoff is absolute.  A tall input takes the
     economic SVD, whose right vectors are already complete, so memory stays
-    at rows x cols however many rows are stacked.
+    at rows x cols however many rows are stacked.  An overflowing norm is rejected.
     """
     _, s, vh = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
+    if s.size and not np.isfinite(s[0]):
+        raise ValueError("matrix operator norm is not finite")
     rank = int(np.sum(s > cutoff * max(float(s[0]) if s.size else 0.0, 1.0)))
     v = vh.conj().T
     return v[:, rank:], v[:, :rank]
@@ -136,7 +139,7 @@ def kron(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def probe_compress(joint_op, probe_state, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def probe_compress(joint_op, probe_state) -> np.ndarray:
     """Compress an operator on system ⊗ probe against a probe vector.
 
     Computes ``R[i, j] = sum_{a,b} conj(xi[a]) X[(i,a), (j,b)] xi[b]``,

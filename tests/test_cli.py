@@ -181,6 +181,16 @@ def test_com_with_entries_near_float_max(data_dir, tmp_path, capsys):
     assert (code, out, err) == (0, {"rank": 0, "nowhere_commuting": True}, "")
 
 
+@pytest.mark.parametrize("matrix", [[[1.5e308, 1.5e308], [0.0, 1.5e308]], [[0.0, 1e308], [-1e308, 0.0]]],
+                         ids=["norm overflows", "anti-Hermitian"])
+def test_non_hermitian_matrices_near_float_max_exit_two(data_dir, tmp_path, capsys, matrix):
+    path = _write_json(tmp_path / "huge.json", _matrix_body(np.array(matrix)))
+    code, out, err = run_cli(capsys, "eval", "A in {1}", "--obs", f"A={path}",
+                             "--state", str(data_dir / "state_zero2.json"))
+    assert code == 2 and out is None
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_loaders_reject_bodies_that_are_not_lists(data_dir, tmp_path, capsys):
     sigma_x = str(data_dir / "obs_sigma_x.json")
     for name, matrix in (("scalar", 5), ("flat", [5, 6]), ("null", None)):
@@ -517,7 +527,7 @@ def test_env_var_overrides_clustering(data_dir, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("source", ["--tol", "QREAL_EIG_TOL", "QREAL_RANK_TOL"])
+@pytest.mark.parametrize("source", ["--tol", "QREAL_EIG_TOL"])
 def test_non_finite_tolerances_exit_two(data_dir, capsys, monkeypatch, source, value):
     flag = [source, value] if source == "--tol" else []
     if not flag:

@@ -13,6 +13,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs_cleanly(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    # The suite turns numpy's RuntimeWarnings into errors; so does each demo's process.
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -77,11 +77,16 @@ def test_projection_constructors_and_queries():
     assert not i.leq(r1)
 
 
-@pytest.mark.parametrize("vector", [np.zeros(2), [np.nan, 1.0], [np.inf, 0.0], [0.0, complex(0.0, np.inf)]],
-                         ids=["zero", "nan", "inf", "imaginary inf"])
+@pytest.mark.parametrize("vector", [np.zeros(2), [np.nan, 1.0], [np.inf, 0.0], [0.0, complex(0.0, np.inf)],
+                                    [[np.inf], [0.0]], [[np.nan], [1.0]], [[1.5e308], [1.5e308]]],
+                         ids=["zero", "nan", "inf", "imaginary inf", "inf column", "nan column", "column norm overflows"])
 def test_rank1_rejects_a_vector_without_a_finite_nonzero_norm(vector):
     with pytest.raises(ValueError, match="nonzero vector of finite norm"):
         Projection.rank1(vector)
+    # onto spans zero columns, but no column without a finite norm.
+    if np.any(vector):
+        with pytest.raises(ValueError, match="finite"):
+            Projection.onto(vector)
 
 
 def test_projection_is_immutable():

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qreal import DEFAULT_TOL, Observable, ToleranceConfig, kron, probe_compress, spectral_family
+from qreal import DEFAULT_TOL, Observable, Projection, ToleranceConfig, kron, probe_compress, spectral_family
 from qreal.errors import (
     DimMismatchError,
     NotHermitianError,
@@ -24,14 +26,13 @@ from qreal.standard import random_hermitian
 def test_tolerance_config_validation():
     with pytest.raises(ValueError):
         ToleranceConfig(eq_tol=0.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(eq_tol=1e-12, rank_tol=1e-9)
+    assert ToleranceConfig(eq_tol=1e-300).eq_tol == 1e-300
+    assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["eq_tol", "eig_cluster_tol"]
     assert DEFAULT_TOL.eq_tol == 1e-9
     assert DEFAULT_TOL.eig_cluster_tol == 1e-8
-    assert DEFAULT_TOL.rank_tol == 1e-10
 
 
-@pytest.mark.parametrize("field", ["eq_tol", "eig_cluster_tol", "rank_tol"])
+@pytest.mark.parametrize("field", ["eq_tol", "eig_cluster_tol"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_tolerance_config_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError, match="finite"):
@@ -99,6 +100,17 @@ def test_is_hermitian():
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_is_hermitian_near_float_max():
+    # The defect of an anti-Hermitian matrix near the float maximum is
+    # formed without overflow, and rejected.
+    with pytest.raises(NotHermitianError):
+        Observable(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+    # An operator norm that overflows would give an infinite eigenvalue.
+    with pytest.raises(ValueError, match="operator norm is not finite"):
+        Observable(np.array([[1.5e308, 1.5e308], [0.0, 1.5e308]]))
+    assert is_hermitian(np.diag([1e308, -1e308]))
+
+
 def test_eigh_contract():
     rng = np.random.default_rng(11)
     for dim in (2, 3, 5):
@@ -150,6 +162,14 @@ def test_range_and_null_basis_against_svd_rank():
         assert nb.shape == (dim, dim - rank)
         assert np.allclose(nb.conj().T @ nb, np.eye(dim - rank), atol=1e-12)
         assert np.linalg.norm(m @ nb) < 1e-10 * max(1.0, np.linalg.norm(m, 2))
+
+
+@pytest.mark.parametrize("factor, rank", [(0.5, 1), (2.0, 2)])
+def test_numerical_rank_cuts_at_eq_tol(factor, rank):
+    m = np.diag([1.0, factor * DEFAULT_TOL.eq_tol])
+    assert range_basis(m).shape == (2, rank)
+    assert null_basis(m).shape == (2, 2 - rank)
+    assert Projection.onto(m).rank == rank
 
 
 def test_range_basis_of_zero_matrix_is_empty():

@@ -106,8 +106,8 @@ def test_apply_value_map_against_diagonal_oracle():
 
 
 def test_apply_value_map_is_exactly_hermitian_under_the_tightest_tolerance():
-    # eq_tol = rank_tol = 1e-300 accepts only a matrix equal to its adjoint.
-    tight = ToleranceConfig(eq_tol=1e-300, rank_tol=1e-300)
+    # eq_tol = 1e-300 accepts only a matrix equal to its adjoint.
+    tight = ToleranceConfig(eq_tol=1e-300)
     rng = np.random.default_rng(4)
     for dim in (3, 6, 12):
         obs = Observable(numlin._hermitian_part(random_hermitian(dim, rng)), tol=tight)
