@@ -122,7 +122,7 @@ def load_observable(path: str, name: str, tol: ToleranceConfig) -> Observable:
     matrix = matrix_from_body(_load_json(path), path)
     try:
         return Observable(matrix, name=name, tol=tol)
-    except QrealError as exc:
+    except (QrealError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
@@ -164,7 +164,7 @@ def load_model(path: str, tol: ToleranceConfig) -> tuple[MeasurementModel, np.nd
             sys_dim=n, probe_dim=k, probe_state=xi, unitary=u,
             meter=Observable(meter, name="M", tol=tol), label_maps=label_maps, tol=tol,
         )
-    except QrealError as exc:
+    except (QrealError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc
     system_state = None
     if "system_state" in body:

@@ -18,7 +18,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import DimMismatchError, EmptyFamilyError
-from .numlin import DEFAULT_TOL, ToleranceConfig, _hermitian_part, as_operator, as_square, eigh, kernel_split, op_norm
+from .numlin import (DEFAULT_TOL, ToleranceConfig, _hermitian_part, as_operator, as_square, eigh, is_hermitian,
+                     kernel_split, norm_within)
 
 
 class Projection:
@@ -33,10 +34,11 @@ class Projection:
 
     def __init__(self, matrix, tol: ToleranceConfig = DEFAULT_TOL):
         m = as_square(matrix)
-        scale = max(1.0, op_norm(m))
-        if op_norm(m - m.conj().T) > tol.eq_tol * scale:
+        if not is_hermitian(m, tol):
             raise ValueError("projection matrix is not self-adjoint within eq_tol")
-        if op_norm(m @ m - m) > tol.eq_tol * scale:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing defect is rejected
+            defect = m @ m - m
+        if not (np.all(np.isfinite(defect)) and norm_within(defect, tol.eq_tol, scale=m)):
             raise ValueError("projection matrix is not idempotent within eq_tol")
         # Snap eigenvalues to {0, 1} so downstream algebra starts clean.
         w, v = eigh(m)
@@ -135,7 +137,7 @@ class Projection:
         """Range inclusion P <= Q: the largest principal-angle sine of ran P
         to ran Q, ||Q⊥ P|| = ||Q.kernel† P.range||, is at most eq_tol."""
         _same_dim(self, other)
-        return op_norm(other.kernel.conj().T @ self.range) <= tol.eq_tol
+        return norm_within(other.kernel.conj().T @ self.range, tol.eq_tol)
 
     def __and__(self, other):
         return meet(self, other)

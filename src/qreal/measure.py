@@ -38,6 +38,7 @@ from .numlin import (
     as_state,
     eigh,
     kron,
+    norm_within,
     op_norm,
 )
 from .qlogic import _cluster_defect, _state_rows, jointly_determinate, value_identity
@@ -45,7 +46,7 @@ from .spectral import Observable, _meter_labels, spectral_family
 
 
 class MeasurementModel:
-    """Probe state + coupling unitary + meter, with named label maps."""
+    """Probe state, coupling U (||U†U − I||₂ <= eq_tol, else the SVD residual is reported), meter, label maps."""
 
     __slots__ = ("sys_dim", "probe_dim", "probe_state", "unitary", "meter", "label_maps")
 
@@ -59,9 +60,9 @@ class MeasurementModel:
         joint = sys_dim * probe_dim
         if u.shape[0] != joint:
             raise DimMismatchError(f"coupling is {u.shape[0]}x{u.shape[0]}, expected {joint}")
-        residual = op_norm(u.conj().T @ u - np.eye(joint))
-        if residual > tol.eq_tol:
-            raise NotUnitaryError(f"coupling deviates from unitarity by {residual:.3e}")
+        residual = u.conj().T @ u - np.eye(joint)
+        if not norm_within(residual, tol.eq_tol):
+            raise NotUnitaryError(f"coupling deviates from unitarity by {op_norm(residual):.3e}")
         if meter.dim != probe_dim:
             raise DimMismatchError(f"meter dim {meter.dim} != probe_dim {probe_dim}")
         maps = {}
@@ -401,6 +402,7 @@ class _SearchProblem:
         self._diagonal = np.arange(self.joint) * (self.joint + 1)
         self._upper = rows * self.joint + cols
         self._lower = cols * self.joint + rows
+        self._generator = self._state = None  # the parameters objective last built U and psi from
 
     def candidate_maps(self, rng: np.random.Generator):
         """Assignments meter outcome -> eigenvalue index, one (maps, one-hot)
@@ -440,11 +442,13 @@ class _SearchProblem:
         joint[::self.k] = psi  # psi ⊗ xi, as xi = e_0
         return _outcome_vectors(u, joint, self.n, self.meter_columns)
 
-    def defects(self, vectors, psi, projections, one_hot) -> np.ndarray:
+    def targets(self, psi):
+        """Each side's target rows (E_i psi) ⊗ xi, one per slot i."""
+        return [_lift(np.einsum("snm,m->sn", p, psi), self.xi) for p in (self.proj_a, self.proj_b)]
+
+    def defects(self, vectors, targets, one_hot) -> np.ndarray:
         """Certificate defect of every assignment in ``one_hot``: the largest
-        ||sum_{m in slot i} v_m − (E_i psi) ⊗ xi|| over slots i."""
-        targets = np.zeros((len(projections), self.joint), dtype=complex)
-        targets[:, ::self.k] = np.einsum("snm,m->sn", projections, psi)
+        ||sum_{m in slot i} v_m − targets[i]|| over slots i."""
         # One full pass; an in-place update of the strided slots measured
         # twice as slow at k = 4.
         residual = one_hot @ vectors - targets
@@ -453,19 +457,20 @@ class _SearchProblem:
         squares = (re[..., None, :] @ re[..., None] + im[..., None, :] @ im[..., None])[..., 0, 0]
         return np.sqrt(squares.max(axis=1))
 
-    def best_maps(self, vectors, psi, side_a, side_b):
-        """Exhaust label maps; the two sides decouple in the max-defect, and
-        each side keeps its lowest-index least defect."""
-        (maps_a, hot_a), (maps_b, hot_b) = side_a, side_b
-        table_a = self.defects(vectors, psi, self.proj_a, hot_a)
-        table_b = self.defects(vectors, psi, self.proj_b, hot_b)
-        ia, ib = table_a.argmin(), table_b.argmin()
-        return float(max(table_a[ia], table_b[ib])), maps_a[ia], maps_b[ib]
-
     def objective(self, theta: np.ndarray, side_a, side_b):
-        u = self.unitary(theta)
-        psi = _state_from_params(theta[self.u_params:], self.n)
-        return self.best_maps(self.outcome_vectors(u, psi), psi, side_a, side_b)
+        """Exhaust label maps at ``theta``; the sides decouple in the max-defect and each keeps its
+        lowest-index least defect.  A coordinate move changes U or psi, not both, so each (psi with
+        its target rows) is kept until the bytes of its own parameters change."""
+        generator, state = theta[:self.u_params].tobytes(), theta[self.u_params:].tobytes()
+        if generator != self._generator:
+            self._generator, self._u = generator, self.unitary(theta)
+        if state != self._state:
+            psi = _state_from_params(theta[self.u_params:], self.n)
+            self._state, self._psi, self._targets = state, psi, self.targets(psi)
+        vectors = self.outcome_vectors(self._u, self._psi)
+        table_a, table_b = (self.defects(vectors, t, hot) for t, (_, hot) in zip(self._targets, (side_a, side_b)))
+        ia, ib = table_a.argmin(), table_b.argmin()
+        return float(max(table_a[ia], table_b[ib])), side_a[0][ia], side_b[0][ib]
 
     def polish(self, u: np.ndarray, side_a, side_b):
         """Re-solve for the state: per map pair, the summed squared defect is
@@ -492,9 +497,9 @@ class _SearchProblem:
         for ia, ib in pairs:
             _, v = eigh(forms_a[ia] + forms_b[ib])
             psi = v[:, 0]
-            vectors = self.outcome_vectors(u, psi)
-            defect = float(max(self.defects(vectors, psi, self.proj_a, hot_a[ia:ia + 1])[0],
-                               self.defects(vectors, psi, self.proj_b, hot_b[ib:ib + 1])[0]))
+            vectors, (targets_a, targets_b) = self.outcome_vectors(u, psi), self.targets(psi)
+            defect = float(max(self.defects(vectors, targets_a, hot_a[ia:ia + 1])[0],
+                               self.defects(vectors, targets_b, hot_b[ib:ib + 1])[0]))
             if best is None or defect < best[0]:
                 best = (defect, psi, maps_a[ia], maps_b[ib])
         return best

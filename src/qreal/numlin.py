@@ -73,21 +73,29 @@ def as_state(vector, dim: int, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
 
 def op_norm(x: np.ndarray) -> float:
     """Spectral norm for matrices, Euclidean norm for vectors."""
-    x = np.asarray(x)
-    if x.ndim <= 1:
-        return float(np.linalg.norm(x))
     return float(np.linalg.norm(x, 2))
 
 
-def is_hermitian(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """||m - m†|| <= eq_tol * max(1, ||m||), taken on halves so that no defect
-    overflows; a matrix whose operator norm overflows is rejected."""
-    m = as_square(matrix)
-    scale = op_norm(m)
-    if not np.isfinite(scale):
+def norm_within(x: np.ndarray, bound: float, scale: np.ndarray | None = None) -> bool:
+    """||x||₂ <= bound * max(1, ||scale||₂); an overflowing ||scale||₂ raises.  As ||x||₂ <= ||x||_F,
+    a Frobenius sum within ``bound``, less 4 * x.size ulps of rounding, accepts first with no SVD
+    when ||scale||_F is finite."""
+    with np.errstate(over="ignore"):
+        if np.linalg.norm(x) <= bound * (1.0 - 4 * x.size * np.finfo(float).eps) and (
+                scale is None or np.isfinite(np.linalg.norm(scale))):
+            return True
+    limit = 1.0 if scale is None else op_norm(scale)
+    if not np.isfinite(limit):
         raise ValueError("matrix operator norm is not finite")
+    return op_norm(x) <= bound * max(1.0, limit)
+
+
+def is_hermitian(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """||m - m†|| <= eq_tol * max(1, ||m||) by :func:`norm_within`, on halves so
+    that no defect overflows; a matrix whose operator norm overflows is rejected."""
+    m = as_square(matrix)
     half = 0.5 * m
-    return op_norm(half - half.conj().T) <= 0.5 * tol.eq_tol * max(1.0, scale)
+    return norm_within(half - half.conj().T, 0.5 * tol.eq_tol, scale=m)
 
 
 def eigh(matrix) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimMismatchError, NonFiniteLabelError, NotHermitianError, UnmappedEigenvalueError
 from .lattice import Projection
-from .numlin import DEFAULT_TOL, ToleranceConfig, _hermitian_part, as_square, eigh, is_hermitian
+from .numlin import DEFAULT_TOL, ToleranceConfig, _hermitian_part, eigh, is_hermitian
 
 
 class Observable:
@@ -35,9 +35,9 @@ class Observable:
     __slots__ = ("matrix", "name", "_spectra")
 
     def __init__(self, matrix, name: str = "A", tol: ToleranceConfig = DEFAULT_TOL):
-        if not is_hermitian(matrix, tol):
+        m = np.array(matrix, dtype=complex)  # a private copy, checked by is_hermitian
+        if not is_hermitian(m, tol):
             raise NotHermitianError(f"observable {name!r} is not Hermitian within eq_tol")
-        m = np.array(as_square(matrix), dtype=complex)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "name", str(name))

@@ -21,6 +21,27 @@ from qreal.errors import EmptyFamilyError
 from qreal.numlin import null_basis
 
 
+def reference_is_hermitian(matrix, tol=DEFAULT_TOL) -> bool:
+    """The SVD-only Hermiticity rule: ||(m − m†)/2||₂ <= eq_tol/2 · max(1,
+    ||m||₂), on halves, and a ValueError when ||m||₂ overflows."""
+    m = np.asarray(matrix, dtype=complex)
+    scale = np.linalg.norm(m, 2)
+    if not np.isfinite(scale):
+        raise ValueError("matrix operator norm is not finite")
+    half = 0.5 * m
+    return bool(np.linalg.norm(half - half.conj().T, 2) <= 0.5 * tol.eq_tol * max(1.0, scale))
+
+
+def reference_unitarity_residual(u: np.ndarray) -> float:
+    """The SVD-only unitarity residual ||U†U − I||₂, compared with eq_tol."""
+    return float(np.linalg.norm(u.conj().T @ u - np.eye(len(u)), 2))
+
+
+def reference_leq(p: Projection, q: Projection, tol=DEFAULT_TOL) -> bool:
+    """The SVD-only inclusion rule: ||Q.kernel† P.range||₂ <= eq_tol."""
+    return bool(np.linalg.norm(q.kernel.conj().T @ p.range, 2) <= tol.eq_tol)
+
+
 def reference_cluster_indices(values, gap: float) -> list[slice]:
     """Single-linkage clusters of an ascending sequence: split where the gap
     exceeds ``gap``.  The first, scalar-loop version of

@@ -188,7 +188,14 @@ def test_non_hermitian_matrices_near_float_max_exit_two(data_dir, tmp_path, caps
     code, out, err = run_cli(capsys, "eval", "A in {1}", "--obs", f"A={path}",
                              "--state", str(data_dir / "state_zero2.json"))
     assert code == 2 and out is None
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+    # The same matrix as a model's meter names the model file.
+    model = json.loads((data_dir / "model_cnot.json").read_text(encoding="utf-8"))
+    model["meter"] = _matrix_body(np.array(matrix))
+    path = _write_json(tmp_path / "model.json", model)
+    code, out, err = run_cli(capsys, "measure", path, "--state", str(data_dir / "state_zero2.json"))
+    assert code == 2 and out is None
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
 def test_loaders_reject_bodies_that_are_not_lists(data_dir, tmp_path, capsys):

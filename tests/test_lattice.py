@@ -52,6 +52,12 @@ def test_projection_rejects_bad_matrices():
         Projection(0.5 * np.eye(2))  # not idempotent
     with pytest.raises(Exception):
         Projection(np.zeros((2, 3)))
+    # Entries near the float maximum: m @ m − m overflows, and m − m† would
+    # (pytest turns a RuntimeWarning into an error).
+    with pytest.raises(ValueError, match="idempotent"):
+        Projection(np.diag([1e200, 0.0]))
+    with pytest.raises(ValueError, match="self-adjoint"):
+        Projection(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
 
 def test_projection_snaps_to_exact_idempotency():

@@ -2,12 +2,25 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qreal import DEFAULT_TOL, Observable, Projection, ToleranceConfig, kron, probe_compress, spectral_family
+from corpus import reference_is_hermitian, reference_leq, reference_unitarity_residual
+from qreal import (
+    DEFAULT_TOL,
+    MeasurementModel,
+    Observable,
+    Projection,
+    ToleranceConfig,
+    kron,
+    probe_compress,
+    spectral_family,
+)
 from qreal.errors import (
     DimMismatchError,
     NotHermitianError,
     NotSquareError,
+    NotUnitaryError,
 )
 from qreal.numlin import (
     _hermitian_part,
@@ -20,7 +33,7 @@ from qreal.numlin import (
     op_norm,
     range_basis,
 )
-from qreal.standard import random_hermitian
+from qreal.standard import random_hermitian, random_unitary
 
 
 def test_tolerance_config_validation():
@@ -109,6 +122,113 @@ def test_is_hermitian_near_float_max():
     with pytest.raises(ValueError, match="operator norm is not finite"):
         Observable(np.array([[1.5e308, 1.5e308], [0.0, 1.5e308]]))
     assert is_hermitian(np.diag([1e308, -1e308]))
+
+
+# ---------------------------------------------------------------------------
+# The Frobenius-first norm gate gives the SVD rule's verdict, raising where it raises.
+
+
+def _verdict(rule, *args):
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _skew(dim: int, rank_one: bool, rng) -> np.ndarray:
+    """i K for a Hermitian K of operator norm 1, of rank 1 (where the
+    Frobenius and operator norms agree) or of full rank."""
+    if rank_one:
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        k = np.outer(v, v.conj()) / np.vdot(v, v).real
+    else:
+        k = random_hermitian(dim, rng)
+        k /= np.linalg.norm(k, 2)
+    return 1j * k
+
+
+# Ratios from 0.5 to 2, and exactly 1: a rank-1 skew part alone (norm 0)
+# then sits within ulps of the threshold, where its rounded Frobenius and
+# operator norms fall on either side of it about one time in seven.
+RATIOS = st.just(1.0) | st.floats(0.5, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), rank_one=st.booleans(),
+       ratio=RATIOS, norm=st.sampled_from([0.0, 1e-3, 1.0, 1e6]))
+def test_hermitian_gate_gives_the_svd_verdict(dim, seed, rank_one, ratio, norm):
+    # ||(m − m†)/2||₂ = ||D||₂ at ratio times the threshold eq_tol/2 · max(1, ||m||₂).
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(dim, rng)
+    h *= norm / np.linalg.norm(h, 2)
+    m = h + ratio * 0.5 * DEFAULT_TOL.eq_tol * max(1.0, norm) * _skew(dim, rank_one, rng)
+    assert is_hermitian(m) == reference_is_hermitian(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), rank_one=st.booleans(),
+       ratio=st.just(0.0) | RATIOS, entry=st.sampled_from([1e154, 1e308]), factor=st.floats(0.25, 1.75))
+def test_hermitian_gate_gives_the_svd_verdict_near_float_max(dim, seed, rank_one, ratio, entry, factor):
+    # Above about 1e154 the Frobenius sum of m overflows, and near 1e308 so
+    # does ||m||₂ for most m: the gate must fall back, and raise where the
+    # rule raises, also for an exactly Hermitian m (ratio 0).
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(dim, rng)
+    top = factor * entry
+    h = h / np.abs(h).max() * top
+    m = h + ratio * 0.5 * DEFAULT_TOL.eq_tol * top * _skew(dim, rank_one, rng)
+    assert _verdict(is_hermitian, m) == _verdict(reference_is_hermitian, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       rank_one=st.booleans(), ratio=RATIOS)
+def test_unitarity_gate_gives_the_svd_verdict_and_residual(n, k, seed, rank_one, ratio):
+    # U = V diag(sqrt(1 + r s)) W with max |s| = 1 has ||U†U − I||₂ = r, at
+    # ratio times eq_tol; one nonzero s makes the residual rank 1.
+    rng = np.random.default_rng(seed)
+    d = n * k
+    s = np.zeros(d) if rank_one else rng.uniform(-1.0, 1.0, size=d)
+    s[rng.integers(d)] = rng.choice([-1.0, 1.0])
+    u = random_unitary(d, rng) @ np.diag(np.sqrt(1.0 + ratio * DEFAULT_TOL.eq_tol * s)) @ random_unitary(d, rng)
+    residual = reference_unitarity_residual(u)
+    meter = Observable(np.diag(np.arange(1.0, k + 1.0)), name="M")
+    try:
+        MeasurementModel(sys_dim=n, probe_dim=k, probe_state=np.eye(k)[0], unitary=u, meter=meter)
+    except NotUnitaryError as exc:
+        assert residual > DEFAULT_TOL.eq_tol
+        assert str(exc) == f"coupling deviates from unitarity by {residual:.3e}"
+    else:
+        assert residual <= DEFAULT_TOL.eq_tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), rank_one=st.booleans(), ratio=RATIOS)
+def test_inclusion_gate_gives_the_svd_verdict(dim, seed, rank_one, ratio):
+    # ran P tilted out of ran Q by principal-angle sines ratio · eq_tol · t,
+    # max t = 1; a rank-1 P has one sine, so the Frobenius and operator norms agree.
+    rng = np.random.default_rng(seed)
+    v = random_unitary(dim, rng)
+    rank = 1 if rank_one else dim // 2
+    sines = ratio * DEFAULT_TOL.eq_tol * np.append(rng.uniform(0.0, 1.0, size=rank - 1), 1.0)
+    q = Projection.onto(v[:, :rank])
+    p = Projection.onto(v[:, :rank] * np.sqrt(1.0 - sines ** 2) + v[:, rank:2 * rank] * sines)
+    assert p.leq(q) == reference_leq(p, q)
+
+
+def test_exactly_hermitian_and_unitary_inputs_take_no_svd(monkeypatch):
+    # np.linalg.norm(x, 2) calls numpy.linalg._linalg.svd, not np.linalg.svd.
+    calls = []
+    svd = np.linalg._linalg.svd
+    for module in (np.linalg._linalg, np.linalg):
+        monkeypatch.setattr(module, "svd", lambda *args, **kwargs: calls.append(args) or svd(*args, **kwargs))
+    rng = np.random.default_rng(23)
+    Observable(random_hermitian(96, rng))
+    MeasurementModel(sys_dim=8, probe_dim=8, probe_state=np.eye(8)[0], unitary=random_unitary(64, rng),
+                     meter=Observable(np.diag(np.arange(1.0, 9.0)), name="M"))
+    assert calls == []
+    # The counter sees the SVD rule where the gate falls back.
+    assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]])) and calls
 
 
 def test_eigh_contract():

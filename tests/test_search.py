@@ -22,6 +22,7 @@ from corpus import (
     reference_outcome_rows,
     reference_polish,
     reference_state,
+    reference_target_rows,
     reference_unitary,
 )
 
@@ -141,14 +142,15 @@ def test_search_reports_nonzero_defect_when_budget_is_tiny():
 # The defect table the search ranks label maps by.
 
 
-def _table_entry(problem, model, values, projections, label_map, psi) -> float:
-    """The search's defect for ``label_map`` on ``model``, whose meter is
-    diagonal in the probe basis and whose probe state is e_0."""
+def _table_entry(problem, model, values, side, label_map, psi) -> float:
+    """The search's defect for ``label_map`` of side 0 (A) or 1 (B) on
+    ``model``, whose meter is diagonal in the probe basis and whose probe
+    state is e_0."""
     slots = [int(np.argmin(np.abs(np.asarray(values) - label_map[m])))
              for m in np.diag(model.meter.matrix).real]
     one_hot = (np.array(slots)[None, None, :] == np.arange(len(values))[None, :, None]).astype(float)
     vectors = problem.outcome_vectors(model.unitary, psi)
-    return float(problem.defects(vectors, psi, projections, one_hot)[0])
+    return float(problem.defects(vectors, problem.targets(psi)[side], one_hot)[0])
 
 
 def _degenerate(n: int, rng) -> np.ndarray:
@@ -167,10 +169,9 @@ def test_defect_table_is_the_certificate_defect_of_every_label_map(n, k):
         for _ in range(3):
             u, psi = random_unitary(n * k, rng), random_state(n, rng)
             vectors = problem.outcome_vectors(u, psi)
-            for obs, values, projections, (maps, one_hot) in (
-                    (a, problem.vals_a, problem.proj_a, sides[0]),
-                    (b, problem.vals_b, problem.proj_b, sides[1])):
-                table = problem.defects(vectors, psi, projections, one_hot)
+            for obs, values, targets, (maps, one_hot) in zip(
+                    (a, b), (problem.vals_a, problem.vals_b), problem.targets(psi), sides):
+                table = problem.defects(vectors, targets, one_hot)
                 assert table.shape == (len(values) ** k,)
                 for assignment, entry in zip(maps, table):
                     label_map = {float(m + 1): values[slot] for m, slot in enumerate(assignment)}
@@ -192,9 +193,8 @@ def test_defect_table_is_exact_near_zero(data_dir):
     for model, map_a, map_b, psi in (
             (fixture, fixture.label_maps["fA"], fixture.label_maps["fB"], fixture_psi),
             (found.model, found.map_a, found.map_b, found.psi)):
-        for obs, values, projections, label_map in ((x, problem.vals_a, problem.proj_a, map_a),
-                                                    (y, problem.vals_b, problem.proj_b, map_b)):
-            entry = _table_entry(problem, model, values, projections, label_map, psi)
+        for side, (obs, values, label_map) in enumerate(((x, problem.vals_a, map_a), (y, problem.vals_b, map_b))):
+            entry = _table_entry(problem, model, values, side, label_map, psi)
             cert = measures_in_state(model, obs, label_map, psi)
             assert entry == pytest.approx(cert.defect, abs=1e-15)
 
@@ -217,15 +217,17 @@ def test_search_kernels_are_bit_identical_to_the_reference(n, k):
                             rng.normal(0.0, 1.0, size=problem.s_params)])
     # A short walk of single-coordinate moves, as the pattern search makes,
     # through both the generator and the state parameters.
-    for step in range(4):
+    for step in range(6):
         u = problem.unitary(theta)
         psi = _state_from_params(theta[problem.u_params:], n)
         assert np.array_equal(u, reference_unitary(theta[:problem.u_params], n * k))
         assert np.array_equal(psi, reference_state(theta[problem.u_params:], n))
         vectors = problem.outcome_vectors(u, psi)
         assert np.array_equal(vectors, reference_outcome_rows(problem, u, psi))
-        for projections, (maps, one_hot) in ((problem.proj_a, sides[0]), (problem.proj_b, sides[1])):
-            assert np.array_equal(problem.defects(vectors, psi, projections, one_hot),
+        for projections, targets, (maps, one_hot) in zip((problem.proj_a, problem.proj_b),
+                                                          problem.targets(psi), sides):
+            assert np.array_equal(targets, reference_target_rows(projections, psi, problem.xi))
+            assert np.array_equal(problem.defects(vectors, targets, one_hot),
                                   reference_defects(problem, vectors, psi, projections, maps))
         value, map_a, map_b = problem.objective(theta, *sides)
         want, want_a, want_b = reference_objective(problem, theta, maps_a, maps_b)
@@ -238,5 +240,21 @@ def test_search_kernels_are_bit_identical_to_the_reference(n, k):
         # Rows at the polished state, whose components eigh may leave real.
         assert np.array_equal(problem.outcome_vectors(u, polished[1]),
                               reference_outcome_rows(problem, u, reference[1]))
-        index = rng.integers(problem.u_params) if step % 2 == 0 else problem.u_params + step
-        theta[index] += 0.5 ** step
+        # Both signs of the move, as the pattern search tries them: the
+        # objective keeps psi and its target rows from the call before across
+        # a generator move, and U across a state move.
+        generator_move = step % 2 == 0
+        index = rng.integers(problem.u_params) if generator_move else problem.u_params + step % problem.s_params
+        def kept_parts():
+            return (problem._psi, *problem._targets) if generator_move else (problem._u,)
+
+        kept = kept_parts()
+        for delta in (0.5 ** step, -0.5 ** step):
+            candidate = theta.copy()
+            candidate[index] += delta
+            value, map_a, map_b = problem.objective(candidate, *sides)
+            want, want_a, want_b = reference_objective(problem, candidate, maps_a, maps_b)
+            assert value == want
+            assert np.array_equal(map_a, want_a) and np.array_equal(map_b, want_b)
+        assert all(now is before for now, before in zip(kept_parts(), kept))
+        theta = candidate
