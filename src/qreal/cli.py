@@ -387,8 +387,6 @@ def _cmd_measure(args, tol: ToleranceConfig) -> int:
 
 def _cmd_search(args, tol: ToleranceConfig) -> int:
     a, b = _load_pair(args, tol)
-    if args.probe_dim < 2:
-        raise DataError("--probe-dim must be at least 2")
     if not (np.isfinite(args.success_tol) and args.success_tol >= 0):
         raise DataError("--success-tol must be a finite non-negative number")
     result = search_simultaneous(
@@ -458,10 +456,7 @@ def main(argv=None) -> int:
     try:
         tol = _tolerances(args)
         return _COMMANDS[args.command](args, tol)
-    except QrealError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError, OverflowError) as exc:
+    except (QrealError, OSError, ValueError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,7 +42,7 @@ from .numlin import (
     op_norm,
 )
 from .qlogic import _cluster_defect, _state_rows, jointly_determinate, value_identity
-from .spectral import Observable, _meter_labels, spectral_family
+from .spectral import Observable, _meter_labels, spectral_family, spectral_projection
 
 
 class MeasurementModel:
@@ -60,7 +60,10 @@ class MeasurementModel:
         joint = sys_dim * probe_dim
         if u.shape[0] != joint:
             raise DimMismatchError(f"coupling is {u.shape[0]}x{u.shape[0]}, expected {joint}")
-        residual = u.conj().T @ u - np.eye(joint)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing residual is rejected
+            residual = u.conj().T @ u - np.eye(joint)
+        if not np.all(np.isfinite(residual)):
+            raise NotUnitaryError("coupling deviates from unitarity by nan")
         if not norm_within(residual, tol.eq_tol):
             raise NotUnitaryError(f"coupling deviates from unitarity by {op_norm(residual):.3e}")
         if meter.dim != probe_dim:
@@ -385,12 +388,10 @@ class _SearchProblem:
         self.n = a.dim
         self.k = probe_dim
         self.joint = self.n * self.k
-        fam_a = spectral_family(a, tol=tol)
-        fam_b = spectral_family(b, tol=tol)
-        self.vals_a = fam_a.eigenvalues
-        self.vals_b = fam_b.eigenvalues
-        self.proj_a = np.stack([p.matrix for p in fam_a.projections])
-        self.proj_b = np.stack([p.matrix for p in fam_b.projections])
+        self.vals_a = spectral_family(a, tol=tol).eigenvalues
+        self.vals_b = spectral_family(b, tol=tol).eigenvalues
+        self.proj_a = np.stack([spectral_projection(a, [lam], tol).matrix for lam in self.vals_a])
+        self.proj_b = np.stack([spectral_projection(b, [lam], tol).matrix for lam in self.vals_b])
         self.xi = np.eye(self.k, dtype=complex)[0]
         # The meter diag(1..k) read in the probe basis: outcome m is |m>.
         self.meter_columns = np.eye(self.k, dtype=complex)
@@ -408,10 +409,10 @@ class _SearchProblem:
         """Assignments meter outcome -> eigenvalue index, one (maps, one-hot)
         pair per side; the one-hot rows are complex, as the rows they sum.
 
-        Exhaustive below the size guard; beyond it, a seeded sample plus all
-        constant assignments (those solve any eigenstate measurement)."""
+        Exhaustive up to 256 assignments a side; beyond that, a seeded sample
+        plus all constant assignments (those solve any eigenstate measurement)."""
         def side(count: int):
-            if self.k * max(len(self.vals_a), len(self.vals_b)) <= 64:
+            if count ** self.k <= 256:
                 combos = list(itertools.product(range(count), repeat=self.k))
             else:
                 picks = {tuple(int(x) for x in rng.integers(0, count, size=self.k))

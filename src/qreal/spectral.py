@@ -9,7 +9,8 @@ find computed eigenvalues like 0.9999999999.
 An observable's :class:`SpectralFamily` (eigenvalues, eigenvectors and
 cluster slices from one ``eigh``) is computed once per ``ToleranceConfig``
 and kept on the immutable ``Observable``, so asking one object many
-questions diagonalises its matrix once; d×d projections are formed on demand.
+questions diagonalises its matrix once.  :func:`spectral_projection` is the
+one constructor of a spectral ``Projection``.
 """
 
 from __future__ import annotations
@@ -65,19 +66,16 @@ class Observable:
 
 
 class SpectralFamily:
-    """Distinct eigenvalues of an observable and their spectral projections,
-    from one ``eigh``.
+    """The columns of an observable's spectral resolution, from one ``eigh``.
 
-    ``eigenvalues`` ascend, pairwise more than eig_cluster_tol apart;
-    ``vectors`` is the read-only unitary V, ``slices`` its column slices
-    spanning each eigenspace and ``column_values`` each column's eigenvalue;
-    the package computes from these.  The member projections, mutually
-    orthogonal and summing to the identity, take V's slice as range and the
-    other columns as kernel; they are formed on first use and kept, and
-    inside the package only the witness search's set-up reads their matrices.
+    ``eigenvalues`` are the distinct eigenvalues, ascending and pairwise more
+    than eig_cluster_tol apart; ``vectors`` is the read-only unitary V,
+    ``slices`` its column slices spanning each eigenspace and
+    ``column_values`` each column's eigenvalue.  The package computes from
+    these columns; :func:`spectral_projection` forms the projections.
     """
 
-    __slots__ = ("eigenvalues", "vectors", "slices", "column_values", "_projections")
+    __slots__ = ("eigenvalues", "vectors", "slices", "column_values")
 
     def __init__(self, eigenvalues: Iterable[float], vectors: np.ndarray, slices: Iterable[slice]):
         object.__setattr__(self, "eigenvalues", tuple(float(v) for v in eigenvalues))
@@ -86,24 +84,9 @@ class SpectralFamily:
         column_values = np.repeat(self.eigenvalues, [sl.stop - sl.start for sl in self.slices])
         column_values.setflags(write=False)
         object.__setattr__(self, "column_values", column_values)
-        object.__setattr__(self, "_projections", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectralFamily is immutable")
-
-    @property
-    def projections(self) -> tuple[Projection, ...]:
-        if self._projections is None:
-            v = self.vectors
-            object.__setattr__(self, "_projections", tuple(
-                Projection._spanned(v[:, sl], np.delete(v, sl, axis=1)) for sl in self.slices))
-        return self._projections
-
-    def __iter__(self):
-        return zip(self.eigenvalues, self.projections)
-
-    def __len__(self):
-        return len(self.slices)
 
 
 def cluster_indices(values, gap: float) -> list[slice]:

@@ -18,7 +18,7 @@ from qreal import (
     spectral_projection,
 )
 from qreal.errors import EmptyFamilyError
-from qreal.numlin import null_basis
+from qreal.numlin import _hermitian_part, null_basis
 
 
 def reference_is_hermitian(matrix, tol=DEFAULT_TOL) -> bool:
@@ -351,6 +351,23 @@ def joint_space_defect(model, a, label_map, psi) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Spectral projections read one eigenvalue at a time.
+
+
+def eigenspaces(obs, tol=DEFAULT_TOL) -> list[tuple[float, Projection]]:
+    """(λ, E^A(λ)) for every distinct eigenvalue λ, each projection from
+    spectral_projection(obs, [λ])."""
+    return [(lam, spectral_projection(obs, [lam], tol)) for lam in spectral_family(obs, tol).eigenvalues]
+
+
+def reference_eigenprojectors(family) -> np.ndarray:
+    """The stacked d×d matrices Herm(V_c V_c†), one per column slice c of the
+    family's eigenvector matrix V: the spectral projections as first formed."""
+    v = family.vectors
+    return np.stack([_hermitian_part(v[:, sl] @ v[:, sl].conj().T) for sl in family.slices])
+
+
+# ---------------------------------------------------------------------------
 # The cluster-sum rule as first written: a Python scan over the sorted values
 # of both families, fed with d×d spectral projections.  The certificate,
 # perfect correlation and [A = B] must give the verdicts it gives.
@@ -379,17 +396,17 @@ def reference_certificate_defect(model, a, label_map, psi, tol=DEFAULT_TOL) -> f
     u, xi = model.unitary, model.probe_state
     phi = (u @ np.kron(psi, xi)).reshape(model.sys_dim, -1)
     outputs = []
-    for m, proj in spectral_family(model.meter, tol):
+    for m, proj in eigenspaces(model.meter, tol):
         key = next(k for k in label_map if abs(m - k) <= tol.eig_cluster_tol)
         outputs.append((float(label_map[key]), ((phi @ proj.matrix.T).reshape(-1).conj() @ u).conj()))
     outputs += [(float(v), np.zeros(u.shape[0], complex)) for v in label_map.values()]
-    targets = [(lam, np.kron(p.matrix @ psi, xi)) for lam, p in spectral_family(a, tol)]
+    targets = [(lam, np.kron(p.matrix @ psi, xi)) for lam, p in eigenspaces(a, tol)]
     return max(float(np.linalg.norm(d)) for d in reference_spectral_differences(outputs, targets, tol))
 
 
 def reference_perfectly_correlated(a, b, psi, tol=DEFAULT_TOL) -> bool:
     """Every cluster's E^A(c) psi equals its E^B(c) psi within eq_tol."""
-    fam_a, fam_b = ([(lam, p.matrix @ psi) for lam, p in spectral_family(obs, tol)] for obs in (a, b))
+    fam_a, fam_b = ([(lam, p.matrix @ psi) for lam, p in eigenspaces(obs, tol)] for obs in (a, b))
     return all(np.linalg.norm(d) <= tol.eq_tol for d in reference_spectral_differences(fam_a, fam_b, tol))
 
 

@@ -422,6 +422,13 @@ def test_search_rejects_a_budget_below_one(data_dir, capsys, value):
     assert err.startswith("error:") and "budget" in err
 
 
+def test_search_rejects_a_probe_dim_below_two(data_dir, capsys):
+    sigma_z = str(data_dir / "obs_sigma_z.json")
+    code, out, err = run_cli(capsys, "search", sigma_z, sigma_z, "--probe-dim", "1", "--restarts", "1")
+    assert code == 2 and out is None
+    assert re.fullmatch(r"error: [^\n]*probe.dim[^\n]*\n", err)
+
+
 @pytest.mark.parametrize("command", ["eval", "measure"])
 def test_repeated_observable_name_exits_two(data_dir, capsys, command):
     x, z = data_dir / "obs_sigma_x.json", data_dir / "obs_sigma_z.json"

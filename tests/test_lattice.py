@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from corpus import kernel, stacked_com_family
+from corpus import eigenspaces, kernel, stacked_com_family
 from qreal import (
     KET_MINUS,
     KET_PLUS,
@@ -19,7 +19,7 @@ from qreal import (
 )
 from qreal.errors import DimMismatchError, EmptyFamilyError
 from qreal.numlin import op_norm
-from qreal.spectral import Observable, spectral_family
+from qreal.spectral import Observable
 from qreal.standard import random_projection_matrix, random_unitary
 
 
@@ -269,8 +269,7 @@ def test_com_family_validation_and_fixed_points():
 
 
 def test_com_family_of_pauli_spectra_is_zero():
-    projections = list(spectral_family(Observable(PAULI_X)).projections)
-    projections += list(spectral_family(Observable(PAULI_Y)).projections)
+    projections = [p for obs in (PAULI_X, PAULI_Y) for _, p in eigenspaces(Observable(obs))]
     assert com_family(projections).rank == 0
 
 

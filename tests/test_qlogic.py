@@ -5,6 +5,7 @@ import pytest
 
 from corpus import (
     PLANTED_KINDS,
+    eigenspaces,
     equality_corpus,
     nowhere_pair,
     planted_pair,
@@ -31,7 +32,6 @@ from qreal import (
     nowhere_commuting,
     parse,
     perfectly_correlated,
-    spectral_family,
     truth_projection,
     value_identity,
 )
@@ -331,7 +331,7 @@ def test_jpd_agrees_with_joint_determinateness():
 def _meet_weights(oa, ob, psi):
     """Born weights of the meets E^A(λ) ∧ E^B(μ): the lattice-route JPD."""
     return {(lam, mu): float(np.real(np.vdot(psi, meet(pa, pb).apply(psi))))
-            for lam, pa in spectral_family(oa) for mu, pb in spectral_family(ob)}
+            for lam, pa in eigenspaces(oa) for mu, pb in eigenspaces(ob)}
 
 
 def test_joint_eigenspaces_match_stacked_reference_on_planted_pairs():
@@ -340,7 +340,7 @@ def test_joint_eigenspaces_match_stacked_reference_on_planted_pairs():
         for dim in range(3, 11):
             a, b, rank = planted_pair(kind, dim, rng)
             oa, ob = Observable(a), Observable(b)
-            projections = [p for obs in (oa, ob) for p in spectral_family(obs).projections]
+            projections = [p for obs in (oa, ob) for _, p in eigenspaces(obs)]
             want = stacked_com_family(projections)
             psi = random_state(dim, rng)
             flag, com = jointly_determinate([oa, ob], psi)

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,38 @@ def test_progress_callback_and_early_exit():
     assert calls[0][0] == 0
     assert len(calls) == 1
     assert result.restart_index == 0
+
+
+def test_progress_callback_leaves_the_search_bit_identical():
+    pair = Observable(PAULI_X, name="A"), Observable(PAULI_Y, name="B")
+    plain = search_simultaneous(*pair, probe_dim=2, restarts=3, seed=0, budget=200)
+    calls = []
+    watched = search_simultaneous(*pair, probe_dim=2, restarts=3, seed=0, budget=200,
+                                  progress=lambda index, defect: calls.append(index))
+    assert calls == [0, 1, 2]
+    assert np.array_equal(plain.model.unitary, watched.model.unitary)
+    assert np.array_equal(plain.psi, watched.psi)
+    assert plain.map_a == watched.map_a and plain.map_b == watched.map_b
+    assert plain.defect == watched.defect and plain.restart_index == watched.restart_index
+
+    def records(result):
+        return [{**asdict(record), "wall_ms": None} for record in result.telemetry]
+
+    assert records(plain) == records(watched)
+
+
+def test_label_maps_are_enumerated_up_to_256_a_side():
+    x, y = Observable(PAULI_X, name="A"), Observable(PAULI_Y, name="B")
+    for k, exhaustive in ((8, True), (9, False), (14, False)):
+        problem = _SearchProblem(x, y, k, DEFAULT_TOL)
+        for maps, one_hot in problem.candidate_maps(np.random.default_rng(0)):
+            assert one_hot.shape == (len(maps), 2, k)
+            if exhaustive:
+                assert len(maps) == 2 ** k
+            else:
+                # A seeded sample of 64 plus both constant maps, not 2**k.
+                assert len(maps) <= 64 + 2
+                assert {(0,) * k, (1,) * k} <= set(map(tuple, maps))
 
 
 def test_telemetry_has_one_record_per_restart_that_ran(monkeypatch):

@@ -16,8 +16,11 @@ from qreal import (
 )
 from qreal import numlin
 from qreal.errors import DimMismatchError, NotHermitianError, UnmappedEigenvalueError
+from qreal.measure import _SearchProblem
 from qreal.spectral import _meter_labels, cluster_indices
 from qreal.standard import random_hermitian, random_state, random_unitary
+
+from corpus import eigenspaces, reference_eigenprojectors
 
 
 def test_observable_validation_and_metadata():
@@ -33,7 +36,7 @@ def test_observable_and_its_spectrum_share_one_hermiticity_rule():
     # Tiny entries: the defect 1e-15 is within eq_tol * max(1, ||m||).
     obs = Observable(1e-12 * np.array([[0.0, 1.0], [1.001, 0.0]]))
     fam = spectral_family(obs)
-    assert len(fam) == 1 and fam.projections[0].rank == 2
+    assert len(fam.eigenvalues) == 1 and spectral_projection(obs, fam.eigenvalues).rank == 2
 
 
 def test_spectral_family_near_float_max():
@@ -64,8 +67,9 @@ def test_spectral_family_resolution_of_identity():
     for _ in range(25):
         dim = int(rng.integers(2, 6))
         m = random_hermitian(dim, rng)
-        fam = spectral_family(Observable(m))
-        projections = [p.matrix for p in fam.projections]
+        obs = Observable(m)
+        fam = spectral_family(obs)
+        projections = [p.matrix for _, p in eigenspaces(obs)]
         assert np.allclose(sum(projections), np.eye(dim), atol=1e-10)
         rebuilt = sum(lam * p for lam, p in zip(fam.eigenvalues, projections))
         assert np.allclose(rebuilt, m, atol=1e-10)
@@ -78,9 +82,10 @@ def test_spectral_family_resolution_of_identity():
 
 def test_spectral_family_merges_near_degenerate_eigenvalues():
     m = np.diag([1.0, 1.0 + 1e-12, 2.0])
-    fam = spectral_family(Observable(m))
-    assert len(fam) == 2
-    assert fam.projections[0].rank == 2
+    obs = Observable(m)
+    fam = spectral_family(obs)
+    assert len(fam.eigenvalues) == 2
+    assert spectral_projection(obs, [fam.eigenvalues[0]]).rank == 2
     assert fam.eigenvalues[1] == pytest.approx(2.0)
 
 
@@ -156,10 +161,9 @@ def test_spectrum_is_kept_on_the_observable():
     obs = Observable(random_hermitian(4, np.random.default_rng(13)))
     family = spectral_family(obs)
     assert spectral_family(obs) is family
-    assert family.projections[0] is family.projections[0]
     v = family.vectors
     assert not v.flags.writeable
-    assert not any(p.matrix.flags.writeable for p in family.projections)
+    assert not any(p.matrix.flags.writeable for _, p in eigenspaces(obs))
     with pytest.raises(ValueError):
         v[0, 0] = 0.0
 
@@ -170,7 +174,7 @@ def test_spectrum_cache_is_keyed_by_tolerance(fine_first):
     fine = ToleranceConfig(eig_cluster_tol=1e-10)
     order = [(fine, 3), (DEFAULT_TOL, 2)]
     for tol, clusters in (order if fine_first else order[::-1]):
-        assert len(spectral_family(obs, tol)) == clusters
+        assert len(spectral_family(obs, tol).eigenvalues) == clusters
         assert len(spectral_family(obs, tol).slices) == clusters
         assert len(born_distribution(obs, [1.0, 0.0, 0.0], tol)) == clusters
         # 0 matches {0, 1e-9} when merged, {0} alone when split.
@@ -178,10 +182,11 @@ def test_spectrum_cache_is_keyed_by_tolerance(fine_first):
 
 
 @st.composite
-def planted_hermitian(draw):
+def planted_hermitian(draw, dim=None):
     """A = V diag(values) V† with repeated values (planted degeneracies),
-    each jittered far below eig_cluster_tol; returns (A, distinct values)."""
-    values = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=7))
+    each jittered far below eig_cluster_tol, of dimension ``dim`` or 1-7;
+    returns (A, distinct values)."""
+    values = draw(st.lists(st.integers(-3, 3), min_size=dim or 1, max_size=dim or 7))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     jittered = np.array(values, dtype=float) + rng.uniform(-1e-12, 1e-12, size=len(values))
     v = random_unitary(len(values), rng)
@@ -192,9 +197,10 @@ def planted_hermitian(draw):
 @given(planted_hermitian())
 def test_spectral_family_resolves_planted_degeneracies(case):
     m, distinct = case
-    fam = spectral_family(Observable(m))
+    obs = Observable(m)
+    fam = spectral_family(obs)
     assert fam.eigenvalues == pytest.approx(distinct, abs=1e-10)
-    projections = [p.matrix for p in fam.projections]
+    projections = [p.matrix for _, p in eigenspaces(obs)]
     dim = m.shape[0]
     assert np.linalg.norm(sum(projections) - np.eye(dim), 2) < 1e-10
     assert np.linalg.norm(sum(lam * p for lam, p in zip(fam.eigenvalues, projections)) - m, 2) < 1e-10
@@ -207,13 +213,26 @@ def test_spectral_family_resolves_planted_degeneracies(case):
 @given(planted_hermitian())
 def test_kept_spectrum_is_bit_identical_to_a_fresh_one(case):
     m, _ = case
-    kept = Observable(m)
+    kept, new = Observable(m), Observable(m)
     spectral_family(kept)
-    cached, fresh = spectral_family(kept), spectral_family(Observable(m))
+    cached, fresh = spectral_family(kept), spectral_family(new)
     assert cached.eigenvalues == fresh.eigenvalues
     assert all(np.array_equal(p.matrix, q.matrix)
-               for p, q in zip(cached.projections, fresh.projections))
+               for (_, p), (_, q) in zip(eigenspaces(kept), eigenspaces(new)))
     assert cached.slices == fresh.slices and np.array_equal(cached.vectors, fresh.vectors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_hermitian(), st.data())
+def test_search_slot_matrices_are_the_first_formed_projections(case, data):
+    # The witness search stacks spectral_projection(obs, [λ]) per eigenvalue;
+    # each must equal Herm(V_c V_c†) of its column slice bit for bit, the
+    # form its kernels were pinned against.
+    a = Observable(case[0])
+    b = Observable(data.draw(planted_hermitian(a.dim))[0])
+    problem = _SearchProblem(a, b, 2, DEFAULT_TOL)
+    assert np.array_equal(problem.proj_a, reference_eigenprojectors(spectral_family(a)))
+    assert np.array_equal(problem.proj_b, reference_eigenprojectors(spectral_family(b)))
 
 
 def test_first_spectral_family_decides_no_hermiticity(monkeypatch):
