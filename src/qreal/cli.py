@@ -157,8 +157,12 @@ def load_model(path: str, tol: ToleranceConfig) -> tuple[MeasurementModel, np.nd
         raise DataError(f"{path}: 'label_maps' must be an object")
     label_maps = {}
     for name, pairs in maps.items():
-        label_maps[name] = dict(_number_pairs(
-            pairs, path, f"label map {name!r} must be [eigenvalue, output] pairs").tolist())
+        label_map = label_maps[name] = {}
+        for value, output in _number_pairs(
+                pairs, path, f"label map {name!r} must be [eigenvalue, output] pairs").tolist():
+            if value in label_map:
+                raise DataError(f"{path}: label map {name!r} repeats eigenvalue {value!r}")
+            label_map[value] = output
     try:
         model = MeasurementModel(
             sys_dim=n, probe_dim=k, probe_state=xi, unitary=u,

@@ -22,8 +22,10 @@ value identity, so only ``meter_output`` forms a joint-space operator.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
 import time
 from dataclasses import asdict, dataclass
 from typing import Mapping
@@ -563,6 +565,85 @@ def _pattern_search(problem: _SearchProblem, rng: np.random.Generator, budget: i
     return u, psi, best_a, best_b, telemetry
 
 
+def _serve_restarts(run, indices, conn) -> None:
+    """A search worker: send ``run(i)`` down ``conn`` for each i in
+    ``indices``, in order, or the exception it raised and stop.  Ctrl-C is
+    left to the parent, which terminates its workers."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for index in indices:
+        try:
+            record = run(index)
+        except Exception as exc:
+            conn.send(exc)
+            return
+        conn.send(record)
+
+
+def _restart_records(run, restarts: int):
+    """Yield ``run(i)`` for i = 0 .. restarts - 1, in index order.
+
+    Restart 0 runs in this process, so a search it wins forks nothing.  The
+    rest go to W = _search_workers(restarts - 1) forked workers, worker w
+    taking restarts 1 + w, 1 + w + W, ..., each read back from its own pipe.
+    A worker that dies before sending its restart raises ChildProcessError
+    here, and closing the generator terminates and joins every worker."""
+    yield run(0)
+    workers = _search_workers(restarts - 1)
+    if workers <= 1:
+        yield from map(run, range(1, restarts))
+        return
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    started = []
+    try:
+        for w in range(workers):
+            receive, send = context.Pipe(duplex=False)
+            process = context.Process(target=_serve_restarts, daemon=True,
+                                      args=(run, range(1 + w, restarts, workers), send))
+            process.start()
+            # Closed before the next fork, so the worker holds the only write
+            # end and its death reads as EOF.
+            send.close()
+            started.append((process, receive))
+        for index in range(1, restarts):
+            process, receive = started[(index - 1) % workers]
+            try:
+                record = receive.recv()
+            except EOFError:
+                process.join()
+                raise ChildProcessError(f"search worker for restart {index} died "
+                                        f"(exit code {process.exitcode})") from None
+            if isinstance(record, Exception):
+                raise record
+            yield record
+    finally:
+        for process, _ in started:
+            process.terminate()
+        for process, receive in started:
+            process.join()
+            receive.close()
+
+
+def _search_workers(restarts: int) -> int:
+    """Processes to run the restarts in: one per usable CPU, at most one per
+    restart.  1, meaning this process, where fork is unavailable, where
+    another thread runs (fork copies only the calling thread, and a lock
+    that thread holds stays held in the child), or where this process is a
+    daemon, which may not have children.  Fork, not spawn: a spawned worker
+    would import numpy and qreal afresh on every search."""
+    import multiprocessing
+    import threading
+
+    if ("fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1
+            or multiprocessing.current_process().daemon):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(restarts, cpus)
+
+
 def search_simultaneous(a: Observable, b: Observable, probe_dim: int, restarts: int = 20,
                         seed: int = 0, budget: int = 3000,
                         tol: ToleranceConfig = DEFAULT_TOL,
@@ -578,12 +659,19 @@ def search_simultaneous(a: Observable, b: Observable, probe_dim: int, restarts: 
     and the winner is the lowest-index restart reaching defect <= tol.eq_tol
     (below the tolerance at which states are equated, more restarts cannot
     change any decision), else the overall minimum with ties to the lowest
-    index, so evaluating restarts serially or concurrently yields the same
-    record.  Exhausting the budget is not an error; the best record found is
+    index.  Restart 0 runs in this process; if it does not win, the rest run
+    in min(restarts - 1, usable CPUs) forked processes and are read back in
+    index order, so the record, the telemetry and the ``progress`` calls are
+    bit-identical to running them one after another, which the search does
+    in this process when one CPU is usable, fork is unavailable, another
+    thread runs or this process is a daemon.  A worker killed from outside
+    raises ChildProcessError.
+    Exhausting the budget is not an error; the best record found is
     returned regardless.
-    ``progress``, when given, is called with (restart_index, defect) after
-    each restart.  The result's ``telemetry`` holds one
-    :class:`RestartTelemetry` per restart that ran.
+    ``progress``, when given, is called in this process with
+    (restart_index, defect) after each restart, in index order.  The
+    result's ``telemetry`` holds one :class:`RestartTelemetry` per restart
+    up to the winner; restarts a worker ran past it are discarded.
     """
     if a.dim != b.dim:
         raise DimMismatchError(f"dims differ: {a.dim} vs {b.dim}")
@@ -594,18 +682,21 @@ def search_simultaneous(a: Observable, b: Observable, probe_dim: int, restarts: 
     if budget < 1:
         raise ValueError("budget must be at least 1")
     problem = _SearchProblem(a, b, probe_dim, tol)
+
+    def run(index: int):
+        return _pattern_search(problem, np.random.default_rng(seed + index), budget, index)
+
     best = None
     telemetry = []
-    for index in range(restarts):
-        rng = np.random.default_rng(seed + index)
-        u, psi, g_a, g_b, record = _pattern_search(problem, rng, budget, index)
-        telemetry.append(record)
-        if progress is not None:
-            progress(index, record.defect)
-        if best is None or record.defect < best[0]:
-            best = (record.defect, u, psi, g_a, g_b, index)
-        if best[0] <= tol.eq_tol:
-            break
+    with contextlib.closing(_restart_records(run, restarts)) as records:
+        for u, psi, g_a, g_b, record in records:
+            telemetry.append(record)
+            if progress is not None:
+                progress(record.index, record.defect)
+            if best is None or record.defect < best[0]:
+                best = (record.defect, u, psi, g_a, g_b, record.index)
+            if best[0] <= tol.eq_tol:
+                break
 
     _, u, psi, g_a, g_b, index = best
     map_a = {float(m + 1): problem.vals_a[slot] for m, slot in enumerate(g_a)}

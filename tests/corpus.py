@@ -9,15 +9,19 @@ import scipy.linalg
 
 from qreal import (
     DEFAULT_TOL,
+    MeasurementModel,
+    Observable,
     Projection,
     biconditional,
     meet,
     random_state,
     random_unitary,
+    simultaneously_measures,
     spectral_family,
     spectral_projection,
 )
 from qreal.errors import EmptyFamilyError
+from qreal.measure import SearchResult, _pattern_search, _SearchProblem
 from qreal.numlin import _hermitian_part, null_basis
 
 
@@ -507,3 +511,47 @@ def reference_polish(problem, u: np.ndarray, maps_a: np.ndarray, maps_b: np.ndar
         if best is None or defect < best[0]:
             best = (defect, psi, maps_a[ia], maps_b[ib])
     return best
+
+
+def serial_search(a, b, probe_dim: int, restarts: int = 20, seed: int = 0, budget: int = 3000,
+                  tol=DEFAULT_TOL, progress=None) -> SearchResult:
+    """The witness search's restart loop run one restart after another in
+    this process: the record, telemetry and ``progress`` calls that any
+    evaluation order of the restarts must reproduce bit for bit."""
+    problem = _SearchProblem(a, b, probe_dim, tol)
+    best = None
+    telemetry = []
+    for index in range(restarts):
+        rng = np.random.default_rng(seed + index)
+        u, psi, g_a, g_b, record = _pattern_search(problem, rng, budget, index)
+        telemetry.append(record)
+        if progress is not None:
+            progress(index, record.defect)
+        if best is None or record.defect < best[0]:
+            best = (record.defect, u, psi, g_a, g_b, index)
+        if best[0] <= tol.eq_tol:
+            break
+
+    _, u, psi, g_a, g_b, index = best
+    map_a = {float(m + 1): problem.vals_a[slot] for m, slot in enumerate(g_a)}
+    map_b = {float(m + 1): problem.vals_b[slot] for m, slot in enumerate(g_b)}
+    meter = Observable(np.diag(np.arange(1, probe_dim + 1)).astype(complex), name="M", tol=tol)
+    model = MeasurementModel(
+        sys_dim=a.dim, probe_dim=probe_dim, probe_state=problem.xi, unitary=u,
+        meter=meter, label_maps={"fA": map_a, "fB": map_b}, tol=tol,
+    )
+    report = simultaneously_measures(model, a, map_a, b, map_b, psi, tol=tol)
+    final = max(report.cert_a.defect, report.cert_b.defect)
+    return SearchResult(model=model, psi=psi, map_a=map_a, map_b=map_b,
+                        defect=final, restart_index=index, telemetry=tuple(telemetry))
+
+
+def kd_distribution(a, b, psi, tol=DEFAULT_TOL) -> np.ndarray:
+    """Kirkwood–Dirac quasi-distribution q(c, d) = ⟨ψ|E^A(c) E^B(d)|ψ⟩, rows
+    by A's eigenvalues and columns by B's, both ascending, read off the
+    families' columns: q(c, d) = (V_c†ψ)† (V_c† W_d) (W_d†ψ)."""
+    fa, fb = spectral_family(a, tol=tol), spectral_family(b, tol=tol)
+    left = [fa.vectors[:, sl] for sl in fa.slices]
+    right = [fb.vectors[:, sl] for sl in fb.slices]
+    return np.array([[(v.conj().T @ psi).conj() @ (v.conj().T @ w) @ (w.conj().T @ psi)
+                      for w in right] for v in left])

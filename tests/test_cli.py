@@ -361,6 +361,20 @@ def test_model_unitarity_drift_gate(data_dir, tmp_path, capsys, drift, code):
         assert out["observables"]["Z"]["defect"] <= 1e-12
 
 
+def test_label_map_repeating_an_eigenvalue_exits_two(data_dir, tmp_path, capsys):
+    # Read as a dict, the last pair would win and the certificate fail (exit 1).
+    model = json.loads((data_dir / "model_headline.json").read_text(encoding="utf-8"))
+    model["label_maps"]["fA"] = [[-1, -1], [1, 1], [1, -1]]
+    code, out, err = run_cli(
+        capsys, "measure", _write_json(tmp_path / "model.json", model),
+        "--state", str(data_dir / "state_plus.json"),
+        "--observable", f"X={data_dir / 'obs_sigma_x.json'}", "--map", "fA",
+    )
+    assert code == 2 and out is None
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "label map 'fA' repeats eigenvalue 1.0" in err
+
+
 # ---------------------------------------------------------------------------
 # search
 

@@ -1,3 +1,10 @@
+import contextlib
+import functools
+import multiprocessing
+import os
+import signal
+import threading
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -13,12 +20,14 @@ from qreal import (
     measures_in_state,
     search_simultaneous,
 )
+from qreal import measure
 from qreal.cli import load_model
 from qreal.errors import DimMismatchError
 from qreal.measure import _SearchProblem, _state_from_params
 from qreal.standard import random_hermitian, random_state, random_unitary
 
 from corpus import (
+    kd_distribution,
     reference_defects,
     reference_objective,
     reference_outcome_rows,
@@ -26,7 +35,13 @@ from corpus import (
     reference_state,
     reference_target_rows,
     reference_unitary,
+    serial_search,
 )
+
+
+def _records(result):
+    """The telemetry as dicts, without the one field a rerun may change."""
+    return [{**asdict(record), "wall_ms": None} for record in result.telemetry]
 
 
 def test_search_validates_arguments():
@@ -105,11 +120,7 @@ def test_progress_callback_leaves_the_search_bit_identical():
     assert np.array_equal(plain.psi, watched.psi)
     assert plain.map_a == watched.map_a and plain.map_b == watched.map_b
     assert plain.defect == watched.defect and plain.restart_index == watched.restart_index
-
-    def records(result):
-        return [{**asdict(record), "wall_ms": None} for record in result.telemetry]
-
-    assert records(plain) == records(watched)
+    assert _records(plain) == _records(watched)
 
 
 def test_label_maps_are_enumerated_up_to_256_a_side():
@@ -135,6 +146,8 @@ def test_telemetry_has_one_record_per_restart_that_ran(monkeypatch):
         return objective(self, theta, side_a, side_b)
 
     monkeypatch.setattr(_SearchProblem, "objective", counted)
+    # The counter sees only evaluations made in this process.
+    monkeypatch.setattr(measure, "_search_workers", lambda restarts: 1)
     z = Observable(PAULI_Z, name="A")
     planted = search_simultaneous(z, Observable(3 * PAULI_Z, name="B"),
                                   probe_dim=2, restarts=5, seed=0)
@@ -170,6 +183,204 @@ def test_search_reports_nonzero_defect_when_budget_is_tiny():
     cert = measures_in_state(result.model, Observable(PAULI_X, name="A"),
                              result.map_a, result.psi)
     assert cert.defect <= result.defect + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Restarts run in forked worker processes and are read back in index order,
+# so the record, the telemetry and the progress calls are the serial loop's.
+
+_CASES = {
+    # X/Y at the defaults: restart 8 is the first to reach eq_tol.
+    "headline": (PAULI_X, PAULI_Y, {}),
+    # Z and 3Z: restart 0 certifies, so no other restart is read.
+    "planted": (PAULI_Z, 3 * PAULI_Z, {"restarts": 5}),
+    # X/Y on a budget of 150: no restart certifies and the minimum wins.
+    "short": (PAULI_X, PAULI_Y, {"restarts": 3, "budget": 150}),
+}
+
+
+def _run_case(search, case: str, progress=None):
+    """``search`` on ``case`` at seed 0 and probe dimension 2; the result and
+    the (index, defect) progress calls."""
+    a_matrix, b_matrix, options = _CASES[case]
+    calls = []
+
+    def record(index, defect):
+        calls.append((index, defect))
+        if progress is not None:
+            progress(index, defect)
+
+    result = search(Observable(a_matrix, name="A"), Observable(b_matrix, name="B"),
+                    probe_dim=2, seed=0, progress=record, **options)
+    return result, calls
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(case: str):
+    return _run_case(serial_search, case)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_search_is_bit_identical_to_the_serial_loop(monkeypatch, case, workers):
+    monkeypatch.setattr(measure, "_search_workers", lambda restarts: workers)
+    reference, reference_calls = _reference(case)
+    result, calls = _run_case(search_simultaneous, case)
+    assert calls == reference_calls
+    assert np.array_equal(result.model.unitary, reference.model.unitary)
+    assert np.array_equal(result.psi, reference.psi)
+    assert result.map_a == reference.map_a and result.map_b == reference.map_b
+    assert result.defect == reference.defect
+    assert result.restart_index == reference.restart_index
+    assert _records(result) == _records(reference)
+    assert calls == [(record.index, record.defect) for record in result.telemetry]
+    if case == "headline":
+        assert result.restart_index == 8 and len(calls) == 9
+        assert result.defect == float.fromhex("0x1.a50c4c252a281p-31")
+        assert sum(record.evals for record in result.telemetry) == 23205
+    elif case == "planted":
+        assert result.restart_index == 0 and len(calls) == 1
+    else:
+        assert len(calls) == 3 and result.defect > DEFAULT_TOL.eq_tol
+
+
+class _Stop(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail, rather than hang, a search left waiting on a worker."""
+    def expire(signum, frame):
+        raise TimeoutError(f"search still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_search_leaves_no_worker_process(monkeypatch):
+    monkeypatch.setattr(measure, "_search_workers", lambda restarts: 2)
+    for case in ("planted", "short"):  # a success, then a search that falls short
+        _run_case(search_simultaneous, case)
+        assert multiprocessing.active_children() == []
+
+    def stop_at_one(index, defect):
+        if index == 1:
+            raise _Stop
+
+    with pytest.raises(_Stop):
+        _run_case(search_simultaneous, "short", progress=stop_at_one)
+    assert multiprocessing.active_children() == []
+
+    # A restart that raises in its worker raises here, after restart 0, which
+    # ran in this process, is read; the other worker, still busy, is
+    # terminated, not waited for.
+    pattern_search = measure._pattern_search
+
+    def failing(problem, rng, budget, index):
+        if index == 1:
+            raise _Stop
+        if index == 2:
+            time.sleep(600)
+        return pattern_search(problem, rng, budget, index)
+
+    monkeypatch.setattr(measure, "_pattern_search", failing)
+    seen = []
+    with _deadline(60), pytest.raises(_Stop):
+        _run_case(search_simultaneous, "short", progress=lambda index, defect: seen.append(index))
+    assert seen == [0]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_search_won_by_restart_zero_forks_nothing(monkeypatch):
+    def no_workers(restarts):
+        raise AssertionError("asked for workers")
+
+    monkeypatch.setattr(measure, "_search_workers", no_workers)
+    result, calls = _run_case(search_simultaneous, "planted")
+    assert result.restart_index == 0 and calls == _reference("planted")[1]
+
+
+def test_a_worker_killed_from_outside_raises_and_leaves_no_process(monkeypatch):
+    monkeypatch.setattr(measure, "_search_workers", lambda restarts: 2)
+    pattern_search = measure._pattern_search
+
+    def killed(problem, rng, budget, index):
+        if index == 2:  # the second worker's only restart
+            os.kill(os.getpid(), signal.SIGKILL)
+        return pattern_search(problem, rng, budget, index)
+
+    monkeypatch.setattr(measure, "_pattern_search", killed)
+    seen = []
+    with _deadline(60), pytest.raises(ChildProcessError, match="restart 2 died .exit code -9"):
+        _run_case(search_simultaneous, "short", progress=lambda index, defect: seen.append(index))
+    assert seen == [0, 1]
+    assert multiprocessing.active_children() == []
+
+
+def test_search_forks_only_where_it_may():
+    cpus = len(os.sched_getaffinity(0))
+    assert measure._search_workers(20) == min(20, cpus)
+    assert measure._search_workers(1) == 1
+
+    seen = []
+    thread = threading.Thread(target=lambda: seen.append(measure._search_workers(20)))
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive() and seen == [1]
+
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+    child = context.Process(target=lambda: writer.send(measure._search_workers(20)), daemon=True)
+    child.start()
+    assert reader.poll(10) and reader.recv() == 1
+    child.join(timeout=10)
+    assert child.exitcode == 0
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_every_search_winner_meets_the_kirkwood_dirac_necessity_bound(case):
+    """Let q(c, d) = ⟨ψ|E^A(c) E^B(d)|ψ⟩, Ψ = ψ⊗ξ and P_c = U†(1⊗F_c)U with
+    F_c the sum of the meter projections E_m over f(m) = c; likewise Q_d
+    with G_d over g(m) = d.  Both certificates within δ give P_cΨ = E^A(c)ψ⊗ξ
+    + a_c and Q_dΨ = E^B(d)ψ⊗ξ + b_d with ‖a_c‖, ‖b_d‖ ≤ δ, so
+    q(c, d) = ⟨P_cΨ, Q_dΨ⟩ − ⟨a_c, Q_dΨ⟩ − ⟨P_cΨ, b_d⟩ + ⟨a_c, b_d⟩, whose
+    last three terms are at most δ, δ and δ² in modulus (‖Ψ‖ = 1, P_c and
+    Q_d projections).  The meter's E_m are orthogonal, so F_c G_d is the sum
+    of E_m over f(m) = c, g(m) = d, and ⟨P_cΨ, Q_dΨ⟩ = Σ ‖(1⊗E_m)UΨ‖² is
+    real and non-negative.  Hence, with s = 2δ + δ²: Re q ≥ −s, |Im q| ≤ s,
+    and an entry with |q| > s has an outcome m of its own, so at most k do.
+    The bound holds for every δ, so losers must meet it too."""
+    a_matrix, b_matrix, _ = _CASES[case]
+    result, _ = _reference(case)
+    q = kd_distribution(Observable(a_matrix, name="A"), Observable(b_matrix, name="B"), result.psi)
+    delta = result.defect
+    slack = 2 * delta + delta ** 2
+    assert q.real.min() >= -slack
+    assert np.abs(q.imag).max() <= slack
+    above = int(np.count_nonzero(np.abs(q) > slack))
+    assert above <= result.model.probe_dim
+    # The headline ψ is a Y eigenstate, q = [[0, 1/2], [0, 1/2]]; the planted
+    # winner is a Z eigenstate; the short loser's slack exceeds every entry.
+    assert above == {"headline": 2, "planted": 1, "short": 0}[case]
+
+
+def test_kd_distribution_of_x_and_y_is_the_qubit_formula():
+    # q(c, d) = (1 + c<X> + d<Y> + i cd<Z>) / 4, rows and columns at -1, +1.
+    rng = np.random.default_rng(3)
+    x, y = Observable(PAULI_X, name="A"), Observable(PAULI_Y, name="B")
+    for _ in range(5):
+        psi = random_state(2, rng)
+        mean = {name: float(np.real(psi.conj() @ m @ psi))
+                for name, m in (("x", PAULI_X), ("y", PAULI_Y), ("z", PAULI_Z))}
+        want = np.array([[(1 + c * mean["x"] + d * mean["y"] + 1j * c * d * mean["z"]) / 4
+                          for d in (-1, 1)] for c in (-1, 1)])
+        assert np.allclose(kd_distribution(x, y, psi), want, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
