@@ -243,8 +243,8 @@ def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout)
-    sys.stdout.write("\n")
+    # json.dumps runs the C encoder; json.dump streams through the Python one.
+    sys.stdout.write(json.dumps(payload) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -48,9 +48,15 @@ from .spectral import Observable, _meter_labels, spectral_family, spectral_proje
 
 
 class MeasurementModel:
-    """Probe state, coupling U (||U†U − I||₂ <= eq_tol, else the SVD residual is reported), meter, label maps."""
+    """Probe state, coupling U (||U†U − I||₂ <= eq_tol, else the SVD residual is reported), meter, label maps.
 
-    __slots__ = ("sys_dim", "probe_dim", "probe_state", "unitary", "meter", "label_maps")
+    U and xi are private read-only copies.  ``_labels`` keeps the meter
+    columns and labels of each label map, keyed by the map's items and the
+    tolerance they were validated under; ``_reading`` keeps the last state's
+    reading (see :func:`_read`)."""
+
+    __slots__ = ("sys_dim", "probe_dim", "probe_state", "unitary", "meter", "label_maps",
+                 "_labels", "_reading")
 
     def __init__(self, sys_dim: int, probe_dim: int, probe_state, unitary, meter: Observable,
                  label_maps: Mapping[str, Mapping[float, float]] | None = None,
@@ -70,19 +76,24 @@ class MeasurementModel:
             raise NotUnitaryError(f"coupling deviates from unitarity by {op_norm(residual):.3e}")
         if meter.dim != probe_dim:
             raise DimMismatchError(f"meter dim {meter.dim} != probe_dim {probe_dim}")
-        maps = {}
+        maps, labels = {}, {}
         for name, mapping in (label_maps or {}).items():
             maps[name] = {float(k): float(v) for k, v in mapping.items()}
             try:
-                _meter_labels(meter, maps[name], tol)
+                labels[_label_key(maps[name], tol)] = _meter_labels(meter, maps[name], tol)
             except (UnmappedEigenvalueError, NonFiniteLabelError) as exc:
                 raise type(exc)(f"{exc} (map {name!r})") from None
+        xi, u = xi.copy(), u.copy()
+        xi.setflags(write=False)
+        u.setflags(write=False)
         object.__setattr__(self, "sys_dim", int(sys_dim))
         object.__setattr__(self, "probe_dim", int(probe_dim))
         object.__setattr__(self, "probe_state", xi)
         object.__setattr__(self, "unitary", u)
         object.__setattr__(self, "meter", meter)
         object.__setattr__(self, "label_maps", maps)
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_reading", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MeasurementModel is immutable")
@@ -106,14 +117,17 @@ class CorrelationCertificate:
         return asdict(self)
 
 
-def _outcome_vectors(u: np.ndarray, joint: np.ndarray, sys_dim: int,
-                     columns: np.ndarray) -> np.ndarray:
-    """Rows U† (1 ⊗ |v⟩⟨v|) U (psi ⊗ xi), one per probe column v of ``columns``."""
-    phi = (u @ joint).reshape(sys_dim, -1)
+def _outcome_vectors(u: np.ndarray, phi: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Rows U† (1 ⊗ |v⟩⟨v|) U (psi ⊗ xi), one per probe column v of ``columns``,
+    from the joint amplitudes phi = U (psi ⊗ xi) as n system rows of length k.
+
+    Leading axes of ``u`` (..., d, d) and ``phi`` (..., n, k) stack couplings
+    and states; every product keeps the shapes of the one-state case, so each
+    stacked result is bit-identical to its own call."""
     # (1 ⊗ |v⟩⟨v|) keeps ⟨v|phi_i⟩ v of each system row phi_i of the joint amplitudes.
-    masked = (columns.conj().T @ phi.T)[:, :, None] * columns.T[:, None, :]
+    masked = (columns.conj().T @ phi.swapaxes(-1, -2))[..., None] * columns.T[:, None, :]
     # Rows of U†: conj(conj(w) U) needs no conjugated copy of U.
-    return (masked.reshape(columns.shape[1], -1).conj() @ u).conj()
+    return (masked.reshape(masked.shape[:-3] + (columns.shape[1], -1)).conj() @ u).conj()
 
 
 def _lift(rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -121,14 +135,37 @@ def _lift(rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return (rows[..., None] * xi).reshape(*rows.shape[:-1], -1)
 
 
+def _label_key(label_map: Mapping[float, float], tol: ToleranceConfig):
+    return tuple((float(k), float(v)) for k, v in label_map.items()), tol
+
+
+def _read(model: MeasurementModel, psi, tol: ToleranceConfig):
+    """The model's reading of psi: the validated psi, the joint amplitudes
+    phi = U(psi ⊗ xi) as n rows, and the outcome row of every meter column
+    (:func:`_outcome_vectors`).  The last reading is kept on the model,
+    keyed by psi's amplitudes and ``tol``."""
+    key = np.asarray(psi, dtype=complex).reshape(-1).tobytes(), tol
+    kept = model._reading
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    psi = as_state(psi, model.sys_dim, tol).copy()
+    psi.setflags(write=False)
+    u, columns = model.unitary, spectral_family(model.meter, tol=tol).vectors
+    phi = (u @ model.joint_state(psi)).reshape(model.sys_dim, -1)
+    reading = psi, phi, _outcome_vectors(u, phi, columns)
+    object.__setattr__(model, "_reading", (key, reading))
+    return reading
+
+
 def _outcome_rows(model: MeasurementModel, a: Observable, label_map: Mapping[float, float],
                   psi, tol: ToleranceConfig):
     """The validated psi, and each meter column's label f(m) and outcome row."""
     if a.dim != model.sys_dim:
         raise DimMismatchError(f"observable dim {a.dim} != system dim {model.sys_dim}")
-    psi = as_state(psi, model.sys_dim, tol)
-    columns, labels = _meter_labels(model.meter, label_map, tol)
-    return psi, labels, _outcome_vectors(model.unitary, model.joint_state(psi), model.sys_dim, columns)
+    psi, _, rows = _read(model, psi, tol)
+    labelled = model._labels.get(_label_key(label_map, tol))
+    _, labels = labelled if labelled is not None else _meter_labels(model.meter, label_map, tol)
+    return psi, labels, rows
 
 
 def meter_output(model: MeasurementModel, tol: ToleranceConfig = DEFAULT_TOL) -> Observable:
@@ -152,9 +189,8 @@ def output_distribution(model: MeasurementModel, psi,
                         tol: ToleranceConfig = DEFAULT_TOL) -> dict[float, float]:
     """Meter statistics p(m) = <psi|Pi(m)|psi> = ||(1⊗V_m†)U(psi ⊗ xi)||² in
     the system state psi."""
-    psi = as_state(psi, model.sys_dim, tol)
+    _, phi, _ = _read(model, psi, tol)
     family = spectral_family(model.meter, tol=tol)
-    phi = (model.unitary @ model.joint_state(psi)).reshape(model.sys_dim, -1)
     weights = np.sum(np.abs(phi @ family.vectors.conj()) ** 2, axis=0)
     return {outcome: float(np.clip(weights[sl].sum(), 0.0, 1.0))
             for outcome, sl in zip(family.eigenvalues, family.slices)}
@@ -186,10 +222,8 @@ def rms_disturbance(model: MeasurementModel, b: Observable, psi,
     """Root-mean-square disturbance: ||U†((b⊗1)U(psi ⊗ xi)) − (b psi) ⊗ xi||."""
     if b.dim != model.sys_dim:
         raise DimMismatchError(f"observable dim {b.dim} != system dim {model.sys_dim}")
-    psi = as_state(psi, model.sys_dim, tol)
-    u, n = model.unitary, model.sys_dim
-    phi = (u @ model.joint_state(psi)).reshape(n, -1)
-    moved = ((b.matrix @ phi).reshape(-1).conj() @ u).conj()
+    psi, phi, _ = _read(model, psi, tol)
+    moved = ((b.matrix @ phi).reshape(-1).conj() @ model.unitary).conj()
     return float(np.linalg.norm(moved - _lift(b.matrix @ psi, model.probe_state)))
 
 
@@ -214,7 +248,7 @@ def uncertainty_report(model: MeasurementModel, a: Observable, label_map: Mappin
                        b: Observable, psi, tol: ToleranceConfig = DEFAULT_TOL) -> UncertaintyReport:
     """Noise-disturbance trade-off check:
     eps*eta + eps*sigma(b) + sigma(a)*eta >= |<psi|[a,b]|psi>| / 2."""
-    psi = as_state(psi, model.sys_dim, tol)
+    psi, _, _ = _read(model, psi, tol)
     epsilon = rms_noise(model, a, label_map, psi, tol=tol)
     eta = rms_disturbance(model, b, psi, tol=tol)
     sigma_a = a.std_dev(psi)
@@ -306,7 +340,7 @@ def context_report(model: MeasurementModel, a: Observable, map_a: Mapping[float,
                    b: Observable, map_b: Mapping[float, float], psi,
                    tol: ToleranceConfig = DEFAULT_TOL) -> ContextReport:
     """Assemble the contextual-measurement exhibit for (model, a, b, psi)."""
-    psi = as_state(psi, model.sys_dim, tol)
+    psi, _, _ = _read(model, psi, tol)
     pair = simultaneously_measures(model, a, map_a, b, map_b, psi, tol=tol)
     flag, proj = jointly_determinate([a, b], psi, tol=tol)
 
@@ -335,9 +369,10 @@ def context_report(model: MeasurementModel, a: Observable, map_a: Mapping[float,
 
 @dataclass(frozen=True)
 class RestartTelemetry:
-    """What one pattern-search restart did: its defect, objective
-    evaluations, accepted coordinate moves, state polishes that beat the
-    iterate, the step size it stopped at, and its wall time."""
+    """What one pattern-search restart did: its defect, the polls it read
+    (objective values, batched ones past the first accepted not counted),
+    accepted coordinate moves, state polishes that beat the iterate, the
+    step size it stopped at, and its wall time."""
 
     index: int
     defect: float
@@ -426,62 +461,110 @@ class _SearchProblem:
 
         return side(len(self.vals_a)), side(len(self.vals_b))
 
-    def unitary(self, theta: np.ndarray) -> np.ndarray:
-        """exp(iH) for the Hermitian H with diagonal theta[:d] and strict upper
-        triangle theta[d::2] + i theta[d+1::2], row by row, d = nk; only the
-        first d² entries of ``theta`` are read."""
+    def unitaries(self, generators: np.ndarray) -> np.ndarray:
+        """exp(iH) for each row of ``generators``: the Hermitian H with diagonal
+        row[:d] and strict upper triangle row[d::2] + i row[d+1::2], row by
+        row, d = nk.  One stacked eigh; each U is bit-identical to its own."""
         d = self.joint
-        generator = theta[:self.u_params]
-        h = np.zeros(d * d, dtype=complex)
-        h[self._diagonal] = generator[:d]
-        upper = generator[d::2] + 1j * generator[d + 1::2]
-        h[self._upper] = upper
-        h[self._lower] = upper.conj()
-        w, v = np.linalg.eigh(h.reshape(d, d))
-        return (v * np.exp(1j * w)) @ v.conj().T
+        h = np.zeros((len(generators), d * d), dtype=complex)
+        h[:, self._diagonal] = generators[:, :d]
+        upper = generators[:, d::2] + 1j * generators[:, d + 1::2]
+        h[:, self._upper] = upper
+        h[:, self._lower] = upper.conj()
+        w, v = np.linalg.eigh(h.reshape(-1, d, d))
+        return (v * np.exp(1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+
+    def unitary(self, theta: np.ndarray) -> np.ndarray:
+        """``unitaries`` at one point, from the first d² entries of ``theta``."""
+        return self.unitaries(theta[None, :self.u_params])[0]
 
     def outcome_vectors(self, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        joint = np.zeros(self.joint, dtype=complex)
-        joint[::self.k] = psi  # psi ⊗ xi, as xi = e_0
-        return _outcome_vectors(u, joint, self.n, self.meter_columns)
+        """Outcome rows of psi (..., n) under u (..., d, d), stacks broadcast."""
+        joint = np.zeros(psi.shape[:-1] + (self.joint, 1), dtype=complex)
+        joint[..., ::self.k, 0] = psi  # psi ⊗ xi, as xi = e_0
+        phi = u @ joint
+        return _outcome_vectors(u, phi.reshape(phi.shape[:-2] + (self.n, self.k)), self.meter_columns)
 
     def targets(self, psi):
-        """Each side's target rows (E_i psi) ⊗ xi, one per slot i."""
-        return [_lift(np.einsum("snm,m->sn", p, psi), self.xi) for p in (self.proj_a, self.proj_b)]
+        """Each side's target rows (E_i psi) ⊗ xi, one per slot i; psi (..., n)."""
+        return [_lift(np.einsum("snm,...m->...sn", p, psi), self.xi) for p in (self.proj_a, self.proj_b)]
 
     def defects(self, vectors, targets, one_hot) -> np.ndarray:
         """Certificate defect of every assignment in ``one_hot``: the largest
-        ||sum_{m in slot i} v_m − targets[i]|| over slots i."""
+        ||sum_{m in slot i} v_m − targets[i]|| over slots i.  The one-hot
+        rows (..., slots, k), outcome rows (..., k, d) and target rows
+        (..., slots, d) broadcast, so stacks carry their own map axis."""
         # One full pass; an in-place update of the strided slots measured
         # twice as slow at k = 4.
         residual = one_hot @ vectors - targets
         re, im = residual.real, residual.imag
         # Row dot products through matmul round as np.linalg.norm does.
         squares = (re[..., None, :] @ re[..., None] + im[..., None, :] @ im[..., None])[..., 0, 0]
-        return np.sqrt(squares.max(axis=1))
+        return np.sqrt(squares.max(axis=-1))
+
+    def _unitary_at(self, theta: np.ndarray) -> np.ndarray:
+        """U at ``theta``, kept until the bytes of the generator parameters change."""
+        generator = theta[:self.u_params].tobytes()
+        if generator != self._generator:
+            self._generator, self._u = generator, self.unitary(theta)
+        return self._u
+
+    def _state_at(self, theta: np.ndarray):
+        """psi at ``theta`` with its target rows, kept until the bytes of the state parameters change."""
+        state = theta[self.u_params:].tobytes()
+        if state != self._state:
+            psi = _state_from_params(theta[self.u_params:], self.n)
+            self._state, self._psi, self._targets = state, psi, self.targets(psi)
+        return self._psi, self._targets
+
+    def _tables(self, u, psi, targets, side_a, side_b):
+        """Each side's defect table at each stacked (u, psi)."""
+        vectors = self.outcome_vectors(u, psi)
+        return [self.defects(vectors, t, hot) for t, (_, hot) in zip(targets, (side_a, side_b))]
 
     def objective(self, theta: np.ndarray, side_a, side_b):
         """Exhaust label maps at ``theta``; the sides decouple in the max-defect and each keeps its
         lowest-index least defect.  A coordinate move changes U or psi, not both, so each (psi with
         its target rows) is kept until the bytes of its own parameters change."""
-        generator, state = theta[:self.u_params].tobytes(), theta[self.u_params:].tobytes()
-        if generator != self._generator:
-            self._generator, self._u = generator, self.unitary(theta)
-        if state != self._state:
-            psi = _state_from_params(theta[self.u_params:], self.n)
-            self._state, self._psi, self._targets = state, psi, self.targets(psi)
-        vectors = self.outcome_vectors(self._u, self._psi)
-        table_a, table_b = (self.defects(vectors, t, hot) for t, (_, hot) in zip(self._targets, (side_a, side_b)))
+        table_a, table_b = self._tables(self._unitary_at(theta), *self._state_at(theta), side_a, side_b)
         ia, ib = table_a.argmin(), table_b.argmin()
         return float(max(table_a[ia], table_b[ib])), side_a[0][ia], side_b[0][ib]
+
+    def polls(self, theta: np.ndarray, moves, side_a, side_b):
+        """``objective`` at theta + delta e_i for every (i, delta) in ``moves``,
+        which run in coordinate order, in one stacked pass per kind of move:
+        generator moves share psi at theta, state moves share U at theta.
+        Returns (defects, map rows a, map rows b), row j bit-identical to
+        ``objective`` at move j; psi is normalised per move, as there.  A
+        single move is an ``objective`` call, without the stack's set-up."""
+        if len(moves) == 1:
+            (i, delta), = moves
+            point = theta.copy()
+            point[i] += delta
+            return tuple([part] for part in self.objective(point, side_a, side_b))
+        index, deltas = zip(*moves)
+        candidates = np.repeat(theta[None], len(moves), axis=0)
+        candidates[np.arange(len(moves)), index] += deltas
+        split = sum(i < self.u_params for i in index)
+        tables = []  # each stacked point's axis of maps is a singleton axis of its inputs
+        if split:
+            u = self.unitaries(candidates[:split, :self.u_params])[:, None]
+            tables.append(self._tables(u, *self._state_at(theta), side_a, side_b))
+        if split < len(moves):
+            psi = np.stack([_state_from_params(row[self.u_params:], self.n) for row in candidates[split:]])[:, None]
+            tables.append(self._tables(self._unitary_at(theta), psi, self.targets(psi), side_a, side_b))
+        table_a, table_b = (np.concatenate(side) for side in zip(*tables))
+        ia, ib = table_a.argmin(axis=1), table_b.argmin(axis=1)
+        return np.maximum(table_a.min(axis=1), table_b.min(axis=1)), side_a[0][ia], side_b[0][ib]
 
     def polish(self, u: np.ndarray, side_a, side_b):
         """Re-solve for the state: per map pair, the summed squared defect is
         a quadratic form in psi; its minimal eigenvector is the best state.
         The forms are built from the outcome and target rows of the basis
-        states, computed once per call."""
+        states; every pair's eigenvector and defect come from one stacked
+        pass, and the first least defect wins."""
         basis = np.eye(self.n)
-        columns = np.stack([self.outcome_vectors(u, e) for e in basis])
+        columns = self.outcome_vectors(u, basis)
 
         def forms(projections, one_hot) -> np.ndarray:
             # Column j of side slot i: sum_{m in slot i} v_m(e_j) − (E_i e_j) ⊗ xi.
@@ -491,21 +574,28 @@ class _SearchProblem:
 
         (maps_a, hot_a), (maps_b, hot_b) = side_a, side_b
         if len(maps_a) * len(maps_b) <= 256:
-            pairs = list(itertools.product(range(len(maps_a)), range(len(maps_b))))
+            ia, ib = np.divmod(np.arange(len(maps_a) * len(maps_b)), len(maps_b))
         else:
-            pairs = [(0, 0)]
+            ia = ib = np.zeros(1, dtype=int)
             hot_a, hot_b = hot_a[:1], hot_b[:1]
-        forms_a, forms_b = forms(self.proj_a, hot_a), forms(self.proj_b, hot_b)
-        best = None
-        for ia, ib in pairs:
-            _, v = eigh(forms_a[ia] + forms_b[ib])
-            psi = v[:, 0]
-            vectors, (targets_a, targets_b) = self.outcome_vectors(u, psi), self.targets(psi)
-            defect = float(max(self.defects(vectors, targets_a, hot_a[ia:ia + 1])[0],
-                               self.defects(vectors, targets_b, hot_b[ib:ib + 1])[0]))
-            if best is None or defect < best[0]:
-                best = (defect, psi, maps_a[ia], maps_b[ib])
-        return best
+        _, v = eigh(forms(self.proj_a, hot_a)[ia] + forms(self.proj_b, hot_b)[ib])
+        psi = v[:, :, 0]
+        vectors, (targets_a, targets_b) = self.outcome_vectors(u, psi), self.targets(psi)
+        defects = np.maximum(self.defects(vectors, targets_a, hot_a[ia]),
+                             self.defects(vectors, targets_b, hot_b[ib]))
+        best = int(defects.argmin())
+        return float(defects[best]), psi[best], maps_a[ia[best]], maps_b[ib[best]]
+
+
+# Polls per stacked pass: 8 ran faster than 4, 12 or 16 on the X/Y searches
+# at k = 2 and k = 4 (one BLAS thread, 2-core Xeon).  A batch saves numpy's
+# per-call dispatch, which stops paying once a candidate's defect tables
+# (maps × slots × nk entries, both sides) pass _POLL_ENTRIES: from 5184
+# entries up (n = 6, k = 2) batches of 8 ran 1.6-2.6 times as long as one
+# poll at a time, and batches of 2 or 4 about as long, so such searches
+# poll one point at a time.
+_POLL_BATCH = 8
+_POLL_ENTRIES = 4096
 
 
 def _pattern_search(problem: _SearchProblem, rng: np.random.Generator, budget: int, index: int):
@@ -513,7 +603,17 @@ def _pattern_search(problem: _SearchProblem, rng: np.random.Generator, budget: i
     parameters, label maps enumerated exactly at every iterate.  Before each
     shrink-on-fail the closed-form state polish gets a chance to jump ahead,
     so the step cascade is traversed once instead of restarting.  Returns
-    (U, psi, map_a, map_b, telemetry); the telemetry carries the defect."""
+    (U, psi, map_a, map_b, telemetry); the telemetry carries the defect.
+
+    A sweep polls theta ± step·e_i for i = 0, 1, ... in turn, and rides an
+    accepted direction until it stops paying off.  Until the next accepted
+    poll the polls ahead are fixed, so up to _POLL_BATCH of them, to the end
+    of the sweep and within the budget, are evaluated in one stacked pass
+    and read in order; the batch is dropped at its first accepted poll, and
+    ``evals`` counts the polls read.  Past _POLL_ENTRIES defect-table
+    entries per candidate a batch is one poll.  Ride polls go one at a time
+    through ``objective``.  Every value, and so the whole restart, is
+    bit-identical to polling one point at a time."""
     start = time.perf_counter()
     side_a, side_b = problem.candidate_maps(rng)
     theta = np.concatenate([
@@ -524,29 +624,41 @@ def _pattern_search(problem: _SearchProblem, rng: np.random.Generator, budget: i
     evals = 1
     accepted = polish_wins = 0
     step = 0.5
+    sweep = 2 * theta.size  # polls theta + step e_i, then theta - step e_i, per coordinate
+    entries = problem.joint * sum(one_hot.shape[0] * one_hot.shape[1] for _, one_hot in (side_a, side_b))
+    batch = _POLL_BATCH if entries <= _POLL_ENTRIES else 1
     while step > 1e-10 and evals < budget and best_val > _SUCCESS_CUTOFF:
         improved = False
-        for i in range(theta.size):
-            if evals >= budget:
-                break
-            for delta in (step, -step):
+        poll = 0
+        while poll < sweep and evals < budget:
+            moves = [(p // 2, -step if p % 2 else step)
+                     for p in range(poll, poll + min(batch, sweep - poll, budget - evals))]
+            poll += len(moves)
+            for move, val, g_a, g_b in zip(moves, *problem.polls(theta, moves, side_a, side_b)):
+                evals += 1
+                if val >= best_val - 1e-15:
+                    continue
+                i, delta = move
+                candidate = theta.copy()
+                candidate[i] += delta
                 # Ride the direction while it keeps paying off.
-                moved = False
-                while evals < budget:
+                while True:
+                    theta, best_val, best_a, best_b = candidate, float(val), g_a, g_b
+                    accepted += 1
+                    improved = True
+                    if evals >= budget:
+                        break
                     candidate = theta.copy()
                     candidate[i] += delta
                     val, g_a, g_b = problem.objective(candidate, side_a, side_b)
                     evals += 1
                     if val >= best_val - 1e-15:
                         break
-                    theta, best_val, best_a, best_b = candidate, val, g_a, g_b
-                    accepted += 1
-                    moved = improved = True
-                if moved or evals >= budget:
-                    break
+                poll = 2 * (i + 1)  # an accepted coordinate skips its other sign
+                break
         if not improved:
             polished = problem.polish(problem.unitary(theta), side_a, side_b)
-            if polished is not None and polished[0] < best_val - 1e-15:
+            if polished[0] < best_val - 1e-15:
                 best_val, psi, best_a, best_b = polished
                 theta = np.concatenate([theta[:problem.u_params], psi.real, psi.imag])
                 polish_wins += 1
@@ -556,7 +668,7 @@ def _pattern_search(problem: _SearchProblem, rng: np.random.Generator, budget: i
     u = problem.unitary(theta)
     polished = problem.polish(u, side_a, side_b)
     psi = _state_from_params(theta[problem.u_params:], problem.n)
-    if polished is not None and polished[0] < best_val:
+    if polished[0] < best_val:
         best_val, psi, best_a, best_b = polished
         polish_wins += 1
     telemetry = RestartTelemetry(index=index, defect=float(best_val), evals=evals,
@@ -654,6 +766,9 @@ def search_simultaneous(a: Observable, b: Observable, probe_dim: int, restarts: 
     Hermitian generator of U and the state parameters, with label maps
     enumerated exactly per iterate, then a closed-form state polish.  The
     meter is fixed nondegenerate, diag(1..k), read in the probe basis.
+    Each restart evaluates the polls ahead of it in stacked batches and
+    reads them in the serial order (see :func:`_pattern_search`), so its
+    record is the one-poll-at-a-time loop's, bit for bit.
 
     Deterministic for a fixed seed: restart i draws from default_rng(seed+i)
     and the winner is the lowest-index restart reaching defect <= tol.eq_tol
@@ -671,7 +786,8 @@ def search_simultaneous(a: Observable, b: Observable, probe_dim: int, restarts: 
     ``progress``, when given, is called in this process with
     (restart_index, defect) after each restart, in index order.  The
     result's ``telemetry`` holds one :class:`RestartTelemetry` per restart
-    up to the winner; restarts a worker ran past it are discarded.
+    up to the winner, its ``evals`` counting the polls the restart read;
+    restarts a worker ran past the winner are discarded.
     """
     if a.dim != b.dim:
         raise DimMismatchError(f"dims differ: {a.dim} vs {b.dim}")

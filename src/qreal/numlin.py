@@ -100,8 +100,8 @@ def is_hermitian(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 def eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues ``w`` and unitary ``v`` of the Hermitian part
-    (m + m†)/2 of a square matrix, ``v @ diag(w) @ v.conj().T`` to around
-    1e-15 relative accuracy.  Nothing is checked: ``Observable`` decides
+    (m + m†)/2 of a square matrix, or of each in a stack (..., d, d),
+    ``v @ diag(w) @ v.conj().T`` to around 1e-15 relative accuracy.  Nothing is checked: ``Observable`` decides
     Hermiticity once, under its own ``eq_tol``, and is not re-checked when
     factored under another tolerance; other callers pass matrices that are
     Hermitian by construction.  A defect the check accepted cannot leak in.
@@ -110,9 +110,10 @@ def eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m†) / 2, halved first so entries near the float maximum cannot overflow."""
+    """(m + m†) / 2 over the last two axes, halved first so entries near the
+    float maximum cannot overflow."""
     half = 0.5 * m
-    return half + half.conj().T
+    return half + half.conj().swapaxes(-1, -2)
 
 
 def range_basis(matrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

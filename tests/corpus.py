@@ -4,6 +4,8 @@ Each builder returns plain matrices/vectors so tests can wrap them in
 Observable themselves (and so oracles can work on raw arrays).
 """
 
+import time
+
 import numpy as np
 import scipy.linalg
 
@@ -21,7 +23,7 @@ from qreal import (
     spectral_projection,
 )
 from qreal.errors import EmptyFamilyError
-from qreal.measure import SearchResult, _pattern_search, _SearchProblem
+from qreal.measure import _SUCCESS_CUTOFF, RestartTelemetry, SearchResult, _SearchProblem, _state_from_params
 from qreal.numlin import _hermitian_part, null_basis
 
 
@@ -513,17 +515,74 @@ def reference_polish(problem, u: np.ndarray, maps_a: np.ndarray, maps_b: np.ndar
     return best
 
 
+def reference_pattern_search(problem, rng: np.random.Generator, budget: int, index: int):
+    """One restart polled one point at a time through ``objective``, with
+    ``reference_polish``: ``measure._pattern_search`` before its polls were
+    batched.  Every restart record of the batched search must equal this
+    one's bit for bit."""
+    start = time.perf_counter()
+    side_a, side_b = problem.candidate_maps(rng)
+    theta = np.concatenate([
+        rng.normal(0.0, 0.6, size=problem.u_params),
+        rng.normal(0.0, 1.0, size=problem.s_params),
+    ])
+    best_val, best_a, best_b = problem.objective(theta, side_a, side_b)
+    evals = 1
+    accepted = polish_wins = 0
+    step = 0.5
+    while step > 1e-10 and evals < budget and best_val > _SUCCESS_CUTOFF:
+        improved = False
+        for i in range(theta.size):
+            if evals >= budget:
+                break
+            for delta in (step, -step):
+                # Ride the direction while it keeps paying off.
+                moved = False
+                while evals < budget:
+                    candidate = theta.copy()
+                    candidate[i] += delta
+                    val, g_a, g_b = problem.objective(candidate, side_a, side_b)
+                    evals += 1
+                    if val >= best_val - 1e-15:
+                        break
+                    theta, best_val, best_a, best_b = candidate, val, g_a, g_b
+                    accepted += 1
+                    moved = improved = True
+                if moved or evals >= budget:
+                    break
+        if not improved:
+            polished = reference_polish(problem, problem.unitary(theta), side_a[0], side_b[0])
+            if polished is not None and polished[0] < best_val - 1e-15:
+                best_val, psi, best_a, best_b = polished
+                theta = np.concatenate([theta[:problem.u_params], psi.real, psi.imag])
+                polish_wins += 1
+            else:
+                step *= 0.5
+
+    u = problem.unitary(theta)
+    polished = reference_polish(problem, u, side_a[0], side_b[0])
+    psi = _state_from_params(theta[problem.u_params:], problem.n)
+    if polished is not None and polished[0] < best_val:
+        best_val, psi, best_a, best_b = polished
+        polish_wins += 1
+    telemetry = RestartTelemetry(index=index, defect=float(best_val), evals=evals,
+                                 accepted=accepted, polish_wins=polish_wins, step=step,
+                                 wall_ms=1e3 * (time.perf_counter() - start))
+    return u, psi, best_a, best_b, telemetry
+
+
 def serial_search(a, b, probe_dim: int, restarts: int = 20, seed: int = 0, budget: int = 3000,
                   tol=DEFAULT_TOL, progress=None) -> SearchResult:
     """The witness search's restart loop run one restart after another in
-    this process: the record, telemetry and ``progress`` calls that any
-    evaluation order of the restarts must reproduce bit for bit."""
+    this process, each restart by ``reference_pattern_search``: the record,
+    telemetry and ``progress`` calls that any evaluation order of the
+    restarts, and any batching of their polls, must reproduce bit for bit."""
     problem = _SearchProblem(a, b, probe_dim, tol)
     best = None
     telemetry = []
     for index in range(restarts):
         rng = np.random.default_rng(seed + index)
-        u, psi, g_a, g_b, record = _pattern_search(problem, rng, budget, index)
+        u, psi, g_a, g_b, record = reference_pattern_search(problem, rng, budget, index)
         telemetry.append(record)
         if progress is not None:
             progress(index, record.defect)

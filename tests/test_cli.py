@@ -1,19 +1,24 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qreal
 import qreal.cli
 from corpus import nowhere_pair, random_model_parts
 from qreal.cli import _matrix_body, _state_body, main
-from qreal.standard import random_hermitian, random_state
+from qreal.standard import random_hermitian, random_state, random_unitary
 
 SCHEMA_DIR = pathlib.Path(qreal.__file__).parent / "schemas"
 
@@ -359,6 +364,42 @@ def test_model_unitarity_drift_gate(data_dir, tmp_path, capsys, drift, code):
         assert out is None and err.startswith("error:") and "unitarity by 2.000e-08" in err
     else:
         assert out["observables"]["Z"]["defect"] <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3]), k=st.sampled_from([2, 3]),
+       factor=st.sampled_from([0.5, 2.0]))
+def test_unitarity_gate_law(seed, n, k, factor):
+    """U = W diag(sqrt(1 + delta)) V† has ||U†U − I||₂ = max|delta|: at half
+    the 1e-8 gate ``qreal measure`` answers (exit 0 or 1), at twice it the
+    file is refused with one error line."""
+    rng = np.random.default_rng(seed)
+    d = n * k
+    delta = rng.uniform(-1.0, 1.0, size=d)
+    delta[rng.integers(d)] = rng.choice([-1.0, 1.0])
+    delta *= factor * 1e-8
+    u = random_unitary(d, rng) @ np.diag(np.sqrt(1.0 + delta)) @ random_unitary(d, rng).conj().T
+    _, xi, meter = random_model_parts(rng, n, k)
+    bodies = {
+        "model": {"sys_dim": n, "probe_dim": k, "probe_state": _state_body(xi),
+                  "unitary": _matrix_body(u), "meter": _matrix_body(meter),
+                  "label_maps": {"f": [[m, float(v)] for m, v in zip(np.diag(meter), rng.normal(size=k))]}},
+        "a": _matrix_body(random_hermitian(n, rng)),
+        "state": _state_body(random_state(n, rng)),
+    }
+    with tempfile.TemporaryDirectory() as work:
+        path = {name: _write_json(pathlib.Path(work) / f"{name}.json", body) for name, body in bodies.items()}
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["measure", path["model"], "--state", path["state"],
+                         "--observable", f"A={path['a']}", "--map", "f"])
+    if factor < 1.0:
+        assert code in (0, 1) and err.getvalue() == ""
+        assert set(json.loads(out.getvalue())["observables"]) == {"A"}
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+        assert "deviates from unitarity" in err.getvalue()
 
 
 def test_label_map_repeating_an_eigenvalue_exits_two(data_dir, tmp_path, capsys):

@@ -36,6 +36,7 @@ from qreal import (
     spectral_family,
     uncertainty_report,
 )
+from qreal import measure
 from qreal.errors import (
     DimMismatchError,
     NonFiniteLabelError,
@@ -437,6 +438,46 @@ def test_context_report_diagonalises_each_matrix_once(eigh_inputs):
     context_report(model, a, f, b, f, random_state(3, rng))
     # The meter (first at the model's construction), A and B.
     assert len(eigh_inputs) == 3 and max(eigh_inputs.values()) == 1
+
+
+def test_one_reading_per_model_and_state(monkeypatch):
+    """A two-observable measure validates psi once, builds its outcome rows
+    once and reads each label map's columns from the model; a new state, or
+    the same array changed in place, is read afresh."""
+    rng = np.random.default_rng(41)
+    model = _model(rng, sys_dim=3, probe_dim=2)
+    a = Observable(random_hermitian(3, rng), name="A")
+    b = Observable(random_hermitian(3, rng), name="B")
+    f = model.label_maps["f"]
+    calls = {"as_state": 0, "_outcome_vectors": 0, "_meter_labels": 0}
+    for name in calls:
+        original = getattr(measure, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(measure, name, counted)
+
+    def measure_both(psi):
+        return (output_distribution(model, psi), measures_in_state(model, a, f, psi),
+                rms_noise(model, a, f, psi), measures_in_state(model, b, f, psi),
+                rms_noise(model, b, f, psi), uncertainty_report(model, a, f, b, psi))
+
+    psi = random_state(3, rng)
+    first = measure_both(psi)
+    assert calls == {"as_state": 1, "_outcome_vectors": 1, "_meter_labels": 0}
+    assert measure_both(psi.copy()) == first
+    assert calls == {"as_state": 1, "_outcome_vectors": 1, "_meter_labels": 0}
+    psi[:] = random_state(3, rng)
+    moved = measure_both(psi)
+    assert calls["as_state"] == 2 and calls["_outcome_vectors"] == 2
+    assert moved[0] != first[0]
+    # A map the model was not built with is labelled on each use.
+    flipped = {m: -v for m, v in f.items()}
+    assert rms_noise(model, a, flipped, psi) >= 0.0 and calls["_meter_labels"] == 1
+    with pytest.raises(ValueError):
+        model.unitary[0, 0] = 0.0
 
 
 def test_measurement_layer_allocates_no_joint_space_matrix():

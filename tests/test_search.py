@@ -9,6 +9,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qreal import (
     DEFAULT_TOL,
@@ -23,7 +25,7 @@ from qreal import (
 from qreal import measure
 from qreal.cli import load_model
 from qreal.errors import DimMismatchError
-from qreal.measure import _SearchProblem, _state_from_params
+from qreal.measure import _POLL_BATCH, _pattern_search, _SearchProblem, _state_from_params
 from qreal.standard import random_hermitian, random_state, random_unitary
 
 from corpus import (
@@ -31,6 +33,7 @@ from corpus import (
     reference_defects,
     reference_objective,
     reference_outcome_rows,
+    reference_pattern_search,
     reference_polish,
     reference_state,
     reference_target_rows,
@@ -138,14 +141,29 @@ def test_label_maps_are_enumerated_up_to_256_a_side():
 
 
 def test_telemetry_has_one_record_per_restart_that_ran(monkeypatch):
+    # evals counts the polls the search reads: every objective call, and the
+    # batched polls up to the first accepted one, not those it drops.
     evaluations = []
-    objective = _SearchProblem.objective
+    objective, polls = _SearchProblem.objective, _SearchProblem.polls
 
     def counted(self, theta, side_a, side_b):
         evaluations.append(1)
         return objective(self, theta, side_a, side_b)
 
+    def counted_polls(self, theta, moves, side_a, side_b):
+        if len(moves) == 1:  # one poll is an objective call, counted there
+            return polls(self, theta, moves, side_a, side_b)
+        values, maps_a, maps_b = polls(self, theta, moves, side_a, side_b)
+
+        def read():
+            for value in values:
+                evaluations.append(1)
+                yield value
+
+        return read(), maps_a, maps_b
+
     monkeypatch.setattr(_SearchProblem, "objective", counted)
+    monkeypatch.setattr(_SearchProblem, "polls", counted_polls)
     # The counter sees only evaluations made in this process.
     monkeypatch.setattr(measure, "_search_workers", lambda restarts: 1)
     z = Observable(PAULI_Z, name="A")
@@ -189,6 +207,11 @@ def test_search_reports_nonzero_defect_when_budget_is_tiny():
 # Restarts run in forked worker processes and are read back in index order,
 # so the record, the telemetry and the progress calls are the serial loop's.
 
+def _hermitian_pair(dim: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return random_hermitian(dim, rng), random_hermitian(dim, rng)
+
+
 _CASES = {
     # X/Y at the defaults: restart 8 is the first to reach eq_tol.
     "headline": (PAULI_X, PAULI_Y, {}),
@@ -196,12 +219,17 @@ _CASES = {
     "planted": (PAULI_Z, 3 * PAULI_Z, {"restarts": 5}),
     # X/Y on a budget of 150: no restart certifies and the minimum wins.
     "short": (PAULI_X, PAULI_Y, {"restarts": 3, "budget": 150}),
+    # Larger joint spaces, whose sweeps cross more poll batches.
+    "qutrit-k3": (*_hermitian_pair(3, 5), {"probe_dim": 3, "restarts": 3, "budget": 1500}),
+    "qubit-k4": (PAULI_X, PAULI_Y, {"probe_dim": 4, "restarts": 3, "budget": 1500}),
+    # 36 label maps a side: past _POLL_ENTRIES, so every poll runs alone.
+    "six-level": (*_hermitian_pair(6, 106), {"restarts": 2, "budget": 300}),
 }
 
 
 def _run_case(search, case: str, progress=None):
-    """``search`` on ``case`` at seed 0 and probe dimension 2; the result and
-    the (index, defect) progress calls."""
+    """``search`` on ``case`` at seed 0 and, unless the case names its own,
+    probe dimension 2; the result and the (index, defect) progress calls."""
     a_matrix, b_matrix, options = _CASES[case]
     calls = []
 
@@ -211,7 +239,7 @@ def _run_case(search, case: str, progress=None):
             progress(index, defect)
 
     result = search(Observable(a_matrix, name="A"), Observable(b_matrix, name="B"),
-                    probe_dim=2, seed=0, progress=record, **options)
+                    seed=0, progress=record, **{"probe_dim": 2, **options})
     return result, calls
 
 
@@ -241,7 +269,7 @@ def test_search_is_bit_identical_to_the_serial_loop(monkeypatch, case, workers):
     elif case == "planted":
         assert result.restart_index == 0 and len(calls) == 1
     else:
-        assert len(calls) == 3 and result.defect > DEFAULT_TOL.eq_tol
+        assert len(calls) == _CASES[case][2]["restarts"] and result.defect > DEFAULT_TOL.eq_tol
 
 
 class _Stop(Exception):
@@ -367,7 +395,8 @@ def test_every_search_winner_meets_the_kirkwood_dirac_necessity_bound(case):
     assert above <= result.model.probe_dim
     # The headline ψ is a Y eigenstate, q = [[0, 1/2], [0, 1/2]]; the planted
     # winner is a Z eigenstate; the short loser's slack exceeds every entry.
-    assert above == {"headline": 2, "planted": 1, "short": 0}[case]
+    assert above == {"headline": 2, "planted": 1, "short": 0, "qutrit-k3": 1, "qubit-k4": 1,
+                     "six-level": 0}[case]
 
 
 def test_kd_distribution_of_x_and_y_is_the_qubit_formula():
@@ -503,3 +532,69 @@ def test_search_kernels_are_bit_identical_to_the_reference(n, k):
             assert np.array_equal(map_a, want_a) and np.array_equal(map_b, want_b)
         assert all(now is before for now, before in zip(kept_parts(), kept))
         theta = candidate
+
+
+# ---------------------------------------------------------------------------
+# Batched polls and the stacked polish reproduce the one-point search: each
+# restart's record, and each poll and polish value, bit for bit.
+
+
+def test_batched_polls_reproduce_the_restarts_past_the_headline_winner():
+    # The headline search stops at restart 8, so only here are restarts 9-19
+    # compared with the one-point search.
+    problem = _SearchProblem(Observable(PAULI_X, name="A"), Observable(PAULI_Y, name="B"), 2, DEFAULT_TOL)
+    for index in range(9, 20):
+        records = []
+        for pattern_search in (_pattern_search, reference_pattern_search):
+            u, psi, map_a, map_b, record = pattern_search(problem, np.random.default_rng(index), 3000, index)
+            records.append((u.tobytes(), psi.tobytes(), np.asarray(map_a).tobytes(),
+                            np.asarray(map_b).tobytes(), {**asdict(record), "wall_ms": None}))
+        assert records[0] == records[1], index
+
+
+@st.composite
+def poll_batches(draw):
+    """A problem at n in {2, 3, 4}, k in {2, 3, 4}, a point, and a run of the
+    sweep's polls from a drawn position, across the generator/state border
+    as often as not."""
+    n, k = draw(st.sampled_from([2, 3, 4])), draw(st.sampled_from([2, 3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = Observable(random_hermitian(n, rng), name="A")
+    b = Observable(_degenerate(n, rng) if draw(st.booleans()) else random_hermitian(n, rng), name="B")
+    problem = _SearchProblem(a, b, k, DEFAULT_TOL)
+    sides = problem.candidate_maps(rng)
+    theta = np.concatenate([rng.normal(0.0, 0.6, size=problem.u_params),
+                            rng.normal(0.0, 1.0, size=problem.s_params)])
+    sweep = 2 * theta.size
+    border = 2 * problem.u_params
+    first = draw(st.integers(max(0, border - _POLL_BATCH), sweep - 1) | st.integers(0, sweep - 1))
+    count = draw(st.integers(1, min(_POLL_BATCH, sweep - first)))
+    step = 0.5 ** draw(st.integers(1, 34))
+    moves = [(p // 2, -step if p % 2 else step) for p in range(first, first + count)]
+    return problem, sides, theta, moves
+
+
+@settings(max_examples=60, deadline=None)
+@given(poll_batches())
+def test_batched_polls_are_the_objective_of_each_candidate(batch):
+    problem, sides, theta, moves = batch
+    maps_a, maps_b = sides[0][0], sides[1][0]
+    values, rows_a, rows_b = problem.polls(theta, moves, *sides)
+    assert len(values) == len(moves)
+    for (i, delta), value, row_a, row_b in zip(moves, values, rows_a, rows_b):
+        candidate = theta.copy()
+        candidate[i] += delta
+        want, want_a, want_b = reference_objective(problem, candidate, maps_a, maps_b)
+        assert np.array_equal(value, want)
+        assert np.array_equal(row_a, want_a) and np.array_equal(row_b, want_b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(poll_batches())
+def test_stacked_polish_is_the_pairwise_polish(batch):
+    problem, sides, theta, _ = batch
+    u = problem.unitary(theta)
+    polished, reference = problem.polish(u, *sides), reference_polish(problem, u, sides[0][0], sides[1][0])
+    assert polished[0] == reference[0]
+    for got, expected in zip(polished[1:], reference[1:]):
+        assert np.array_equal(got, expected)
