@@ -32,14 +32,14 @@ from .errors import QrealError
 from .measure import (
     MeasurementModel,
     SearchResult,
+    _trade_off,
     context_report,
     measures_in_state,
     output_distribution,
     rms_noise,
     search_simultaneous,
-    uncertainty_report,
 )
-from .numlin import ToleranceConfig
+from .numlin import ToleranceConfig, frobenius
 from .qlang import parse
 from .qlogic import Environment, _spectral_com, holds_in, jointly_determinate, jpd_exists
 from .spectral import Observable
@@ -54,12 +54,14 @@ class DataError(QrealError):
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in a UTF-8 file, its newlines read as text mode reads them."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            body = json.load(handle)
-    except OSError as exc:
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
+        body = json.loads(text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text)
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(body, dict):
         raise DataError(f"{path}: expected a JSON object")
@@ -69,8 +71,7 @@ def _load_json(path: str) -> dict:
 def _number_pairs(items, path: str, message: str) -> np.ndarray:
     """``items`` as an (m, 2) float array, if it is a list of [x, y] lists of
     JSON numbers; JSON true and false and strings are not numbers."""
-    if (isinstance(items, list) and {type(pair) for pair in items} <= {list}
-            and {len(pair) for pair in items} <= {2}):
+    if isinstance(items, list) and set(map(type, items)) <= {list} and set(map(len, items)) <= {2}:
         numbers = list(chain.from_iterable(items))
         if set(map(type, numbers)) <= {int, float}:
             return np.array(numbers, dtype=float).reshape(-1, 2)
@@ -79,10 +80,9 @@ def _number_pairs(items, path: str, message: str) -> np.ndarray:
 
 def _complex_entries(rows, path: str, what: str) -> np.ndarray:
     pairs = _number_pairs(list(chain.from_iterable(rows)), path, f"{what} entries must be [re, im] pairs")
-    array = pairs.view(complex).reshape(len(rows), -1)
-    if not np.all(np.isfinite(array.view(float))):
+    if not np.isfinite(pairs).all():
         raise DataError(f"{path}: {what} has non-finite entries")
-    return array
+    return pairs.view(complex).reshape(len(rows), -1)
 
 
 def _count(body: dict, key: str, path: str) -> int:
@@ -99,7 +99,7 @@ def matrix_from_body(body: dict, path: str) -> np.ndarray:
     dim = _count(body, "dim", path)
     rows = body["matrix"]
     if not (isinstance(rows, list) and len(rows) == dim
-            and all(isinstance(row, list) and len(row) == dim for row in rows)):
+            and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {dim}):
         raise DataError(f"{path}: 'matrix' is not a {dim}x{dim} list of rows")
     return _complex_entries(rows, path, "matrix")
 
@@ -112,7 +112,7 @@ def state_from_body(body: dict, path: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != dim:
         raise DataError(f"{path}: 'vector' is not a list of {dim} entries")
     vec = _complex_entries([entries], path, "vector")[0]
-    norm = float(np.linalg.norm(vec))
+    norm = frobenius(vec)
     if abs(norm - 1.0) > 1e-6:
         raise DataError(f"{path}: state norm {norm!r} is not within 1e-6 of 1")
     return vec / norm
@@ -380,11 +380,11 @@ def _cmd_measure(args, tol: ToleranceConfig) -> int:
         payload["observables"][name] = {
             "defect": cert.defect, "passed": cert.passed, "epsilon": epsilon,
         }
-        loaded.append((obs, mapping))
+        loaded.append((obs, epsilon))
         all_passed = all_passed and cert.passed
     if len(loaded) == 2:
-        report = uncertainty_report(model, loaded[0][0], loaded[0][1], loaded[1][0], psi, tol=tol)
-        payload["uncertainty"] = report.to_dict()
+        (a, epsilon), (b, _) = loaded
+        payload["uncertainty"] = _trade_off(model, a, epsilon, b, psi, tol).to_dict()
     _emit(payload)
     return 0 if all_passed else 1
 

@@ -18,8 +18,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import DimMismatchError, EmptyFamilyError
-from .numlin import (DEFAULT_TOL, ToleranceConfig, _hermitian_part, as_operator, as_square, eigh, is_hermitian,
-                     kernel_split, norm_within)
+from .numlin import (DEFAULT_TOL, ToleranceConfig, _hermitian_part, as_operator, as_square, eigh, frobenius,
+                     is_hermitian, kernel_split, norm_within)
 
 
 class Projection:
@@ -58,9 +58,11 @@ class Projection:
     def _spanned(cls, columns: np.ndarray, kernel: np.ndarray | None = None) -> "Projection":
         """Projection onto the span of orthonormal columns; ``kernel``, when
         known, completes them to a unitary.  Otherwise one SVD splits it off:
-        the columns' singular values are all 1, so any cutoff in (0, 1) works."""
+        the columns' singular values are all 1, so any cutoff in (0, 1) works.
+        With no columns that SVD's right vectors are exactly I, taken as is."""
         if kernel is None:
-            kernel = kernel_split(columns.conj().T, 0.5)[0]
+            kernel = (kernel_split(columns.conj().T, 0.5)[0] if columns.shape[1]
+                      else np.eye(columns.shape[0], dtype=complex).conj().T)
         return object.__new__(cls)._frame(columns, kernel)
 
     @classmethod
@@ -122,12 +124,12 @@ class Projection:
     def weight(self, vector) -> float:
         """Born weight ||P v||² of a unit vector, clipped to [0, 1]."""
         v = np.asarray(vector, dtype=complex).reshape(-1)
-        return float(np.clip(np.linalg.norm(self.range.conj().T @ v) ** 2, 0.0, 1.0))
+        return min(max(frobenius(self.range.conj().T @ v) ** 2, 0.0), 1.0)
 
     def contains(self, vector, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         """Range membership of a unit vector: ||P v - v|| = ||kernel† v|| <= eq_tol."""
         v = np.asarray(vector, dtype=complex).reshape(-1)
-        return float(np.linalg.norm(self.kernel.conj().T @ v)) <= tol.eq_tol
+        return frobenius(self.kernel.conj().T @ v) <= tol.eq_tol
 
     def isclose(self, other: "Projection", tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         """||P - Q|| <= eq_tol: each range lies within the other."""

@@ -27,7 +27,7 @@ import itertools
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -39,6 +39,7 @@ from .numlin import (
     as_square,
     as_state,
     eigh,
+    frobenius,
     kron,
     norm_within,
     op_norm,
@@ -114,7 +115,7 @@ class CorrelationCertificate:
     passed: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"defect": self.defect, "passed": self.passed}
 
 
 def _outcome_vectors(u: np.ndarray, phi: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -192,7 +193,7 @@ def output_distribution(model: MeasurementModel, psi,
     _, phi, _ = _read(model, psi, tol)
     family = spectral_family(model.meter, tol=tol)
     weights = np.sum(np.abs(phi @ family.vectors.conj()) ** 2, axis=0)
-    return {outcome: float(np.clip(weights[sl].sum(), 0.0, 1.0))
+    return {outcome: float(min(max(weights[sl].sum(), 0.0), 1.0))
             for outcome, sl in zip(family.eigenvalues, family.slices)}
 
 
@@ -214,7 +215,7 @@ def rms_noise(model: MeasurementModel, a: Observable, label_map: Mapping[float, 
               psi, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Root-mean-square noise: ||(f(O) − a⊗1)(psi ⊗ xi)||."""
     psi, labels, rows = _outcome_rows(model, a, label_map, psi, tol)
-    return float(np.linalg.norm(labels @ rows - _lift(a.matrix @ psi, model.probe_state)))
+    return frobenius(labels @ rows - _lift(a.matrix @ psi, model.probe_state))
 
 
 def rms_disturbance(model: MeasurementModel, b: Observable, psi,
@@ -224,7 +225,7 @@ def rms_disturbance(model: MeasurementModel, b: Observable, psi,
         raise DimMismatchError(f"observable dim {b.dim} != system dim {model.sys_dim}")
     psi, phi, _ = _read(model, psi, tol)
     moved = ((b.matrix @ phi).reshape(-1).conj() @ model.unitary).conj()
-    return float(np.linalg.norm(moved - _lift(b.matrix @ psi, model.probe_state)))
+    return frobenius(moved - _lift(b.matrix @ psi, model.probe_state))
 
 
 _INEQ_SLACK = 1e-9
@@ -241,7 +242,7 @@ class UncertaintyReport:
     satisfied: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def uncertainty_report(model: MeasurementModel, a: Observable, label_map: Mapping[float, float],
@@ -249,7 +250,12 @@ def uncertainty_report(model: MeasurementModel, a: Observable, label_map: Mappin
     """Noise-disturbance trade-off check:
     eps*eta + eps*sigma(b) + sigma(a)*eta >= |<psi|[a,b]|psi>| / 2."""
     psi, _, _ = _read(model, psi, tol)
-    epsilon = rms_noise(model, a, label_map, psi, tol=tol)
+    return _trade_off(model, a, rms_noise(model, a, label_map, psi, tol=tol), b, psi, tol)
+
+
+def _trade_off(model: MeasurementModel, a: Observable, epsilon: float, b: Observable, psi,
+               tol: ToleranceConfig) -> UncertaintyReport:
+    """:func:`uncertainty_report` from ε(a), its :func:`rms_noise`, at a state psi already read."""
     eta = rms_disturbance(model, b, psi, tol=tol)
     sigma_a = a.std_dev(psi)
     sigma_b = b.std_dev(psi)
@@ -269,8 +275,8 @@ class SimultaneousReport:
     both: bool
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        return {"certificate_a": out.pop("cert_a"), "certificate_b": out.pop("cert_b"), **out}
+        out = dict(vars(self))
+        return {"certificate_a": out.pop("cert_a").to_dict(), "certificate_b": out.pop("cert_b").to_dict(), **out}
 
 
 def simultaneously_measures(model: MeasurementModel, a: Observable, map_a: Mapping[float, float],
@@ -313,8 +319,8 @@ class ContextReport:
     system_equality_probability: float
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        return {"certificate_a": out.pop("cert_a"), "certificate_b": out.pop("cert_b"), **out}
+        out = dict(vars(self))
+        return {"certificate_a": out.pop("cert_a").to_dict(), "certificate_b": out.pop("cert_b").to_dict(), **out}
 
     def summary(self) -> str:
         def yn(flag: bool) -> str:

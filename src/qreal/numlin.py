@@ -10,6 +10,7 @@ index ``a`` flattens to ``i * probe_dim + a``, numpy's Kronecker order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+_EPS = float(np.finfo(float).eps)
 
 
 def as_operator(matrix) -> np.ndarray:
@@ -46,7 +48,7 @@ def as_operator(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2:
         raise NotSquareError(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -63,12 +65,20 @@ def as_state(vector, dim: int, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
     v = np.asarray(vector, dtype=complex).reshape(-1)
     if v.shape[0] != dim:
         raise DimMismatchError(f"state dim {v.shape[0]} != expected dim {dim}")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    if not np.isfinite(v).all():
         raise ValueError("state amplitudes must be finite")
     nrm = np.linalg.norm(v)
     if abs(nrm - 1.0) > tol.eq_tol:
         raise ValueError(f"state norm {nrm!r} is not within {tol.eq_tol} of 1")
     return v
+
+
+def frobenius(x: np.ndarray) -> float:
+    """||x||_F, ||x||₂ of a vector: np.linalg.norm's own sum, bit for bit, without its
+    dispatch; like it, ``dot`` may warn when a sum of squares overflows."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def op_norm(x: np.ndarray) -> float:
@@ -81,8 +91,8 @@ def norm_within(x: np.ndarray, bound: float, scale: np.ndarray | None = None) ->
     a Frobenius sum within ``bound``, less 4 * x.size ulps of rounding, accepts first with no SVD
     when ||scale||_F is finite."""
     with np.errstate(over="ignore"):
-        if np.linalg.norm(x) <= bound * (1.0 - 4 * x.size * np.finfo(float).eps) and (
-                scale is None or np.isfinite(np.linalg.norm(scale))):
+        if frobenius(x) <= bound * (1.0 - 4 * x.size * _EPS) and (
+                scale is None or math.isfinite(frobenius(scale))):
             return True
     limit = 1.0 if scale is None else op_norm(scale)
     if not np.isfinite(limit):

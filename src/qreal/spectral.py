@@ -15,6 +15,7 @@ one constructor of a spectral ``Projection``.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from itertools import accumulate
 
@@ -117,7 +118,7 @@ def spectral_family(obs: Observable, tol: ToleranceConfig = DEFAULT_TOL) -> Spec
         w, v = eigh(obs.matrix)
         v.setflags(write=False)
         slices = cluster_indices(w, tol.eig_cluster_tol)
-        family = SpectralFamily((np.mean(w[sl]) for sl in slices), v, slices)
+        family = SpectralFamily((w[sl].sum() / (sl.stop - sl.start) for sl in slices), v, slices)
         obs._spectra[tol] = family
     return family
 
@@ -150,7 +151,7 @@ def _meter_labels(meter: Observable, label_map: Mapping[float, float],
     the measurement layer both use it.  Every key and value must be finite.
     """
     for key, value in label_map.items():
-        if not (np.isfinite(float(key)) and np.isfinite(float(value))):
+        if not (math.isfinite(float(key)) and math.isfinite(float(value))):
             raise NonFiniteLabelError(
                 f"label map entry {float(key)!r} -> {float(value)!r} is not finite")
     family = spectral_family(meter, tol)

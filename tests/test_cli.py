@@ -265,6 +265,66 @@ def test_loaders_reject_bodies_that_are_not_lists(data_dir, tmp_path, capsys):
         assert code == 2 and out is None and err.startswith("error:") and said in err, name
 
 
+# Each loader, reached through a command, and a fixture file it reads.
+LOADERS = {
+    "observable": "obs_sigma_x.json",
+    "state": "state_zero2.json",
+    "model": "model_cnot.json",
+}
+
+
+def _reading(data_dir, loader: str, path: str) -> list[str]:
+    """argv that hands ``path`` to load_observable, load_state or load_model."""
+    state, x, z = (str(data_dir / name) for name in ("state_zero2.json", "obs_sigma_x.json", "obs_sigma_z.json"))
+    return {
+        "observable": ["eval", "A in {1}", "--obs", f"A={path}", "--state", state],
+        "state": ["measure", str(data_dir / "model_cnot.json"), "--state", path],
+        "model": ["context", path, x, "f", z, "f", "--state", state],
+    }[loader]
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, '{"a":' * 100_000 + "1" + "}" * 100_000],
+                         ids=["lists", "objects"])
+def test_deeply_nested_json_exits_two_naming_the_file(data_dir, tmp_path, capsys, loader, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, *_reading(data_dir, loader, str(path)))
+    assert (code, out) == (2, None)
+    assert err.startswith(f"error: {path}: invalid JSON: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("encode, said", [
+    (lambda text: b"\xff\xfe" + text.encode("utf-8"), "'utf-8' codec can't decode byte 0xff in position 0"),
+    (lambda text: text.encode("utf-16"), "'utf-8' codec can't decode byte"),
+    (lambda text: text.encode("latin-1").replace(b"dim", b"d\xefm"), "'utf-8' codec can't decode byte 0xef"),
+    (lambda text: b"\xef\xbb\xbf" + text.encode("utf-8"), "invalid JSON: Unexpected UTF-8 BOM"),
+], ids=["ff-fe", "utf-16", "latin-1", "utf-8-bom"])
+def test_files_that_are_not_plain_utf8_exit_two_naming_the_file(data_dir, tmp_path, capsys, loader, encode, said):
+    path = tmp_path / "encoded.json"
+    path.write_bytes(encode((data_dir / LOADERS[loader]).read_text(encoding="utf-8")))
+    code, out, err = run_cli(capsys, *_reading(data_dir, loader, str(path)))
+    assert (code, out) == (2, None)
+    assert err.startswith(f"error: {path}: {said}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_loaders_read_newlines_as_text_mode_does(data_dir, tmp_path, capsys, loader, newline):
+    text = (data_dir / LOADERS[loader]).read_text(encoding="utf-8")
+    path = tmp_path / "newlines.json"
+    path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+    expected = run_cli(capsys, *_reading(data_dir, loader, str(data_dir / LOADERS[loader])))
+    assert run_cli(capsys, *_reading(data_dir, loader, str(path))) == expected
+    # A syntax error is placed as text mode places it: by line, column and character.
+    path.write_bytes(text.replace("\n}", ",\n}").replace("\n", newline).encode("utf-8"))
+    with open(path, encoding="utf-8") as handle, pytest.raises(json.JSONDecodeError) as error:
+        json.load(handle)
+    code, out, err = run_cli(capsys, *_reading(data_dir, loader, str(path)))
+    assert (code, out, err) == (2, None, f"error: {path}: invalid JSON: {error.value}\n")
+
+
 # ---------------------------------------------------------------------------
 # measure
 

@@ -28,7 +28,9 @@ from qreal.numlin import (
     as_square,
     as_state,
     eigh,
+    frobenius,
     is_hermitian,
+    norm_within,
     null_basis,
     op_norm,
     range_basis,
@@ -321,3 +323,62 @@ def test_probe_compress_matches_explicit_contraction():
 def test_probe_compress_requires_factorizable_dim():
     with pytest.raises(DimMismatchError):
         probe_compress(np.eye(5), np.array([1.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# The dispatch-free helpers give numpy's own answers, bit for bit.
+
+
+def _views(m: np.ndarray) -> list[np.ndarray]:
+    """m and non-contiguous views of it: transposed, strided, reversed, possibly empty."""
+    return [m, m.T, m[::2], m[:, ::-1], m.T[1:, ::2]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 5), cols=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), real=st.booleans(),
+       top=st.sampled_from([1e-300, 1.0, 1e150, 1e200, 1.7e308]))
+def test_frobenius_is_np_linalg_norm_bit_for_bit(rows, cols, seed, real, top):
+    # Past about 1e154 the sum of squares overflows: both give inf, through the same dot.
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(rows, cols)) + (0 if real else 1j * rng.normal(size=(rows, cols)))
+    m = m / np.abs(m).max() * top
+    for view in _views(m):
+        with np.errstate(over="ignore"):
+            want, got = np.linalg.norm(view), frobenius(view)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("x, scale, verdict", [
+    (np.array([[1e200]]), None, False),
+    (np.array([[1e200j, 0.0], [0.0, 1.0]]), None, False),
+    (0.5 * np.eye(1), np.array([[1e200]]), True),
+    (0.5 * np.eye(2), np.full((2, 2), 1e300 + 1e300j), True),
+    (0.5 * np.eye(2), np.diag([1.5e308, 1.5e308]) + np.diag([1.5e308], 1), "ValueError: matrix operator norm is not finite"),
+], ids=["x one entry", "x complex", "scale one entry", "scale complex", "scale norm overflows"])
+def test_norm_gate_overflows_to_inf_inside_without_a_warning(x, scale, verdict):
+    # The Frobenius sums of x or of scale overflow to inf inside the gate,
+    # silently (RuntimeWarnings fail the suite); the SVD rule then decides.
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        frobenius(x if scale is None else scale)
+    assert _verdict(norm_within, x, 1.0, scale) == verdict
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 4), cols=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       bad=st.sampled_from([None, np.inf, -np.inf, np.nan]), imag=st.booleans(), where=st.integers(0, 15))
+def test_fused_finiteness_check_is_the_two_part_check_on_views(rows, cols, seed, bad, imag, where):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    if bad is not None:
+        (m.imag if imag else m.real).flat[where % m.size] = bad
+    for view in _views(m):
+        finite = bool(np.all(np.isfinite(view.real)) and np.all(np.isfinite(view.imag)))
+        assert bool(np.isfinite(view).all()) == finite
+        for check in (as_operator, lambda v: as_state(v.reshape(-1), v.size)):
+            try:
+                check(view)
+                said = ""
+            except ValueError as exc:
+                said = str(exc)
+            assert ("must be finite" in said) == (not finite)

@@ -272,3 +272,19 @@ def test_value_matching_at_the_cutoff_agrees_with_the_scalar_rule():
             with pytest.raises(UnmappedEigenvalueError):
                 _meter_labels(obs, label_map, DEFAULT_TOL)
     assert mapped and unmapped
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), distinct=st.integers(1, 4),
+       jitter=st.sampled_from([0.0, 1e-13, 1e-10, 3e-9]), scale=st.sampled_from([1e-6, 1.0, 1e6]))
+def test_cluster_means_are_np_mean_bit_for_bit(dim, seed, distinct, jitter, scale):
+    # Degenerate spectra read back through eigh jitter within a cluster, so the
+    # cluster sums round; the family's values are np.mean of its slices.
+    rng = np.random.default_rng(seed)
+    values = scale * rng.integers(0, distinct, size=dim) + jitter * rng.normal(size=dim)
+    v = random_unitary(dim, rng)
+    obs = Observable(numlin._hermitian_part((v * values) @ v.conj().T))
+    family = spectral_family(obs)
+    w, _ = numlin.eigh(obs.matrix)
+    assert [np.float64(value).tobytes() for value in family.eigenvalues] == [
+        np.mean(w[sl]).tobytes() for sl in family.slices]
