@@ -112,7 +112,8 @@ def state_from_body(body: dict, path: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != dim:
         raise DataError(f"{path}: 'vector' is not a list of {dim} entries")
     vec = _complex_entries([entries], path, "vector")[0]
-    norm = frobenius(vec)
+    with np.errstate(over="ignore"):
+        norm = frobenius(vec)
     if abs(norm - 1.0) > 1e-6:
         raise DataError(f"{path}: state norm {norm!r} is not within 1e-6 of 1")
     return vec / norm
@@ -244,7 +245,8 @@ def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
 
 def _emit(payload: dict) -> None:
     # json.dumps runs the C encoder; json.dump streams through the Python one.
-    sys.stdout.write(json.dumps(payload) + "\n")
+    # NaN and infinity are not JSON: they raise ValueError, an `error:` line.
+    sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,6 +358,7 @@ def _cmd_com(args, tol: ToleranceConfig) -> int:
     return 0 if flag else 1
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow reaches _emit as a non-finite number
 def _cmd_measure(args, tol: ToleranceConfig) -> int:
     model, _ = load_model(args.model, tol)
     psi = load_state(args.state)

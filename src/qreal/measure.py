@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -376,7 +375,7 @@ def context_report(model: MeasurementModel, a: Observable, map_a: Mapping[float,
 @dataclass(frozen=True)
 class RestartTelemetry:
     """What one pattern-search restart did: its defect, the polls it read
-    (objective values, batched ones past the first accepted not counted),
+    (values, batched ones past the first accepted not counted),
     accepted coordinate moves, state polishes that beat the iterate, the
     step size it stopped at, and its wall time."""
 
@@ -410,22 +409,20 @@ _SUCCESS_CUTOFF = 1e-10
 
 def _state_from_params(theta: np.ndarray, dim: int) -> np.ndarray:
     vec = theta[:dim] + 1j * theta[dim:]
-    re, im = vec.real, vec.imag
-    # np.linalg.norm's own sum, without its dispatch.
-    norm = math.sqrt(re.dot(re) + im.dot(im))
+    norm = frobenius(vec)
     if norm < 1e-12:
-        vec = vec.copy()
         vec[0] += 1.0
-        norm = np.linalg.norm(vec)
+        norm = frobenius(vec)
     return vec / norm
 
 
 class _SearchProblem:
-    """Shared geometry for one search run (observables fixed, meter fixed).
+    """Geometry for one search run (observables fixed, meter fixed), built
+    once and never changed: the restarts share it and own their iterates.
 
-    Everything that depends only on the dimensions is built here once, so an
-    objective evaluation pays for its own arithmetic alone.  The probe state
-    is e_0, so psi ⊗ xi is psi written at every k-th joint position."""
+    Everything that depends only on the dimensions is built here, so a poll
+    pays for its own arithmetic alone.  The probe state is e_0, so
+    psi ⊗ xi is psi written at every k-th joint position."""
 
     def __init__(self, a: Observable, b: Observable, probe_dim: int, tol: ToleranceConfig):
         self.n = a.dim
@@ -446,7 +443,6 @@ class _SearchProblem:
         self._diagonal = np.arange(self.joint) * (self.joint + 1)
         self._upper = rows * self.joint + cols
         self._lower = cols * self.joint + rows
-        self._generator = self._state = None  # the parameters objective last built U and psi from
 
     def candidate_maps(self, rng: np.random.Generator):
         """Assignments meter outcome -> eigenvalue index, one (maps, one-hot)
@@ -480,9 +476,10 @@ class _SearchProblem:
         w, v = np.linalg.eigh(h.reshape(-1, d, d))
         return (v * np.exp(1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
 
-    def unitary(self, theta: np.ndarray) -> np.ndarray:
-        """``unitaries`` at one point, from the first d² entries of ``theta``."""
-        return self.unitaries(theta[None, :self.u_params])[0]
+    def start(self, theta: np.ndarray):
+        """A restart's iterate at ``theta``: (theta, U, psi, psi's target rows)."""
+        psi = _state_from_params(theta[self.u_params:], self.n)
+        return theta, self.unitaries(theta[None, :self.u_params])[0], psi, self.targets(psi)
 
     def outcome_vectors(self, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """Outcome rows of psi (..., n) under u (..., d, d), stacks broadcast."""
@@ -508,60 +505,55 @@ class _SearchProblem:
         squares = (re[..., None, :] @ re[..., None] + im[..., None, :] @ im[..., None])[..., 0, 0]
         return np.sqrt(squares.max(axis=-1))
 
-    def _unitary_at(self, theta: np.ndarray) -> np.ndarray:
-        """U at ``theta``, kept until the bytes of the generator parameters change."""
-        generator = theta[:self.u_params].tobytes()
-        if generator != self._generator:
-            self._generator, self._u = generator, self.unitary(theta)
-        return self._u
-
-    def _state_at(self, theta: np.ndarray):
-        """psi at ``theta`` with its target rows, kept until the bytes of the state parameters change."""
-        state = theta[self.u_params:].tobytes()
-        if state != self._state:
-            psi = _state_from_params(theta[self.u_params:], self.n)
-            self._state, self._psi, self._targets = state, psi, self.targets(psi)
-        return self._psi, self._targets
-
     def _tables(self, u, psi, targets, side_a, side_b):
         """Each side's defect table at each stacked (u, psi)."""
         vectors = self.outcome_vectors(u, psi)
         return [self.defects(vectors, t, hot) for t, (_, hot) in zip(targets, (side_a, side_b))]
 
-    def objective(self, theta: np.ndarray, side_a, side_b):
-        """Exhaust label maps at ``theta``; the sides decouple in the max-defect and each keeps its
-        lowest-index least defect.  A coordinate move changes U or psi, not both, so each (psi with
-        its target rows) is kept until the bytes of its own parameters change."""
-        table_a, table_b = self._tables(self._unitary_at(theta), *self._state_at(theta), side_a, side_b)
-        ia, ib = table_a.argmin(), table_b.argmin()
-        return float(max(table_a[ia], table_b[ib])), side_a[0][ia], side_b[0][ib]
-
-    def polls(self, theta: np.ndarray, moves, side_a, side_b):
-        """``objective`` at theta + delta e_i for every (i, delta) in ``moves``,
-        which run in coordinate order, in one stacked pass per kind of move:
-        generator moves share psi at theta, state moves share U at theta.
-        Returns (defects, map rows a, map rows b), row j bit-identical to
-        ``objective`` at move j; psi is normalised per move, as there.  A
-        single move is an ``objective`` call, without the stack's set-up."""
+    def polls(self, here, moves, side_a, side_b):
+        """Poll theta + delta e_i for every (i, delta) in ``moves``, which run
+        in coordinate order, theta being the iterate ``here``'s.  Returns
+        (defects, map rows a, map rows b, iterate): at move j each side's
+        lowest-index least defect and their max, and ``iterate(j)``, the
+        iterate there, bit-identical to ``start``'s, built only when asked
+        for, as an accepted move is.  A move changes U or psi, not both, and
+        reads the other from ``here``.  Several moves take one stacked pass
+        per kind; a single one, a ride poll, skips the stack's set-up."""
+        theta, u, psi, targets = here
         if len(moves) == 1:
             (i, delta), = moves
             point = theta.copy()
             point[i] += delta
-            return tuple([part] for part in self.objective(point, side_a, side_b))
+            if i < self.u_params:
+                u = self.unitaries(point[None, :self.u_params])[0]
+            else:
+                psi = _state_from_params(point[self.u_params:], self.n)
+                targets = self.targets(psi)
+            table_a, table_b = self._tables(u, psi, targets, side_a, side_b)
+            ia, ib = table_a.argmin(), table_b.argmin()
+            value = float(max(table_a[ia], table_b[ib]))
+            return [value], [side_a[0][ia]], [side_b[0][ib]], lambda j: (point, u, psi, targets)
         index, deltas = zip(*moves)
         candidates = np.repeat(theta[None], len(moves), axis=0)
         candidates[np.arange(len(moves)), index] += deltas
         split = sum(i < self.u_params for i in index)
         tables = []  # each stacked point's axis of maps is a singleton axis of its inputs
         if split:
-            u = self.unitaries(candidates[:split, :self.u_params])[:, None]
-            tables.append(self._tables(u, *self._state_at(theta), side_a, side_b))
+            us = self.unitaries(candidates[:split, :self.u_params])
+            tables.append(self._tables(us[:, None], psi, targets, side_a, side_b))
         if split < len(moves):
-            psi = np.stack([_state_from_params(row[self.u_params:], self.n) for row in candidates[split:]])[:, None]
-            tables.append(self._tables(self._unitary_at(theta), psi, self.targets(psi), side_a, side_b))
+            states = np.stack([_state_from_params(row[self.u_params:], self.n) for row in candidates[split:]])
+            rows = self.targets(states[:, None])
+            tables.append(self._tables(u, states[:, None], rows, side_a, side_b))
         table_a, table_b = (np.concatenate(side) for side in zip(*tables))
         ia, ib = table_a.argmin(axis=1), table_b.argmin(axis=1)
-        return np.maximum(table_a.min(axis=1), table_b.min(axis=1)), side_a[0][ia], side_b[0][ib]
+
+        def iterate(j):
+            if j < split:
+                return candidates[j], us[j], psi, targets
+            return candidates[j], u, states[j - split], [t[j - split, 0] for t in rows]
+
+        return np.maximum(table_a.min(axis=1), table_b.min(axis=1)), side_a[0][ia], side_b[0][ib], iterate
 
     def polish(self, u: np.ndarray, side_a, side_b):
         """Re-solve for the state: per map pair, the summed squared defect is
@@ -611,69 +603,65 @@ def _pattern_search(problem: _SearchProblem, rng: np.random.Generator, budget: i
     so the step cascade is traversed once instead of restarting.  Returns
     (U, psi, map_a, map_b, telemetry); the telemetry carries the defect.
 
-    A sweep polls theta ± step·e_i for i = 0, 1, ... in turn, and rides an
-    accepted direction until it stops paying off.  Until the next accepted
-    poll the polls ahead are fixed, so up to _POLL_BATCH of them, to the end
-    of the sweep and within the budget, are evaluated in one stacked pass
-    and read in order; the batch is dropped at its first accepted poll, and
-    ``evals`` counts the polls read.  Past _POLL_ENTRIES defect-table
-    entries per candidate a batch is one poll.  Ride polls go one at a time
-    through ``objective``.  Every value, and so the whole restart, is
-    bit-identical to polling one point at a time."""
+    The restart owns its iterate (theta, U, psi, psi's target rows), and a
+    poll reads it.  A sweep polls theta ± step·e_i for i = 0, 1, ... in turn,
+    and rides an accepted direction, one poll at a time, until it stops
+    paying off.  Until the next accepted poll the polls ahead are fixed, so
+    up to _POLL_BATCH of them, to the end of the sweep and within the budget,
+    are evaluated in one stacked pass and read in order; the batch is dropped
+    at its first accepted poll, and ``evals`` counts the polls read.  Past
+    _POLL_ENTRIES defect-table entries per candidate a batch is one poll.
+    Every value, and so the whole restart, is bit-identical to polling one
+    point at a time."""
     start = time.perf_counter()
     side_a, side_b = problem.candidate_maps(rng)
-    theta = np.concatenate([
+    here = problem.start(np.concatenate([
         rng.normal(0.0, 0.6, size=problem.u_params),
         rng.normal(0.0, 1.0, size=problem.s_params),
-    ])
-    best_val, best_a, best_b = problem.objective(theta, side_a, side_b)
+    ]))
+    # The start's own value is the poll of a null move: x + (-0.0) is x, bit for bit.
+    (best_val,), (best_a,), (best_b,), _ = problem.polls(here, [(problem.u_params, -0.0)], side_a, side_b)
     evals = 1
     accepted = polish_wins = 0
     step = 0.5
-    sweep = 2 * theta.size  # polls theta + step e_i, then theta - step e_i, per coordinate
+    sweep = 2 * (problem.u_params + problem.s_params)  # polls theta + step e_i, then theta - step e_i, per coordinate
     entries = problem.joint * sum(one_hot.shape[0] * one_hot.shape[1] for _, one_hot in (side_a, side_b))
     batch = _POLL_BATCH if entries <= _POLL_ENTRIES else 1
     while step > 1e-10 and evals < budget and best_val > _SUCCESS_CUTOFF:
         improved = False
-        poll = 0
-        while poll < sweep and evals < budget:
-            moves = [(p // 2, -step if p % 2 else step)
-                     for p in range(poll, poll + min(batch, sweep - poll, budget - evals))]
-            poll += len(moves)
-            for move, val, g_a, g_b in zip(moves, *problem.polls(theta, moves, side_a, side_b)):
+        poll, ride = 0, ()
+        while evals < budget and (ride or poll < sweep):
+            if ride:
+                moves = [ride]
+            else:
+                moves = [(p // 2, -step if p % 2 else step)
+                         for p in range(poll, poll + min(batch, sweep - poll, budget - evals))]
+                poll += len(moves)
+            ride = ()
+            values, maps_a, maps_b, iterate = problem.polls(here, moves, side_a, side_b)
+            for j, val in enumerate(values):
                 evals += 1
                 if val >= best_val - 1e-15:
                     continue
-                i, delta = move
-                candidate = theta.copy()
-                candidate[i] += delta
-                # Ride the direction while it keeps paying off.
-                while True:
-                    theta, best_val, best_a, best_b = candidate, float(val), g_a, g_b
-                    accepted += 1
-                    improved = True
-                    if evals >= budget:
-                        break
-                    candidate = theta.copy()
-                    candidate[i] += delta
-                    val, g_a, g_b = problem.objective(candidate, side_a, side_b)
-                    evals += 1
-                    if val >= best_val - 1e-15:
-                        break
-                poll = 2 * (i + 1)  # an accepted coordinate skips its other sign
+                here, best_val, best_a, best_b = iterate(j), float(val), maps_a[j], maps_b[j]
+                accepted += 1
+                improved = True
+                # Ride the direction while it pays off; an accepted coordinate skips its other sign.
+                ride = moves[j]
+                poll = 2 * (ride[0] + 1)
                 break
         if not improved:
-            polished = problem.polish(problem.unitary(theta), side_a, side_b)
+            theta, u, _, _ = here
+            polished = problem.polish(u, side_a, side_b)
             if polished[0] < best_val - 1e-15:
                 best_val, psi, best_a, best_b = polished
-                theta = np.concatenate([theta[:problem.u_params], psi.real, psi.imag])
+                here = problem.start(np.concatenate([theta[:problem.u_params], psi.real, psi.imag]))
                 polish_wins += 1
             else:
                 step *= 0.5
 
-    u = problem.unitary(theta)
+    _, u, psi, _ = here
     polished = problem.polish(u, side_a, side_b)
-    psi = _state_from_params(theta[problem.u_params:], problem.n)
     if polished[0] < best_val:
         best_val, psi, best_a, best_b = polished
         polish_wins += 1

@@ -67,7 +67,8 @@ def as_state(vector, dim: int, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
         raise DimMismatchError(f"state dim {v.shape[0]} != expected dim {dim}")
     if not np.isfinite(v).all():
         raise ValueError("state amplitudes must be finite")
-    nrm = np.linalg.norm(v)
+    with np.errstate(over="ignore"):
+        nrm = frobenius(v)
     if abs(nrm - 1.0) > tol.eq_tol:
         raise ValueError(f"state norm {nrm!r} is not within {tol.eq_tol} of 1")
     return v

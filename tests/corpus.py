@@ -23,7 +23,7 @@ from qreal import (
     spectral_projection,
 )
 from qreal.errors import EmptyFamilyError
-from qreal.measure import _SUCCESS_CUTOFF, RestartTelemetry, SearchResult, _SearchProblem, _state_from_params
+from qreal.measure import _SUCCESS_CUTOFF, RestartTelemetry, SearchResult, _SearchProblem
 from qreal.numlin import _hermitian_part, null_basis
 
 
@@ -516,17 +516,19 @@ def reference_polish(problem, u: np.ndarray, maps_a: np.ndarray, maps_b: np.ndar
 
 
 def reference_pattern_search(problem, rng: np.random.Generator, budget: int, index: int):
-    """One restart polled one point at a time through ``objective``, with
-    ``reference_polish``: ``measure._pattern_search`` before its polls were
-    batched.  Every restart record of the batched search must equal this
-    one's bit for bit."""
+    """One restart polled one point at a time, each poll a fresh
+    ``reference_objective``, with ``reference_polish``: ``measure._pattern_search``
+    before its polls were batched and before it kept an iterate, sharing no
+    evaluation code with it.  Every restart record of the search must equal
+    this one's bit for bit."""
     start = time.perf_counter()
     side_a, side_b = problem.candidate_maps(rng)
     theta = np.concatenate([
         rng.normal(0.0, 0.6, size=problem.u_params),
         rng.normal(0.0, 1.0, size=problem.s_params),
     ])
-    best_val, best_a, best_b = problem.objective(theta, side_a, side_b)
+    maps_a, maps_b = side_a[0], side_b[0]
+    best_val, best_a, best_b = reference_objective(problem, theta, maps_a, maps_b)
     evals = 1
     accepted = polish_wins = 0
     step = 0.5
@@ -541,7 +543,7 @@ def reference_pattern_search(problem, rng: np.random.Generator, budget: int, ind
                 while evals < budget:
                     candidate = theta.copy()
                     candidate[i] += delta
-                    val, g_a, g_b = problem.objective(candidate, side_a, side_b)
+                    val, g_a, g_b = reference_objective(problem, candidate, maps_a, maps_b)
                     evals += 1
                     if val >= best_val - 1e-15:
                         break
@@ -551,7 +553,8 @@ def reference_pattern_search(problem, rng: np.random.Generator, budget: int, ind
                 if moved or evals >= budget:
                     break
         if not improved:
-            polished = reference_polish(problem, problem.unitary(theta), side_a[0], side_b[0])
+            u = reference_unitary(theta[:problem.u_params], problem.joint)
+            polished = reference_polish(problem, u, maps_a, maps_b)
             if polished is not None and polished[0] < best_val - 1e-15:
                 best_val, psi, best_a, best_b = polished
                 theta = np.concatenate([theta[:problem.u_params], psi.real, psi.imag])
@@ -559,9 +562,9 @@ def reference_pattern_search(problem, rng: np.random.Generator, budget: int, ind
             else:
                 step *= 0.5
 
-    u = problem.unitary(theta)
-    polished = reference_polish(problem, u, side_a[0], side_b[0])
-    psi = _state_from_params(theta[problem.u_params:], problem.n)
+    u = reference_unitary(theta[:problem.u_params], problem.joint)
+    polished = reference_polish(problem, u, maps_a, maps_b)
+    psi = reference_state(theta[problem.u_params:], problem.n)
     if polished is not None and polished[0] < best_val:
         best_val, psi, best_a, best_b = polished
         polish_wins += 1

@@ -389,6 +389,41 @@ def test_measure_error_paths(data_dir, capsys):
     assert code == 2 and "unitarity" in err
 
 
+def test_measure_refuses_non_finite_output(data_dir, tmp_path, capsys):
+    # rms noise of diag(1, 1e308) overflows, and with a second observable so
+    # do its spread and the trade-off: JSON has no Infinity or NaN, so such a
+    # call writes nothing on stdout and one error line, with no warning.
+    huge = _write_json(tmp_path / "huge.json", _matrix_body(np.diag([1.0, 1e308])))
+    base = ["measure", str(data_dir / "model_cnot.json"), "--state", str(data_dir / "state_plus.json"),
+            "--observable", f"Z={huge}", "--map", "f"]
+    for extra in ([], ["--observable", f"X={data_dir / 'obs_sigma_x.json'}", "--map", "f"]):
+        code, out, err = run_cli(capsys, *base, *extra)
+        assert (code, out) == (2, None)
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_context_on_entries_near_float_max_writes_strict_json(data_dir, tmp_path, capsys):
+    huge = _write_json(tmp_path / "huge.json", _matrix_body(np.diag([1.0, 1e308])))
+    code = main(["context", str(data_dir / "model_cnot.json"), huge, "f",
+                 str(data_dir / "obs_sigma_x.json"), "f", "--state", str(data_dir / "state_plus.json")])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    out = json.loads(captured.out, parse_constant=refuse)
+    jsonschema.validate(out, schema("context_output"))
+    assert out["both_passed"] is False
+
+
+def test_state_whose_norm_overflows_exits_two_without_warning(data_dir, tmp_path, capsys):
+    path = _write_json(tmp_path / "state.json", {"dim": 2, "vector": [[1e200, 0], [0, 0]]})
+    code, out, err = run_cli(capsys, "measure", str(data_dir / "model_cnot.json"), "--state", path)
+    assert (code, out) == (2, None)
+    assert err == f"error: {path}: state norm inf is not within 1e-6 of 1\n"
+
+
 @pytest.mark.parametrize("pairs", [
     [[1.0, 1.0], [-1.0, float("nan")]],
     [[1.0, 1.0], [-1.0, float("inf")]],

@@ -98,6 +98,11 @@ def test_as_state_norm_check():
         as_state([1.0, 1.0], 2)
     with pytest.raises(ValueError):
         as_state([np.inf, 0.0], 2)
+    # The norm prints as a plain float, and one that overflows as inf, with no warning.
+    with pytest.raises(ValueError, match=r"^state norm 0\.5 is not within 1e-09 of 1$"):
+        as_state([0.5, 0.0], 2)
+    with pytest.raises(ValueError, match=r"^state norm inf is not"):
+        as_state([1e200, 0.0], 2)
     with pytest.raises(DimMismatchError):
         as_state([1.0, 0.0], 3)
 

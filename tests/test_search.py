@@ -2,6 +2,7 @@ import contextlib
 import functools
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
@@ -141,28 +142,21 @@ def test_label_maps_are_enumerated_up_to_256_a_side():
 
 
 def test_telemetry_has_one_record_per_restart_that_ran(monkeypatch):
-    # evals counts the polls the search reads: every objective call, and the
-    # batched polls up to the first accepted one, not those it drops.
+    # evals counts the polls the search reads: every value of a polls call
+    # up to the first accepted one, not the batched ones it drops.
     evaluations = []
-    objective, polls = _SearchProblem.objective, _SearchProblem.polls
+    polls = _SearchProblem.polls
 
-    def counted(self, theta, side_a, side_b):
-        evaluations.append(1)
-        return objective(self, theta, side_a, side_b)
-
-    def counted_polls(self, theta, moves, side_a, side_b):
-        if len(moves) == 1:  # one poll is an objective call, counted there
-            return polls(self, theta, moves, side_a, side_b)
-        values, maps_a, maps_b = polls(self, theta, moves, side_a, side_b)
+    def counted_polls(self, here, moves, side_a, side_b):
+        values, maps_a, maps_b, iterate = polls(self, here, moves, side_a, side_b)
 
         def read():
             for value in values:
                 evaluations.append(1)
                 yield value
 
-        return read(), maps_a, maps_b
+        return read(), maps_a, maps_b, iterate
 
-    monkeypatch.setattr(_SearchProblem, "objective", counted)
     monkeypatch.setattr(_SearchProblem, "polls", counted_polls)
     # The counter sees only evaluations made in this process.
     monkeypatch.setattr(measure, "_search_workers", lambda restarts: 1)
@@ -492,21 +486,17 @@ def test_search_kernels_are_bit_identical_to_the_reference(n, k):
     # A short walk of single-coordinate moves, as the pattern search makes,
     # through both the generator and the state parameters.
     for step in range(6):
-        u = problem.unitary(theta)
-        psi = _state_from_params(theta[problem.u_params:], n)
+        here = problem.start(theta)
+        _, u, psi, targets = here
         assert np.array_equal(u, reference_unitary(theta[:problem.u_params], n * k))
         assert np.array_equal(psi, reference_state(theta[problem.u_params:], n))
+        assert np.array_equal(psi, _state_from_params(theta[problem.u_params:], n))
         vectors = problem.outcome_vectors(u, psi)
         assert np.array_equal(vectors, reference_outcome_rows(problem, u, psi))
-        for projections, targets, (maps, one_hot) in zip((problem.proj_a, problem.proj_b),
-                                                          problem.targets(psi), sides):
-            assert np.array_equal(targets, reference_target_rows(projections, psi, problem.xi))
-            assert np.array_equal(problem.defects(vectors, targets, one_hot),
+        for projections, rows, (maps, one_hot) in zip((problem.proj_a, problem.proj_b), targets, sides):
+            assert np.array_equal(rows, reference_target_rows(projections, psi, problem.xi))
+            assert np.array_equal(problem.defects(vectors, rows, one_hot),
                                   reference_defects(problem, vectors, psi, projections, maps))
-        value, map_a, map_b = problem.objective(theta, *sides)
-        want, want_a, want_b = reference_objective(problem, theta, maps_a, maps_b)
-        assert value == want
-        assert np.array_equal(map_a, want_a) and np.array_equal(map_b, want_b)
         polished, reference = problem.polish(u, *sides), reference_polish(problem, u, maps_a, maps_b)
         assert polished[0] == reference[0]
         for got, expected in zip(polished[1:], reference[1:]):
@@ -514,24 +504,46 @@ def test_search_kernels_are_bit_identical_to_the_reference(n, k):
         # Rows at the polished state, whose components eigh may leave real.
         assert np.array_equal(problem.outcome_vectors(u, polished[1]),
                               reference_outcome_rows(problem, u, reference[1]))
-        # Both signs of the move, as the pattern search tries them: the
-        # objective keeps psi and its target rows from the call before across
-        # a generator move, and U across a state move.
+        # The null move, which reads the value at the iterate itself, then
+        # both signs of the move, one poll each, as a ride polls them.  A
+        # generator move keeps the iterate's psi and its target rows, a state
+        # move its U.
         generator_move = step % 2 == 0
         index = rng.integers(problem.u_params) if generator_move else problem.u_params + step % problem.s_params
-        def kept_parts():
-            return (problem._psi, *problem._targets) if generator_move else (problem._u,)
-
-        kept = kept_parts()
-        for delta in (0.5 ** step, -0.5 ** step):
+        for delta in (-0.0, 0.5 ** step, -0.5 ** step):
+            (value,), (map_a,), (map_b,), iterate = problem.polls(here, [(index, delta)], *sides)
+            point = iterate(0)
             candidate = theta.copy()
             candidate[index] += delta
-            value, map_a, map_b = problem.objective(candidate, *sides)
             want, want_a, want_b = reference_objective(problem, candidate, maps_a, maps_b)
             assert value == want
             assert np.array_equal(map_a, want_a) and np.array_equal(map_b, want_b)
-        assert all(now is before for now, before in zip(kept_parts(), kept))
+            _assert_same_iterate(point, problem.start(candidate))
+            assert (point[2] is psi and point[3] is targets) if generator_move else point[1] is u
         theta = candidate
+
+
+def _assert_same_iterate(got, want):
+    """Two iterates (theta, U, psi, target rows) hold the same bytes."""
+    got_theta, got_u, got_psi, got_targets = got
+    want_theta, want_u, want_psi, want_targets = want
+    for left, right in ((got_theta, want_theta), (got_u, want_u), (got_psi, want_psi),
+                        *zip(got_targets, want_targets)):
+        assert left.shape == right.shape and left.tobytes() == right.tobytes()
+
+
+def test_a_restart_leaves_the_search_problem_unchanged():
+    # The restarts share one problem and own their iterates, so a restart,
+    # run here in this process, changes no byte of any attribute.
+    problem = _SearchProblem(Observable(PAULI_X, name="A"), Observable(PAULI_Y, name="B"), 2, DEFAULT_TOL)
+
+    def snapshot():
+        return {name: pickle.dumps(value) for name, value in vars(problem).items()}
+
+    before = snapshot()
+    for index in range(2):
+        _pattern_search(problem, np.random.default_rng(index), 300, index)
+        assert snapshot() == before
 
 
 # ---------------------------------------------------------------------------
@@ -577,23 +589,27 @@ def poll_batches(draw):
 @settings(max_examples=60, deadline=None)
 @given(poll_batches())
 def test_batched_polls_are_the_objective_of_each_candidate(batch):
+    # Each poll's value and map rows are the reference objective's at its
+    # candidate, and the iterate it returns, which an accepted poll becomes,
+    # is the one start builds there, bit for bit.
     problem, sides, theta, moves = batch
     maps_a, maps_b = sides[0][0], sides[1][0]
-    values, rows_a, rows_b = problem.polls(theta, moves, *sides)
+    values, rows_a, rows_b, iterate = problem.polls(problem.start(theta), moves, *sides)
     assert len(values) == len(moves)
-    for (i, delta), value, row_a, row_b in zip(moves, values, rows_a, rows_b):
+    for j, ((i, delta), value, row_a, row_b) in enumerate(zip(moves, values, rows_a, rows_b)):
         candidate = theta.copy()
         candidate[i] += delta
         want, want_a, want_b = reference_objective(problem, candidate, maps_a, maps_b)
         assert np.array_equal(value, want)
         assert np.array_equal(row_a, want_a) and np.array_equal(row_b, want_b)
+        _assert_same_iterate(iterate(j), problem.start(candidate))
 
 
 @settings(max_examples=40, deadline=None)
 @given(poll_batches())
 def test_stacked_polish_is_the_pairwise_polish(batch):
     problem, sides, theta, _ = batch
-    u = problem.unitary(theta)
+    u = problem.start(theta)[1]
     polished, reference = problem.polish(u, *sides), reference_polish(problem, u, sides[0][0], sides[1][0])
     assert polished[0] == reference[0]
     for got, expected in zip(polished[1:], reference[1:]):
