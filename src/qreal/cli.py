@@ -245,8 +245,21 @@ def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
 
 def _emit(payload: dict) -> None:
     # json.dumps runs the C encoder; json.dump streams through the Python one.
-    # NaN and infinity are not JSON: they raise ValueError, an `error:` line.
-    sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
+    # NaN and infinity are not JSON: the `error:` line names the first one.
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError:
+        path, value = _non_finite(payload)
+        raise DataError(f"{path} is {value}, which is not a JSON number") from None
+    sys.stdout.write(text + "\n")
+
+
+def _non_finite(value, path: str = ""):
+    """(dotted path, value) of the first NaN or infinity in a JSON payload, or None."""
+    if isinstance(value, float):
+        return None if np.isfinite(value) else (path[1:], value)
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    return next(filter(None, (_non_finite(item, f"{path}.{key}") for key, item in items)), None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,7 +337,10 @@ def _cmd_eval(args, tol: ToleranceConfig) -> int:
         name: load_observable(path, name, tol) for name, path in args.obs
     })
     psi = load_state(args.state)
-    report = holds_in(formula, env, psi, tol=tol)
+    try:
+        report = holds_in(formula, env, psi, tol=tol)
+    except RecursionError:
+        raise DataError("formula too deep to evaluate") from None
     _emit({
         "probability": report.probability,
         "holds": report.holds,

@@ -1,4 +1,4 @@
-"""The statement language: AST, recursive-descent parser, pretty-printer.
+"""The statement language: AST, precedence-climbing parser, pretty-printer.
 
 Grammar (whitespace insignificant between tokens)::
 
@@ -24,13 +24,20 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import ParseError
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(_IDENT)
+# Tried in this order: arrows, signed numbers, identifiers, punctuation;
+# whitespace is skipped, and any other character is an error.
+_TOKEN_RE = re.compile(
+    r"(?P<arrow><->|->)|(?P<number>[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    rf"|(?P<ident>{_IDENT})"
+    r"|(?P<punct>[(){}\[\],=~&|])|(?P<space>\s+)|(?P<other>.)", re.S)
 _KEYWORDS = {"in", "com"}
 
 
@@ -43,10 +50,10 @@ def _canonical_values(values) -> tuple[float, ...]:
     return tuple(vals)
 
 
-def _check_ident(name: str) -> str:
-    if not _IDENT_RE.fullmatch(name) or name in _KEYWORDS:
-        raise ValueError(f"invalid observable identifier {name!r}")
-    return name
+def _check_ident(*names: str) -> None:
+    for name in names:
+        if not _IDENT_RE.fullmatch(name) or name in _KEYWORDS:
+            raise ValueError(f"invalid observable identifier {name!r}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +107,7 @@ class Equal:
     right_id: str
 
     def __post_init__(self):
-        _check_ident(self.left_id)
-        _check_ident(self.right_id)
+        _check_ident(self.left_id, self.right_id)
 
 
 @dataclass(frozen=True)
@@ -114,54 +120,39 @@ class Com:
         object.__setattr__(self, "obs_ids", tuple(self.obs_ids))
         if len(self.obs_ids) < 2:
             raise ValueError("com requires at least two observables")
-        for name in self.obs_ids:
-            _check_ident(name)
+        _check_ident(*self.obs_ids)
 
 
 Formula = Union[Atom, Not, And, Or, Sasaki, Iff, Equal, Com]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "number", "end", or the literal symbol
-    text: str
-    pos: int  # character offset into the source
+# The binary connectives as (symbol, node, right-associative), loosest first:
+# a row's index is its precedence.  The parser and the printer read only this.
+_CONNECTIVES = (
+    ("<->", Iff, False),
+    ("->", Sasaki, True),
+    ("|", Or, False),
+    ("&", And, False),
+)
+_BY_SYMBOL = {symbol: (prec, node, right) for prec, (symbol, node, right) in enumerate(_CONNECTIVES)}
+_BY_NODE = {node: (prec, symbol, right) for prec, (symbol, node, right) in enumerate(_CONNECTIVES)}
+_NOT_PREC = len(_CONNECTIVES)
+
+
+# kind: "ident", "number", "end", or the literal symbol; pos: character offset.
+_Token = namedtuple("_Token", "kind text pos")
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("<->", i):
-            tokens.append(_Token("<->", "<->", i))
-            i += 3
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("->", "->", i))
-            i += 2
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(_Token("number", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group()
-            tokens.append(_Token(word if word in _KEYWORDS else "ident", word, i))
-            i = m.end()
-            continue
-        if ch in "(){}[],=~&|":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(_byte_offset(text, i), "a token", repr(ch))
-    tokens.append(_Token("end", "end of input", n))
+    for m in _TOKEN_RE.finditer(text):
+        group, word = m.lastgroup, m.group()
+        if group == "other":
+            raise ParseError(_byte_offset(text, m.start()), "a token", repr(word))
+        if group != "space":
+            kind = group if group in ("number", "ident") and word not in _KEYWORDS else word
+            tokens.append(_Token(kind, word, m.start()))
+    tokens.append(_Token("end", "end of input", len(text)))
     return tokens
 
 
@@ -179,126 +170,86 @@ class _Parser:
         return self.tokens[self.index]
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.index]
         self.index += 1
-        return tok
+        return self.tokens[self.index - 1]
 
-    def fail(self, expected: str):
+    def error(self, expected: str) -> ParseError:
         tok = self.peek()
-        found = "end of input" if tok.kind == "end" else tok.text
-        raise ParseError(_byte_offset(self.text, tok.pos), expected, found)
+        return ParseError(_byte_offset(self.text, tok.pos), expected, tok.text)
 
     def expect(self, kind: str, expected: str) -> _Token:
         if self.peek().kind != kind:
-            self.fail(expected)
+            raise self.error(expected)
         return self.advance()
 
-    def parse_formula(self) -> Formula:
-        node = self.parse_iff()
-        if self.peek().kind != "end":
-            self.fail("end of input")
-        return node
-
-    def parse_iff(self) -> Formula:
-        node = self.parse_impl()
-        while self.peek().kind == "<->":
-            self.advance()
-            node = Iff(node, self.parse_impl())
-        return node
-
-    def parse_impl(self) -> Formula:
-        node = self.parse_or()
-        if self.peek().kind == "->":
-            self.advance()
-            return Sasaki(node, self.parse_impl())
-        return node
-
-    def parse_or(self) -> Formula:
-        node = self.parse_and()
-        while self.peek().kind == "|":
-            self.advance()
-            node = Or(node, self.parse_and())
-        return node
-
-    def parse_and(self) -> Formula:
+    def parse_binary(self, least: int) -> Formula:
+        """Precedence climbing over the rows of :data:`_CONNECTIVES` from ``least`` on."""
         node = self.parse_unary()
-        while self.peek().kind == "&":
+        while (row := _BY_SYMBOL.get(self.peek().kind)) and row[0] >= least:
+            prec, cls, right = row
             self.advance()
-            node = And(node, self.parse_unary())
+            node = cls(node, self.parse_binary(prec if right else prec + 1))
         return node
 
     def parse_unary(self) -> Formula:
-        if self.peek().kind == "~":
-            self.advance()
+        if self.peek().kind not in ("~", "(", "[", "com", "ident"):
+            raise self.error("a formula")
+        tok = self.advance()
+        if tok.kind == "~":
             return Not(self.parse_unary())
-        return self.parse_primary()
-
-    def parse_primary(self) -> Formula:
-        kind = self.peek().kind
-        if kind == "(":
-            self.advance()
-            node = self.parse_iff()
+        if tok.kind == "(":
+            node = self.parse_binary(0)
             self.expect(")", ")")
             return node
-        if kind == "[":
-            return self.parse_equal()
-        if kind == "com":
-            return self.parse_com()
-        if kind == "ident":
-            return self.parse_atom()
-        self.fail("a formula")
-
-    def parse_atom(self) -> Formula:
-        name = self.expect("ident", "an identifier").text
-        self.expect("in", "in")
+        if tok.kind == "[":
+            left = self.ident()
+            self.expect("=", "=")
+            right = self.ident()
+            self.expect("]", "]")
+            return Equal(left, right)
+        if tok.kind == "com":
+            self.expect("(", "(")
+            first = self.ident()
+            self.expect(",", ",")
+            return Com((first, *self.items(self.ident, ")")))
+        self.expect("in", "in")  # tok is the identifier of an atom
         self.expect("{", "{")
-        values = [self.parse_number()]
+        return Atom(tok.text, tuple(self.items(self.number, "}")))
+
+    def items(self, item, close: str) -> list:
+        """``item {"," item} close``: the items read."""
+        values = [item()]
         while self.peek().kind == ",":
             self.advance()
-            values.append(self.parse_number())
-        self.expect("}", "}")
-        return Atom(name, tuple(values))
+            values.append(item())
+        self.expect(close, close)
+        return values
 
-    def parse_number(self) -> float:
-        tok = self.expect("number", "a number")
-        value = float(tok.text)
-        if not math.isfinite(value):
-            raise ParseError(_byte_offset(self.text, tok.pos), "a finite number", tok.text)
-        return value
+    def ident(self) -> str:
+        return self.expect("ident", "an identifier").text
 
-    def parse_equal(self) -> Formula:
-        self.expect("[", "[")
-        left = self.expect("ident", "an identifier").text
-        self.expect("=", "=")
-        right = self.expect("ident", "an identifier").text
-        self.expect("]", "]")
-        return Equal(left, right)
-
-    def parse_com(self) -> Formula:
-        self.expect("com", "com")
-        self.expect("(", "(")
-        names = [self.expect("ident", "an identifier").text]
-        self.expect(",", ",")
-        names.append(self.expect("ident", "an identifier").text)
-        while self.peek().kind == ",":
-            self.advance()
-            names.append(self.expect("ident", "an identifier").text)
-        self.expect(")", ")")
-        return Com(tuple(names))
+    def number(self) -> float:
+        if self.peek().kind == "number" and not math.isfinite(float(self.peek().text)):
+            raise self.error("a finite number")
+        return float(self.expect("number", "a number").text)
 
 
 def parse(text: str) -> Formula:
-    """Parse a formula, raising :class:`ParseError` on the first failure."""
-    return _Parser(text).parse_formula()
+    """Parse a formula, raising :class:`ParseError` on the first failure,
+    including a formula nested too deeply for the interpreter's stack."""
+    parser = _Parser(text)
+    try:
+        node = parser.parse_binary(0)
+    except RecursionError:
+        raise parser.error("a less deeply nested formula") from None
+    parser.expect("end", "end of input")
+    return node
 
 
 def format_number(value: float) -> str:
     """Shortest decimal that round-trips through ``float``."""
     s = repr(float(value))
     return s[:-2] if s.endswith(".0") else s
-
-
-_PREC = {Iff: 1, Sasaki: 2, Or: 3, And: 4, Not: 5}
 
 
 def unparse(formula: Formula) -> str:
@@ -314,38 +265,24 @@ def _render(node: Formula, min_prec: int) -> str:
     if isinstance(node, Com):
         return f"com({', '.join(node.obs_ids)})"
     if isinstance(node, Not):
-        return _wrap(f"~{_render(node.operand, 5)}", 5, min_prec)
-    prec = _PREC[type(node)]
-    symbol = {Iff: "<->", Sasaki: "->", Or: "|", And: "&"}[type(node)]
-    if isinstance(node, Sasaki):  # right-associative
-        text = f"{_render(node.left, prec + 1)} {symbol} {_render(node.right, prec)}"
-    else:  # left-associative chains
-        text = f"{_render(node.left, prec)} {symbol} {_render(node.right, prec + 1)}"
-    return _wrap(text, prec, min_prec)
-
-
-def _wrap(text: str, prec: int, min_prec: int) -> str:
+        prec, text = _NOT_PREC, f"~{_render(node.operand, _NOT_PREC)}"
+    else:
+        prec, symbol, right = _BY_NODE[type(node)]
+        text = f"{_render(node.left, prec + right)} {symbol} {_render(node.right, prec + (not right))}"
     return f"({text})" if prec < min_prec else text
 
 
 def observable_ids(formula: Formula) -> tuple[str, ...]:
     """All observable identifiers mentioned, in first-appearance order."""
-    seen: dict[str, None] = {}
-
-    def walk(node: Formula):
+    def names(node: Formula) -> list[str]:
         if isinstance(node, Atom):
-            seen.setdefault(node.obs_id)
-        elif isinstance(node, Equal):
-            seen.setdefault(node.left_id)
-            seen.setdefault(node.right_id)
-        elif isinstance(node, Com):
-            for name in node.obs_ids:
-                seen.setdefault(name)
-        elif isinstance(node, Not):
-            walk(node.operand)
-        else:
-            walk(node.left)
-            walk(node.right)
+            return [node.obs_id]
+        if isinstance(node, Equal):
+            return [node.left_id, node.right_id]
+        if isinstance(node, Com):
+            return list(node.obs_ids)
+        if isinstance(node, Not):
+            return names(node.operand)
+        return names(node.left) + names(node.right)
 
-    walk(formula)
-    return tuple(seen)
+    return tuple(dict.fromkeys(names(formula)))

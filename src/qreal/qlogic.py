@@ -71,18 +71,12 @@ def truth_projection(formula: Formula, env: Environment, *,
         return spectral_projection(env[formula.obs_id], formula.values, tol=tol)
     if isinstance(formula, Not):
         return lattice.complement(truth_projection(formula.operand, env, tol=tol))
-    if isinstance(formula, And):
-        return lattice.meet(truth_projection(formula.left, env, tol=tol),
-                            truth_projection(formula.right, env, tol=tol), tol=tol)
-    if isinstance(formula, Or):
-        return lattice.join(truth_projection(formula.left, env, tol=tol),
-                            truth_projection(formula.right, env, tol=tol), tol=tol)
-    if isinstance(formula, Sasaki):
-        return lattice.sasaki(truth_projection(formula.left, env, tol=tol),
-                              truth_projection(formula.right, env, tol=tol), tol=tol)
-    if isinstance(formula, Iff):
-        return lattice.biconditional(truth_projection(formula.left, env, tol=tol),
-                                     truth_projection(formula.right, env, tol=tol), tol=tol)
+    # Looked up on each call, so a rebinding of a lattice function is seen.
+    connective = {And: lattice.meet, Or: lattice.join, Sasaki: lattice.sasaki,
+                  Iff: lattice.biconditional}.get(type(formula))
+    if connective is not None:
+        return connective(truth_projection(formula.left, env, tol=tol),
+                          truth_projection(formula.right, env, tol=tol), tol=tol)
     if isinstance(formula, Equal):
         return value_identity(env[formula.left_id], env[formula.right_id], tol=tol)
     if isinstance(formula, Com):

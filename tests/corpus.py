@@ -4,7 +4,10 @@ Each builder returns plain matrices/vectors so tests can wrap them in
 Observable themselves (and so oracles can work on raw arrays).
 """
 
+import math
+import re
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -22,9 +25,10 @@ from qreal import (
     spectral_family,
     spectral_projection,
 )
-from qreal.errors import EmptyFamilyError
+from qreal.errors import EmptyFamilyError, ParseError
 from qreal.measure import _SUCCESS_CUTOFF, RestartTelemetry, SearchResult, _SearchProblem
 from qreal.numlin import _hermitian_part, null_basis
+from qreal.qlang import And, Atom, Com, Equal, Formula, Iff, Not, Or, Sasaki, format_number
 
 
 def reference_is_hermitian(matrix, tol=DEFAULT_TOL) -> bool:
@@ -269,7 +273,6 @@ _FORMULA_NAMES = ("A", "B", "C", "D", "E2", "x_1", "Spin")
 
 def random_formula(rng: np.random.Generator, depth: int = 4):
     """A random well-formed AST over a small identifier pool."""
-    from qreal import And, Atom, Com, Equal, Iff, Not, Or, Sasaki
 
     def leaf():
         kind = rng.integers(0, 3)
@@ -617,3 +620,212 @@ def kd_distribution(a, b, psi, tol=DEFAULT_TOL) -> np.ndarray:
     right = [fb.vectors[:, sl] for sl in fb.slices]
     return np.array([[(v.conj().T @ psi).conj() @ (v.conj().T @ w) @ (w.conj().T @ psi)
                       for w in right] for v in left])
+
+
+# ---------------------------------------------------------------------------
+# Reference formula scanner, parser and printer: one parse method per
+# precedence level and a printer with its own precedence table, kept as the
+# oracle for the table-driven ``qreal.qlang``.
+
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+_KEYWORDS = {"in", "com"}
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # "ident", "number", "end", or the literal symbol
+    text: str
+    pos: int  # character offset into the source
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if text.startswith("<->", i):
+            tokens.append(_Token("<->", "<->", i))
+            i += 3
+            continue
+        if text.startswith("->", i):
+            tokens.append(_Token("->", "->", i))
+            i += 2
+            continue
+        m = _NUMBER_RE.match(text, i)
+        if m:
+            tokens.append(_Token("number", m.group(), i))
+            i = m.end()
+            continue
+        m = _IDENT_RE.match(text, i)
+        if m:
+            word = m.group()
+            tokens.append(_Token(word if word in _KEYWORDS else "ident", word, i))
+            i = m.end()
+            continue
+        if ch in "(){}[],=~&|":
+            tokens.append(_Token(ch, ch, i))
+            i += 1
+            continue
+        raise ParseError(_byte_offset(text, i), "a token", repr(ch))
+    tokens.append(_Token("end", "end of input", n))
+    return tokens
+
+
+def _byte_offset(text: str, char_pos: int) -> int:
+    return len(text[:char_pos].encode("utf-8"))
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.index = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.index]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.index]
+        self.index += 1
+        return tok
+
+    def fail(self, expected: str):
+        tok = self.peek()
+        found = "end of input" if tok.kind == "end" else tok.text
+        raise ParseError(_byte_offset(self.text, tok.pos), expected, found)
+
+    def expect(self, kind: str, expected: str) -> _Token:
+        if self.peek().kind != kind:
+            self.fail(expected)
+        return self.advance()
+
+    def parse_formula(self) -> Formula:
+        node = self.parse_iff()
+        if self.peek().kind != "end":
+            self.fail("end of input")
+        return node
+
+    def parse_iff(self) -> Formula:
+        node = self.parse_impl()
+        while self.peek().kind == "<->":
+            self.advance()
+            node = Iff(node, self.parse_impl())
+        return node
+
+    def parse_impl(self) -> Formula:
+        node = self.parse_or()
+        if self.peek().kind == "->":
+            self.advance()
+            return Sasaki(node, self.parse_impl())
+        return node
+
+    def parse_or(self) -> Formula:
+        node = self.parse_and()
+        while self.peek().kind == "|":
+            self.advance()
+            node = Or(node, self.parse_and())
+        return node
+
+    def parse_and(self) -> Formula:
+        node = self.parse_unary()
+        while self.peek().kind == "&":
+            self.advance()
+            node = And(node, self.parse_unary())
+        return node
+
+    def parse_unary(self) -> Formula:
+        if self.peek().kind == "~":
+            self.advance()
+            return Not(self.parse_unary())
+        return self.parse_primary()
+
+    def parse_primary(self) -> Formula:
+        kind = self.peek().kind
+        if kind == "(":
+            self.advance()
+            node = self.parse_iff()
+            self.expect(")", ")")
+            return node
+        if kind == "[":
+            return self.parse_equal()
+        if kind == "com":
+            return self.parse_com()
+        if kind == "ident":
+            return self.parse_atom()
+        self.fail("a formula")
+
+    def parse_atom(self) -> Formula:
+        name = self.expect("ident", "an identifier").text
+        self.expect("in", "in")
+        self.expect("{", "{")
+        values = [self.parse_number()]
+        while self.peek().kind == ",":
+            self.advance()
+            values.append(self.parse_number())
+        self.expect("}", "}")
+        return Atom(name, tuple(values))
+
+    def parse_number(self) -> float:
+        tok = self.expect("number", "a number")
+        value = float(tok.text)
+        if not math.isfinite(value):
+            raise ParseError(_byte_offset(self.text, tok.pos), "a finite number", tok.text)
+        return value
+
+    def parse_equal(self) -> Formula:
+        self.expect("[", "[")
+        left = self.expect("ident", "an identifier").text
+        self.expect("=", "=")
+        right = self.expect("ident", "an identifier").text
+        self.expect("]", "]")
+        return Equal(left, right)
+
+    def parse_com(self) -> Formula:
+        self.expect("com", "com")
+        self.expect("(", "(")
+        names = [self.expect("ident", "an identifier").text]
+        self.expect(",", ",")
+        names.append(self.expect("ident", "an identifier").text)
+        while self.peek().kind == ",":
+            self.advance()
+            names.append(self.expect("ident", "an identifier").text)
+        self.expect(")", ")")
+        return Com(tuple(names))
+
+
+_PREC = {Iff: 1, Sasaki: 2, Or: 3, And: 4, Not: 5}
+
+
+def _render(node: Formula, min_prec: int) -> str:
+    if isinstance(node, Atom):
+        return f"{node.obs_id} in {{{', '.join(format_number(v) for v in node.values)}}}"
+    if isinstance(node, Equal):
+        return f"[{node.left_id} = {node.right_id}]"
+    if isinstance(node, Com):
+        return f"com({', '.join(node.obs_ids)})"
+    if isinstance(node, Not):
+        return _wrap(f"~{_render(node.operand, 5)}", 5, min_prec)
+    prec = _PREC[type(node)]
+    symbol = {Iff: "<->", Sasaki: "->", Or: "|", And: "&"}[type(node)]
+    if isinstance(node, Sasaki):  # right-associative
+        text = f"{_render(node.left, prec + 1)} {symbol} {_render(node.right, prec)}"
+    else:  # left-associative chains
+        text = f"{_render(node.left, prec)} {symbol} {_render(node.right, prec + 1)}"
+    return _wrap(text, prec, min_prec)
+
+
+def _wrap(text: str, prec: int, min_prec: int) -> str:
+    return f"({text})" if prec < min_prec else text
+
+
+def reference_parse(text: str) -> Formula:
+    return _Parser(text).parse_formula()
+
+
+def reference_unparse(formula: Formula) -> str:
+    return _render(formula, 0)

@@ -108,6 +108,32 @@ def test_eval_error_paths(data_dir, capsys):
     assert code == 2
 
 
+def _eval_sigma_z(capsys, data_dir, formula):
+    return run_cli(capsys, "eval", formula, "--obs", f"A={data_dir / 'obs_sigma_z.json'}",
+                   "--state", str(data_dir / "state_plus.json"))
+
+
+def test_eval_of_nested_parentheses_answers_as_without_them(data_dir, capsys):
+    want = _eval_sigma_z(capsys, data_dir, "A in {1}")
+    assert want[:2] == (1, {"probability": pytest.approx(0.5), "holds": False, "projection_rank": 1})
+    assert _eval_sigma_z(capsys, data_dir, "(" * 200 + "A in {1}" + ")" * 200) == want
+
+
+@pytest.mark.parametrize("formula,message", [
+    ("(" * 50_000 + "A in {1}" + ")" * 50_000, "expected a less deeply nested formula, found ("),
+    ("~" * 50_000 + "A in {1}", "expected a less deeply nested formula, found ~"),
+    # Parses (a connective chain folds in a loop), but evaluates recursively.
+    (" & ".join(["A in {1}"] * 5_000), "formula too deep to evaluate"),
+], ids=["parentheses", "negations", "conjunctions"])
+def test_eval_of_too_deep_a_formula_exits_two(data_dir, capsys, formula, message):
+    # Exit 1 would read as "predicate false", so a too-deep formula is a
+    # usage error: exit 2, nothing on stdout and one error line.
+    code, out, err = _eval_sigma_z(capsys, data_dir, formula)
+    assert (code, out) == (2, None)
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 # ---------------------------------------------------------------------------
 # jointdet / jpd / com
 
@@ -392,14 +418,27 @@ def test_measure_error_paths(data_dir, capsys):
 def test_measure_refuses_non_finite_output(data_dir, tmp_path, capsys):
     # rms noise of diag(1, 1e308) overflows, and with a second observable so
     # do its spread and the trade-off: JSON has no Infinity or NaN, so such a
-    # call writes nothing on stdout and one error line, with no warning.
+    # call writes nothing on stdout and one error line, with no warning. The
+    # line names the first non-finite field of the payload and its value.
     huge = _write_json(tmp_path / "huge.json", _matrix_body(np.diag([1.0, 1e308])))
-    base = ["measure", str(data_dir / "model_cnot.json"), "--state", str(data_dir / "state_plus.json"),
-            "--observable", f"Z={huge}", "--map", "f"]
-    for extra in ([], ["--observable", f"X={data_dir / 'obs_sigma_x.json'}", "--map", "f"]):
-        code, out, err = run_cli(capsys, *base, *extra)
+    model = ["measure", str(data_dir / "model_cnot.json"), "--state", str(data_dir / "state_plus.json")]
+    z, x, w = (["--observable", f"{name}={path}", "--map", "f"]
+               for name, path in (("Z", huge), ("X", data_dir / "obs_sigma_x.json"), ("W", huge)))
+    for observables, field in (
+        (z, "observables.Z.epsilon"),
+        (z + x, "observables.Z.epsilon"),
+        (x + z, "observables.Z.epsilon"),
+        (w + z, "observables.W.epsilon"),
+    ):
+        code, out, err = run_cli(capsys, *model, *observables)
         assert (code, out) == (2, None)
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == f"error: {field} is inf, which is not a JSON number\n"
+
+
+def test_non_finite_payload_path_names_keys_and_indices():
+    assert qreal.cli._non_finite({"a": 1.0, "b": [0.5, [2.0, float("-inf")]], "c": float("nan")}) == (
+        "b.1.1", float("-inf"))
+    assert qreal.cli._non_finite({"a": [1.0, {"b": True}], "c": None}) is None
 
 
 def test_context_on_entries_near_float_max_writes_strict_json(data_dir, tmp_path, capsys):

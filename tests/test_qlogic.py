@@ -139,6 +139,27 @@ def test_holds_in_reports_probability_and_membership():
         holds_in(parse("E in {1}"), env, psi)
 
 
+@pytest.mark.parametrize("symbol,operation", [
+    ("&", "meet"), ("|", "join"), ("->", "sasaki"), ("<->", "biconditional"),
+])
+def test_each_connective_calls_the_lattice_function_bound_at_call_time(monkeypatch, symbol, operation):
+    # A profiler rebinds qreal.lattice's functions after import; the
+    # evaluator must reach the rebound ones.
+    from qreal import lattice
+
+    calls = dict.fromkeys(("meet", "join", "sasaki", "biconditional"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(lattice, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(lattice, name, counted)
+    env = Environment({"X": Observable(PAULI_X), "Y": Observable(PAULI_Y)})
+    want = truth_projection(parse(f"X in {{1}} {symbol} Y in {{1}}"), env)
+    assert calls[operation] >= 1
+    monkeypatch.undo()
+    assert want.isclose(truth_projection(parse(f"X in {{1}} {symbol} Y in {{1}}"), env))
+
+
 # ---------------------------------------------------------------------------
 # Value identity and perfect correlation.
 
