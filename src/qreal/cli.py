@@ -12,14 +12,15 @@ A witness file written by `search` is a model file with three extra keys:
 "system_state", "defect", "restart_index"; `context` falls back to its
 embedded state when --state is omitted.
 
-Exit codes: 0 = predicate true / search success; 1 = predicate false /
-search non-success; 2 = usage or data error.  --tol overrides eq_tol, and
-QREAL_EIG_TOL overrides eig_cluster_tol.
+Exit codes: 0 = predicate true / search success (defect <= --success-tol,
+by default eq_tol); 1 = predicate false / search non-success; 2 = usage or
+data error.  --tol overrides eq_tol, and QREAL_EIG_TOL eig_cluster_tol.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -39,7 +40,7 @@ from .measure import (
     rms_noise,
     search_simultaneous,
 )
-from .numlin import ToleranceConfig, frobenius
+from .numlin import DEFAULT_TOL, ToleranceConfig, frobenius
 from .qlang import parse
 from .qlogic import Environment, _spectral_com, holds_in, jointly_determinate, jpd_exists
 from .spectral import Observable
@@ -231,14 +232,15 @@ def _unique_names(bindings, flag: str) -> None:
 
 
 def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
-    raw = os.environ.get("QREAL_EIG_TOL", "1e-8")
+    overrides = {"eq_tol": args.tol} if "tol" in args else {}
+    if "QREAL_EIG_TOL" in os.environ:
+        raw = os.environ["QREAL_EIG_TOL"]
+        try:
+            overrides["eig_cluster_tol"] = float(raw)
+        except ValueError:
+            raise DataError(f"QREAL_EIG_TOL must be a number, got {raw!r}") from None
     try:
-        eig_cluster_tol = float(raw)
-    except ValueError:
-        raise DataError(f"QREAL_EIG_TOL must be a number, got {raw!r}") from None
-    eq_tol = args.tol if args.tol is not None else 1e-9
-    try:
-        return ToleranceConfig(eq_tol=eq_tol, eig_cluster_tol=eig_cluster_tol)
+        return dataclasses.replace(DEFAULT_TOL, **overrides)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 
@@ -264,8 +266,8 @@ def _non_finite(value, path: str = ""):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="override eq_tol (default 1e-9)")
+    common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
+                        help=f"override eq_tol (default {DEFAULT_TOL.eq_tol:g})")
 
     parser = argparse.ArgumentParser(
         prog="qreal",
@@ -303,12 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", help="observable file")
     p.add_argument("b", help="observable file")
     p.add_argument("--probe-dim", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=3000,
+    p.add_argument("--restarts", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--budget", type=int, default=argparse.SUPPRESS,
                    help="objective evaluations per restart")
-    p.add_argument("--success-tol", type=float, default=1e-8,
-                   help="defect at or below which the search exits 0")
+    p.add_argument("--success-tol", type=float, default=argparse.SUPPRESS,
+                   help="defect at or below which the search exits 0 (default: eq_tol)")
     p.add_argument("--out", default=None, help="write the witness model file here")
     p.add_argument("--verbose", action="store_true",
                    help="print one telemetry line per restart to stderr when the search ends")
@@ -337,10 +339,7 @@ def _cmd_eval(args, tol: ToleranceConfig) -> int:
         name: load_observable(path, name, tol) for name, path in args.obs
     })
     psi = load_state(args.state)
-    try:
-        report = holds_in(formula, env, psi, tol=tol)
-    except RecursionError:
-        raise DataError("formula too deep to evaluate") from None
+    report = holds_in(formula, env, psi, tol=tol)
     _emit({
         "probability": report.probability,
         "holds": report.holds,
@@ -410,18 +409,18 @@ def _cmd_measure(args, tol: ToleranceConfig) -> int:
 
 def _cmd_search(args, tol: ToleranceConfig) -> int:
     a, b = _load_pair(args, tol)
-    if not (np.isfinite(args.success_tol) and args.success_tol >= 0):
+    success_tol = getattr(args, "success_tol", tol.eq_tol)
+    if not (np.isfinite(success_tol) and success_tol >= 0):
         raise DataError("--success-tol must be a finite non-negative number")
-    result = search_simultaneous(
-        a, b, probe_dim=args.probe_dim, restarts=args.restarts,
-        seed=args.seed, budget=args.budget, tol=tol,
-    )
+    # Only the options given: search_simultaneous holds their defaults.
+    given = {key: getattr(args, key) for key in ("restarts", "seed", "budget") if key in args}
+    result = search_simultaneous(a, b, probe_dim=args.probe_dim, tol=tol, **given)
     if args.verbose:
         for record in result.telemetry:
             print(record.summary(), file=sys.stderr)
     if args.out:
         save_witness(args.out, result)
-    success = result.defect <= args.success_tol
+    success = result.defect <= success_tol
     _emit({
         "defect": result.defect,
         "restart_index": result.restart_index,

@@ -227,9 +227,6 @@ def rms_disturbance(model: MeasurementModel, b: Observable, psi,
     return frobenius(moved - _lift(b.matrix @ psi, model.probe_state))
 
 
-_INEQ_SLACK = 1e-9
-
-
 @dataclass(frozen=True)
 class UncertaintyReport:
     epsilon: float
@@ -263,7 +260,7 @@ def _trade_off(model: MeasurementModel, a: Observable, epsilon: float, b: Observ
     lhs = epsilon * eta + epsilon * sigma_b + sigma_a * eta
     return UncertaintyReport(
         epsilon=epsilon, eta=eta, sigma_a=sigma_a, sigma_b=sigma_b,
-        bound=bound, lhs=lhs, satisfied=lhs >= bound - _INEQ_SLACK,
+        bound=bound, lhs=lhs, satisfied=lhs >= bound - tol.eq_tol,
     )
 
 
@@ -404,9 +401,6 @@ class SearchResult:
     telemetry: tuple[RestartTelemetry, ...]
 
 
-_SUCCESS_CUTOFF = 1e-10
-
-
 def _state_from_params(theta: np.ndarray, dim: int) -> np.ndarray:
     vec = theta[:dim] + 1j * theta[dim:]
     norm = frobenius(vec)
@@ -428,6 +422,8 @@ class _SearchProblem:
         self.n = a.dim
         self.k = probe_dim
         self.joint = self.n * self.k
+        # A restart stops at this defect, a decade inside acceptance (eq_tol).
+        self.cutoff = tol.eq_tol / 10
         self.vals_a = spectral_family(a, tol=tol).eigenvalues
         self.vals_b = spectral_family(b, tol=tol).eigenvalues
         self.proj_a = np.stack([spectral_projection(a, [lam], tol).matrix for lam in self.vals_a])
@@ -627,7 +623,7 @@ def _pattern_search(problem: _SearchProblem, rng: np.random.Generator, budget: i
     sweep = 2 * (problem.u_params + problem.s_params)  # polls theta + step e_i, then theta - step e_i, per coordinate
     entries = problem.joint * sum(one_hot.shape[0] * one_hot.shape[1] for _, one_hot in (side_a, side_b))
     batch = _POLL_BATCH if entries <= _POLL_ENTRIES else 1
-    while step > 1e-10 and evals < budget and best_val > _SUCCESS_CUTOFF:
+    while step > 1e-10 and evals < budget and best_val > problem.cutoff:
         improved = False
         poll, ride = 0, ()
         while evals < budget and (ride or poll < sweep):
@@ -762,7 +758,8 @@ def search_simultaneous(a: Observable, b: Observable, probe_dim: int, restarts: 
     meter is fixed nondegenerate, diag(1..k), read in the probe basis.
     Each restart evaluates the polls ahead of it in stacked batches and
     reads them in the serial order (see :func:`_pattern_search`), so its
-    record is the one-poll-at-a-time loop's, bit for bit.
+    record is the one-poll-at-a-time loop's, bit for bit.  A restart stops
+    early once its defect is at most tol.eq_tol / 10.
 
     Deterministic for a fixed seed: restart i draws from default_rng(seed+i)
     and the winner is the lowest-index restart reaching defect <= tol.eq_tol

@@ -100,9 +100,12 @@ def _spectral_com(observables, tol: ToleranceConfig) -> Projection:
 
 def holds_in(formula: Formula, env: Environment, psi: np.ndarray, *,
              tol: ToleranceConfig = DEFAULT_TOL) -> TruthReport:
-    """Evaluate ``formula`` at the state ``psi``."""
+    """Evaluate ``formula`` at the state ``psi``; ValueError if it is too deep to evaluate."""
     psi = as_state(psi, env.dim, tol)
-    proj = truth_projection(formula, env, tol=tol)
+    try:
+        proj = truth_projection(formula, env, tol=tol)
+    except RecursionError:
+        raise ValueError("formula too deep to evaluate") from None
     return TruthReport(projection=proj, probability=proj.weight(psi), holds=proj.contains(psi, tol))
 
 

@@ -26,7 +26,7 @@ from qreal import (
     spectral_projection,
 )
 from qreal.errors import EmptyFamilyError, ParseError
-from qreal.measure import _SUCCESS_CUTOFF, RestartTelemetry, SearchResult, _SearchProblem
+from qreal.measure import RestartTelemetry, SearchResult, _SearchProblem
 from qreal.numlin import _hermitian_part, null_basis
 from qreal.qlang import And, Atom, Com, Equal, Formula, Iff, Not, Or, Sasaki, format_number
 
@@ -535,7 +535,7 @@ def reference_pattern_search(problem, rng: np.random.Generator, budget: int, ind
     evals = 1
     accepted = polish_wins = 0
     step = 0.5
-    while step > 1e-10 and evals < budget and best_val > _SUCCESS_CUTOFF:
+    while step > 1e-10 and evals < budget and best_val > problem.cutoff:
         improved = False
         for i in range(theta.size):
             if evals >= budget:

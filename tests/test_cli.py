@@ -18,6 +18,7 @@ import qreal
 import qreal.cli
 from corpus import nowhere_pair, random_model_parts
 from qreal.cli import _matrix_body, _state_body, main
+from qreal.numlin import DEFAULT_TOL, ToleranceConfig
 from qreal.standard import random_hermitian, random_state, random_unitary
 
 SCHEMA_DIR = pathlib.Path(qreal.__file__).parent / "schemas"
@@ -609,6 +610,77 @@ def test_search_rejects_a_budget_below_one(data_dir, capsys, value):
                              "--restarts", "1", f"--budget={value}")
     assert code == 2 and out is None
     assert err.startswith("error:") and "budget" in err
+
+
+# X/Y at one restart for seeds 0-20, among them 16 and 18, whose defects end
+# in (1e-9, 1e-8]; the headline search at a tolerance none of its restarts
+# reaches; and seeds 16 and 18 at tolerances on either side of their defects.
+_AGREEMENT_RUNS = [(("--seed", str(seed), "--restarts", "1"), ()) for seed in range(21)] + [
+    ((), ("--tol", "1e-11")),
+    (("--seed", "16", "--restarts", "1"), ("--tol", "1e-8")),
+    (("--seed", "18", "--restarts", "1"), ("--tol", "5e-9")),
+]
+
+
+@pytest.mark.parametrize("options,tol", _AGREEMENT_RUNS,
+                         ids=[" ".join(options + tol) for options, tol in _AGREEMENT_RUNS])
+def test_search_succeeds_exactly_when_context_passes_its_witness(data_dir, tmp_path, capsys, options, tol):
+    x, y = str(data_dir / "obs_sigma_x.json"), str(data_dir / "obs_sigma_y.json")
+    witness = str(tmp_path / "witness.json")
+    code, out, _ = run_cli(capsys, "search", x, y, "--probe-dim", "2", *options, *tol, "--out", witness)
+    assert code == (0 if out["success"] else 1)
+    context_code, _, _ = run_cli(capsys, "context", witness, x, "fA", y, "fB", *tol)
+    assert context_code == code
+
+
+def test_search_success_tol_given_explicitly_decides_success(data_dir, capsys):
+    # Seed 16 ends at defect 5.7e-9: within 1e-8, but not within eq_tol.
+    x, y = str(data_dir / "obs_sigma_x.json"), str(data_dir / "obs_sigma_y.json")
+    argv = ("search", x, y, "--probe-dim", "2", "--seed", "16", "--restarts", "1")
+    code, out, _ = run_cli(capsys, *argv, "--success-tol", "1e-8")
+    assert (code, out["success"]) == (0, True)
+    assert 1e-9 < out["defect"] <= 1e-8
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out["success"]) == (1, False)
+
+
+@pytest.mark.parametrize("given", [
+    {}, {"restarts": 3}, {"seed": 5, "budget": 40}, {"restarts": 20, "seed": 0, "budget": 3000},
+], ids=["none", "restarts", "seed-budget", "all"])
+def test_search_passes_only_the_options_given(data_dir, monkeypatch, given):
+    class Stop(Exception):
+        pass
+
+    calls = []
+
+    def search(a, b, **options):
+        calls.append(options)
+        raise Stop
+
+    monkeypatch.setattr(qreal.cli, "search_simultaneous", search)
+    x, y = str(data_dir / "obs_sigma_x.json"), str(data_dir / "obs_sigma_y.json")
+    with pytest.raises(Stop):
+        main(["search", x, y, "--probe-dim", "2", *(f"--{key}={value}" for key, value in given.items())])
+    assert calls == [{"probe_dim": 2, "tol": DEFAULT_TOL, **given}]
+
+
+def test_run_config_is_the_library_default_with_only_what_is_given(data_dir, monkeypatch):
+    seen = []
+    monkeypatch.setitem(qreal.cli._COMMANDS, "com", lambda args, tol: seen.append(tol) or 0)
+    monkeypatch.delenv("QREAL_EIG_TOL", raising=False)
+    com = ["com", str(data_dir / "obs_sigma_x.json"), str(data_dir / "obs_sigma_y.json")]
+    assert main(com) == 0
+    assert seen.pop() == DEFAULT_TOL
+    # A changed library default reaches every run that does not override it.
+    default = ToleranceConfig(eq_tol=4e-9, eig_cluster_tol=5e-8)
+    monkeypatch.setattr(qreal.cli, "DEFAULT_TOL", default)
+    assert main(com) == 0
+    assert seen.pop() == default
+    assert main([*com, "--tol", "2e-9"]) == 0
+    assert seen.pop() == ToleranceConfig(eq_tol=2e-9, eig_cluster_tol=5e-8)
+    monkeypatch.setenv("QREAL_EIG_TOL", "3e-8")
+    assert main(com) == 0
+    assert seen.pop() == ToleranceConfig(eq_tol=4e-9, eig_cluster_tol=3e-8)
 
 
 def test_search_rejects_a_probe_dim_below_two(data_dir, capsys):

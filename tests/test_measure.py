@@ -43,6 +43,7 @@ from qreal.errors import (
     NotUnitaryError,
     UnmappedEigenvalueError,
 )
+from qreal.numlin import ToleranceConfig
 from qreal.standard import basis_state, random_hermitian, random_state, random_unitary
 
 SQRT2 = np.sqrt(2.0)
@@ -225,6 +226,17 @@ def test_uncertainty_holds_on_random_instances():
         psi = random_state(sys_dim, rng)
         report = uncertainty_report(model, a, model.label_maps["f"], b, psi)
         assert report.lhs >= report.bound - 1e-9
+
+
+@pytest.mark.parametrize("eq_tol,satisfied", [(1e-6, True), (1e-9, False)])
+def test_trade_off_is_decided_within_the_runs_eq_tol(uncoupled_model, eq_tol, satisfied):
+    # U = 1 disturbs nothing, so at |0> with A = X and B = Y the left side
+    # is epsilon * sigma(Y) = epsilon, against the bound |<[X, Y]>| / 2 = 1.
+    epsilon = 1 - 5e-7
+    report = measure._trade_off(uncoupled_model, Observable(PAULI_X), epsilon, Observable(PAULI_Y),
+                                basis_state(2, 0), ToleranceConfig(eq_tol=eq_tol))
+    assert (report.eta, report.bound, report.lhs) == (0.0, 1.0, epsilon)
+    assert report.satisfied is satisfied
 
 
 # ---------------------------------------------------------------------------

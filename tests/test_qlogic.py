@@ -139,6 +139,15 @@ def test_holds_in_reports_probability_and_membership():
         holds_in(parse("E in {1}"), env, psi)
 
 
+def test_holds_in_reports_a_formula_too_deep_to_evaluate_as_a_value_error():
+    # The chain parses (a connective chain folds in a loop), but its
+    # projection is built recursively, one frame per connective.
+    formula = parse(" & ".join(["A in {1}"] * 5_000))
+    env = Environment({"A": Observable(PAULI_X)})
+    with pytest.raises(ValueError, match="^formula too deep to evaluate$"):
+        holds_in(formula, env, np.array([1.0, 0.0]))
+
+
 @pytest.mark.parametrize("symbol,operation", [
     ("&", "meet"), ("|", "join"), ("->", "sasaki"), ("<->", "biconditional"),
 ])
