@@ -6,9 +6,12 @@ one rule, principal angles (Björck & Golub, Math. Comp. 27, 1973): the
 singular values of Q.kernel† P.range are the sines of the angles of ran P
 to ran Q, and :func:`numlin.kernel_split` keeps the directions at sine <=
 ``eq_tol``, the cutoff :meth:`Projection.contains` applies to one vector.
-Join and the hooks are built from meet and complement; commutator subspaces
-are spans of :func:`joint_eigenspaces`, cut by the same rule.  Results are
-orthonormal columns, so tolerance drift cannot accumulate.
+Join is the complement of the meet of complements.  The hooks reuse the
+meet's split of ran P into ran P ∩ ran Q and the rest: P →ₛ Q is the
+orthogonal sum P⊥ ⊕ (P ∧ Q), as P ∧ Q <= P, and (P →ₛ Q) ∧ (Q →ₛ P) =
+(P ∧ Q) ⊕ (P⊥ ∧ Q⊥).  Commutator subspaces are spans of
+:func:`joint_eigenspaces`, cut by the same rule.  Results are orthonormal
+columns, so tolerance drift cannot accumulate.
 """
 
 from __future__ import annotations
@@ -164,15 +167,19 @@ def complement(p: Projection) -> Projection:
     return Projection._spanned(p.kernel, p.range)
 
 
-def meet(p: Projection, q: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
-    """Lattice infimum P ∧ Q: projection onto ran P ∩ ran Q.
-
-    The right singular vectors of Q.kernel† P.range at sine <= eq_tol span
-    the meet inside ran P; the rest of ran P joins ker P in its kernel.
-    """
+def _split(p: Projection, q: Projection, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """ran P ∩ ran Q and the rest of ran P, as orthonormal columns: the right
+    singular vectors of Q.kernel† P.range at sine <= eq_tol, and the others."""
     _same_dim(p, q)
     inside, outside = kernel_split(q.kernel.conj().T @ p.range, tol.eq_tol)
-    return Projection._spanned(p.range @ inside, np.hstack([p.kernel, p.range @ outside]))
+    return p.range @ inside, p.range @ outside
+
+
+def meet(p: Projection, q: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
+    """Lattice infimum P ∧ Q: projection onto ran P ∩ ran Q; the rest of
+    ran P joins ker P in its kernel."""
+    both, rest = _split(p, q, tol)
+    return Projection._spanned(both, np.hstack([p.kernel, rest]))
 
 
 def join(p: Projection, q: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
@@ -181,16 +188,19 @@ def join(p: Projection, q: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> Pr
 
 
 def sasaki(p: Projection, q: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
-    """Sasaki hook P →ₛ Q = P⊥ ∨ (P ∧ Q).
-
-    Reduces to material implication I - P + PQ when P and Q commute.
-    """
-    return join(complement(p), meet(p, q, tol), tol)
+    """Sasaki hook P →ₛ Q = P⊥ ∨ (P ∧ Q) = P⊥ ⊕ (P ∧ Q): its kernel is the
+    rest of ran P.  Reduces to material implication I - P + PQ when P and Q
+    commute."""
+    both, rest = _split(p, q, tol)
+    return Projection._spanned(np.hstack([p.kernel, both]), rest)
 
 
 def biconditional(p: Projection, q: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
-    """P ↔ Q = (P →ₛ Q) ∧ (Q →ₛ P); symmetric in its arguments."""
-    return meet(sasaki(p, q, tol), sasaki(q, p, tol), tol)
+    """P ↔ Q = (P →ₛ Q) ∧ (Q →ₛ P) = (P ∧ Q) ⊕ (P⊥ ∧ Q⊥); symmetric in its
+    arguments.  Both hooks contain P ∧ Q and are P⊥ and Q⊥ beside it."""
+    both, rest = _split(p, q, tol)
+    neither, other = _split(complement(p), complement(q), tol)
+    return Projection._spanned(np.hstack([both, neither]), np.hstack([rest, other]))
 
 
 def com_pair(p: Projection, q: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> Projection:

@@ -17,7 +17,8 @@ from qreal import (
     MeasurementModel,
     Observable,
     Projection,
-    biconditional,
+    complement,
+    join,
     meet,
     random_state,
     random_unitary,
@@ -80,6 +81,16 @@ def kernel(matrix: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
     return scipy.linalg.null_space(matrix, rcond=rcond * max(scale, 1.0) / scale)
 
 
+def reference_sasaki(p: Projection, q: Projection) -> Projection:
+    """The Sasaki hook as its definition composes it, P⊥ ∨ (P ∧ Q)."""
+    return join(complement(p), meet(p, q))
+
+
+def reference_biconditional(p: Projection, q: Projection) -> Projection:
+    """P ↔ Q as its definition composes it, the meet of the two hooks."""
+    return meet(reference_sasaki(p, q), reference_sasaki(q, p))
+
+
 def lattice_value_identity(a, b) -> Projection:
     """[A = B] by its definition, the meet of E^A(c) ↔ E^B(c) over the
     clusters c of spec(A) ∪ spec(B): the lattice-route reference for
@@ -88,8 +99,8 @@ def lattice_value_identity(a, b) -> Projection:
     result = Projection.identity(a.dim)
     for block in reference_cluster_indices(values, 1e-8):
         cluster = values[block]
-        result = meet(result, biconditional(spectral_projection(a, cluster),
-                                            spectral_projection(b, cluster)))
+        result = meet(result, reference_biconditional(spectral_projection(a, cluster),
+                                                      spectral_projection(b, cluster)))
     return result
 
 

@@ -72,6 +72,24 @@ def test_eval_compound_formula(data_dir, capsys):
     assert out["projection_rank"] == 0
 
 
+@pytest.mark.parametrize("formula,code,probability,rank", [
+    # X = 1 and Z = 1 are different lines, as are X = -1 and Z = -1.
+    ("X in {1} <-> Z in {1}", 1, 0.0, 0),
+    ("Z in {1} <-> Z in {1}", 0, 1.0, 2),
+    # The hook from |0> to its orthocomplement is |1>.
+    ("Z in {1} -> Z in {-1}", 1, 0.5, 1),
+])
+def test_eval_hook_and_biconditional(data_dir, capsys, formula, code, probability, rank):
+    got = run_cli(
+        capsys, "eval", formula,
+        "--obs", f"X={data_dir / 'obs_sigma_x.json'}",
+        "--obs", f"Z={data_dir / 'obs_sigma_z.json'}",
+        "--state", str(data_dir / "state_plus.json"),
+    )
+    want = {"probability": pytest.approx(probability), "holds": code == 0, "projection_rank": rank}
+    assert got[:2] == (code, want)
+
+
 def test_eval_error_paths(data_dir, capsys):
     code, _, err = run_cli(
         capsys, "eval", "E in {1}",

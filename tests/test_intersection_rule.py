@@ -11,13 +11,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import lattice_value_identity
+from corpus import lattice_value_identity, reference_biconditional, reference_sasaki
 from qreal import (
     DEFAULT_TOL,
     Environment,
     Observable,
     Projection,
     ToleranceConfig,
+    biconditional,
     com_pair,
     complement,
     holds_in,
@@ -27,6 +28,7 @@ from qreal import (
     perfectly_correlated,
     random_state,
     random_unitary,
+    sasaki,
     spectral_projection,
     truth_projection,
     value_identity,
@@ -142,6 +144,40 @@ def test_de_morgan_and_orthomodularity(case):
     for small, big in pairs:
         if small.leq(big):
             assert big.isclose(join(small, meet(big, complement(small))))
+
+
+def composed_resolution(theta: float) -> ToleranceConfig:
+    """Tolerances at which a composed biconditional, the meet of two hooks,
+    resolves its answer.  Each hook's frames move by about 1e-16 / sin theta,
+    and the hooks meet at the principal angle theta, which magnifies that
+    move by 1 / sin theta again: no resolution at all below sin theta ~ 1e-7."""
+    sine = np.sin(theta)
+    return ToleranceConfig(eq_tol=max(DEFAULT_TOL.eq_tol, 1e-14 / sine**2 if sine > DEFAULT_TOL.eq_tol else 0.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tilted_pair())
+def test_hook_and_biconditional_agree_with_their_composed_definitions(case):
+    # sasaki and biconditional split each pair once; their definitions,
+    # P⊥ ∨ (P ∧ Q) and the meet of the two hooks, compose two and five meets.
+    p, q, u, theta, shared = case
+    if on_the_cutoff(theta):
+        return
+    tol = resolution(theta)
+    for mine, reference in ((sasaki(p, q), reference_sasaki(p, q)), (sasaki(q, p), reference_sasaki(q, p))):
+        assert mine.rank == reference.rank
+        assert mine.isclose(reference, tol)
+    iff, reference = biconditional(p, q), reference_biconditional(p, q)
+    assert iff.rank == reference.rank
+    assert iff.isclose(reference, composed_resolution(theta))
+    # P ∧ Q is the shared columns and P⊥ ∧ Q⊥ the columns neither range
+    # uses, u[:, p.rank + q.rank - 1 - shared:-1]; a kept angle adds u[:, 0]
+    # to the first and u[:, -1] to the second.
+    rest = u[:, p.rank + q.rank - 1 - shared:-1]
+    kept = np.sin(theta) <= DEFAULT_TOL.eq_tol
+    assert iff.rank == shared + rest.shape[1] + 2 * kept
+    if not kept:
+        assert iff.isclose(Projection.onto(np.column_stack([u[:, 1:1 + shared], rest])), tol)
 
 
 def chained_pair(rng: np.random.Generator, dim: int, degenerate: bool):

@@ -8,14 +8,18 @@ from qreal import (
     KET_PLUS,
     PAULI_X,
     PAULI_Y,
+    Environment,
     Projection,
     biconditional,
     com_family,
     com_pair,
     complement,
     join,
+    lattice,
     meet,
+    parse,
     sasaki,
+    truth_projection,
 )
 from qreal.errors import DimMismatchError, EmptyFamilyError
 from qreal.numlin import op_norm
@@ -228,6 +232,39 @@ def test_biconditional_is_symmetric_and_classical_when_commuting():
     both = p.matrix @ q.matrix
     neither = (np.eye(4) - p.matrix) @ (np.eye(4) - q.matrix)
     assert op_norm(biconditional(p, q).matrix - (both + neither)) < 1e-12
+
+
+def _count_splits(monkeypatch) -> list[int]:
+    """Count the principal-angle SVDs the lattice makes: its kernel_split calls."""
+    calls = [0]
+
+    def counted(*args, _original=lattice.kernel_split, **kwargs):
+        calls[0] += 1
+        return _original(*args, **kwargs)
+    monkeypatch.setattr(lattice, "kernel_split", counted)
+    return calls
+
+
+@pytest.mark.parametrize("connective,splits", [(meet, 1), (join, 1), (sasaki, 1), (biconditional, 2)])
+def test_each_connective_makes_one_split_per_meet_it_needs(monkeypatch, connective, splits):
+    rng = np.random.default_rng(29)
+    p, q = Projection(random_projection_matrix(5, 2, rng)), Projection(random_projection_matrix(5, 3, rng))
+    calls = _count_splits(monkeypatch)
+    connective(p, q)
+    assert calls[0] == splits
+
+
+def test_a_biconditional_of_a_hook_evaluates_in_five_splits(monkeypatch):
+    # The shape ((X|Y) & ~Z) <-> (X -> Y): join, meet, hook and biconditional
+    # split 1 + 1 + 1 + 2 times; atoms and complements never split.
+    rng = np.random.default_rng(31)
+    spectra = {"X": [-1.0, 0.0, 1.0, 2.0], "Y": [0.0, 0.0, 1.0, 1.0], "Z": [-1.0, 1.0, 1.0, 1.0]}
+    env = Environment({name: Observable((u := random_unitary(4, rng)) @ np.diag(values) @ u.conj().T, name=name)
+                       for name, values in spectra.items()})
+    formula = parse("((X in {-1, 2} | Y in {1}) & ~Z in {1}) <-> (X in {0, 2} -> Y in {0})")
+    calls = _count_splits(monkeypatch)
+    truth_projection(formula, env)
+    assert calls[0] == 5
 
 
 def test_nondistributivity_exhibit():
