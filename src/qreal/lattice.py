@@ -62,7 +62,9 @@ class Projection:
         """Projection onto the span of orthonormal columns; ``kernel``, when
         known, completes them to a unitary.  Otherwise one SVD splits it off:
         the columns' singular values are all 1, so any cutoff in (0, 1) works.
-        With no columns that SVD's right vectors are exactly I, taken as is."""
+        With no columns that SVD's right vectors are exactly I, taken as is.
+        Columns that fill the space have an empty kernel, but only a caller
+        can vouch that they are orthonormal enough: :func:`_span` does."""
         if kernel is None:
             kernel = (kernel_split(columns.conj().T, 0.5)[0] if columns.shape[1]
                       else np.eye(columns.shape[0], dtype=complex).conj().T)
@@ -225,7 +227,7 @@ def com_family(projections: Sequence[Projection], tol: ToleranceConfig = DEFAULT
         _same_dim(ps[0], p)
     frames = [(np.hstack([p.kernel, p.range]), [slice(0, p.dim - p.rank), slice(p.dim - p.rank, p.dim)])
               for p in ps]
-    return _span(joint_eigenspaces(frames, tol), ps[0].dim)
+    return _span(joint_eigenspaces(frames, tol), ps[0].dim, tol)
 
 
 def joint_eigenspaces(frames, tol: ToleranceConfig = DEFAULT_TOL, keep=None) -> dict[tuple[int, ...], np.ndarray]:
@@ -236,29 +238,61 @@ def joint_eigenspaces(frames, tol: ToleranceConfig = DEFAULT_TOL, keep=None) -> 
     possibly empty, span the members.  The first family's pieces are its
     slices; each later family splits every piece S: S ∩ member i is S times
     the near-kernel of the rows of V†S outside slice i, principal-angle
-    sines cut at eq_tol as in :func:`meet`.  A unit vector of S in member i
-    puts weight ≈ 1 on its rows, so members with ||V_i†S||² < ½ are skipped:
-    S has weight rank S in all, so at most 2·dim SVDs per family.  A piece
+    sines cut at eq_tol as in :func:`meet`.
+
+    Only members that can hold a piece are split.  A kept unit vector Sc
+    has ||V_i†Sc||² >= 1 − eq_tol², and no unit vector of S has more than
+    the member's weight ||V_i†S||²_F, so a member whose weight is below
+    max(½, 1 − eq_tol² − 1e-6) is skipped before its SVD.  The ½ floor
+    sets the bound at eq_tol >= 1/√2; there it is a rule, not a proof.  S
+    has weight rank S in all, so at most 2·dim SVDs per family.  A piece
     whose key ``keep`` (when given) rejects is skipped before its SVD.
+    :func:`_joint_eigenspaces` yields the pieces one at a time, so a caller
+    that stops at the first piece makes only the SVDs that find it.
     """
+    return dict(_joint_eigenspaces(frames, tol, keep))
+
+
+def _joint_eigenspaces(frames, tol: ToleranceConfig, keep=None):
+    """The (key, columns) pairs of :func:`joint_eigenspaces`, in its order,
+    each family's split run only as far as the pieces asked for."""
     (v0, slices0), *rest = frames
-    pieces = {(i,): v0[:, sl] for i, sl in enumerate(slices0) if sl.stop > sl.start}
+    pieces = (((i,), v0[:, sl]) for i, sl in enumerate(slices0) if sl.stop > sl.start)
     for v, slices in rest:
-        split = {}
-        for key, piece in pieces.items():
-            overlap = v.conj().T @ piece
-            # Running sums of the row weights: member i has weight[stop] - weight[start].
-            weight = [0.0, *np.cumsum(np.sum(np.abs(overlap) ** 2, axis=1)).tolist()]
-            for i, sl in enumerate(slices):
-                if weight[sl.stop] - weight[sl.start] < 0.5 or (keep and not keep(key + (i,))):
-                    continue
-                cols = piece @ kernel_split(np.delete(overlap, sl, axis=0), tol.eq_tol)[0]
-                if cols.shape[1]:
-                    split[key + (i,)] = cols
-        pieces = split
+        pieces = _split_pieces(pieces, v.conj().T, slices, tol, keep)
     return pieces
 
 
-def _span(pieces: dict[tuple[int, ...], np.ndarray], dim: int) -> Projection:
-    """Projection onto the span of mutually orthogonal pieces."""
-    return Projection._spanned(np.hstack([np.zeros((dim, 0), complex), *pieces.values()]))
+def _split_pieces(pieces, vh: np.ndarray, slices, tol: ToleranceConfig, keep):
+    """Each (key, S) of ``pieces`` split by the family (V, slices), given vh = V†."""
+    # A kept direction c has ||V_¬i†Sc|| <= eq_tol·max(s₀, 1), s₀ <= ||V†S|| = 1,
+    # so ||V_i†Sc||² = 1 − ||V_¬i†Sc||² >= 1 − eq_tol².  V's unitarity, S's
+    # orthonormality, the SVD and the weights' sums each round by a few
+    # d·eps, so the margin 1e-6 holds for any d a dense SVD can reach.
+    bound = max(0.5, 1.0 - tol.eq_tol ** 2 - 1e-6)
+    for key, piece in pieces:
+        overlap = vh @ piece
+        # Running sums of the row weights: member i has weight[stop] - weight[start].
+        weight = [0.0, *np.cumsum(np.sum(np.abs(overlap) ** 2, axis=1)).tolist()]
+        for i, sl in enumerate(slices):
+            if weight[sl.stop] - weight[sl.start] < bound or (keep and not keep(key + (i,))):
+                continue
+            cols = piece @ kernel_split(np.concatenate((overlap[:sl.start], overlap[sl.stop:])), tol.eq_tol)[0]
+            if cols.shape[1]:
+                yield key + (i,), cols
+
+
+def _span(pieces: dict[tuple[int, ...], np.ndarray], dim: int, tol: ToleranceConfig) -> Projection:
+    """Projection onto the span of the :func:`joint_eigenspaces` pieces.
+
+    Pieces with different keys lie within sine eq_tol of orthogonal
+    members, so no two of their columns have an inner product above
+    2·eq_tol + eq_tol².  While dim times that is at most ½, the columns'
+    singular values lie in [0.7, 1.23], far from the cutoff of
+    :meth:`Projection._spanned`'s SVD, so dim columns fill the space and
+    their kernel is empty with no SVD.  At a larger eq_tol the pieces need
+    not be orthogonal, and the SVD decides.
+    """
+    columns = np.hstack([np.zeros((dim, 0), complex), *pieces.values()])
+    fills = columns.shape[1] == dim and dim * tol.eq_tol * (2.0 + tol.eq_tol) <= 0.5
+    return Projection._spanned(columns, np.zeros((dim, 0), complex) if fills else None)

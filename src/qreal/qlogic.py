@@ -85,17 +85,18 @@ def truth_projection(formula: Formula, env: Environment, *,
 
 
 def _joint_pieces(observables, tol: ToleranceConfig):
-    """(eigenvalue tuples, joint eigenspaces keyed by eigenvalue indices)."""
+    """(eigenvalue tuples, the joint eigenspaces as (eigenvalue indices,
+    columns) pairs, each split made only when the pair is asked for)."""
     _common_dim(observables)
     families = [spectral_family(obs, tol) for obs in observables]
-    pieces = lattice.joint_eigenspaces([(f.vectors, f.slices) for f in families], tol)
+    pieces = lattice._joint_eigenspaces([(f.vectors, f.slices) for f in families], tol)
     return [f.eigenvalues for f in families], pieces
 
 
 def _spectral_com(observables, tol: ToleranceConfig) -> Projection:
     """com of the observables: the span of their joint eigenspaces, the
     largest subspace on which they all behave classically."""
-    return lattice._span(_joint_pieces(observables, tol)[1], observables[0].dim)
+    return lattice._span(dict(_joint_pieces(observables, tol)[1]), observables[0].dim, tol)
 
 
 def holds_in(formula: Formula, env: Environment, psi: np.ndarray, *,
@@ -146,7 +147,7 @@ def value_identity(a: Observable, b: Observable, *,
     # Columns ascend in value, so cluster c is one column slice of each family.
     bounds = [np.searchsorted(column_ids, clusters).tolist() for column_ids in ids]
     frames = [(f.vectors, list(map(slice, b, b[1:]))) for f, b in zip(families, bounds)]
-    return lattice._span(lattice.joint_eigenspaces(frames, tol, keep=lambda key: key[0] == key[1]), a.dim)
+    return lattice._span(lattice.joint_eigenspaces(frames, tol, keep=lambda key: key[0] == key[1]), a.dim, tol)
 
 
 def perfectly_correlated(a: Observable, b: Observable, psi: np.ndarray, *,
@@ -177,8 +178,9 @@ def jointly_determinate(observables: list[Observable], psi: np.ndarray, *,
 
 def nowhere_commuting(a: Observable, b: Observable, *,
                       tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when no state makes a and b jointly determinate."""
-    return not _joint_pieces([a, b], tol)[1]
+    """True when no state makes a and b jointly determinate: they have no
+    joint eigenspace, so the search stops at the first one it finds."""
+    return next(_joint_pieces([a, b], tol)[1], None) is None
 
 
 def jpd_exists(a: Observable, b: Observable, psi: np.ndarray, *,
@@ -193,7 +195,8 @@ def jpd_exists(a: Observable, b: Observable, psi: np.ndarray, *,
     """
     psi = as_state(psi, _common_dim((a, b)), tol)
     (values_a, values_b), pieces = _joint_pieces([a, b], tol)
+    pieces = dict(pieces)
     candidate = {(lam, mu): 0.0 for lam in values_a for mu in values_b}
     for (i, j), cols in pieces.items():
         candidate[(values_a[i], values_b[j])] = float(np.linalg.norm(cols.conj().T @ psi) ** 2)
-    return lattice._span(pieces, a.dim).contains(psi, tol=tol), candidate
+    return lattice._span(pieces, a.dim, tol).contains(psi, tol=tol), candidate

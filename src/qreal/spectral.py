@@ -118,7 +118,11 @@ def spectral_family(obs: Observable, tol: ToleranceConfig = DEFAULT_TOL) -> Spec
         w, v = eigh(obs.matrix)
         v.setflags(write=False)
         slices = cluster_indices(w, tol.eig_cluster_tol)
-        family = SpectralFamily((w[sl].sum() / (sl.stop - sl.start) for sl in slices), v, slices)
+        # A one-value cluster's mean is numpy's one-element sum, value + 0.0
+        # (-0.0 becomes 0.0), read from one list instead of one sum each.
+        values = w.tolist()
+        family = SpectralFamily((values[sl.start] + 0.0 if sl.stop - sl.start == 1
+                                 else w[sl].sum() / (sl.stop - sl.start) for sl in slices), v, slices)
         obs._spectra[tol] = family
     return family
 

@@ -28,7 +28,7 @@ from qreal import (
 )
 from qreal.errors import EmptyFamilyError, ParseError
 from qreal.measure import RestartTelemetry, SearchResult, _SearchProblem
-from qreal.numlin import _hermitian_part, null_basis
+from qreal.numlin import _hermitian_part, kernel_split, null_basis
 from qreal.qlang import And, Atom, Com, Equal, Formula, Iff, Not, Or, Sasaki, format_number
 
 
@@ -211,6 +211,41 @@ def stacked_com_family(projections, tol=DEFAULT_TOL) -> Projection:
             break
         basis = basis @ coeffs
     return Projection._spanned(basis)
+
+
+def reference_joint_eigenspaces(frames, tol=DEFAULT_TOL, keep=None) -> dict[tuple[int, ...], np.ndarray]:
+    """``lattice.joint_eigenspaces`` as it was when it ran the SVD of every
+    member of weight at least ½, kept verbatim as the bit-identity
+    reference for its exact weight bound."""
+    (v0, slices0), *rest = frames
+    pieces = {(i,): v0[:, sl] for i, sl in enumerate(slices0) if sl.stop > sl.start}
+    for v, slices in rest:
+        split = {}
+        for key, piece in pieces.items():
+            overlap = v.conj().T @ piece
+            # Running sums of the row weights: member i has weight[stop] - weight[start].
+            weight = [0.0, *np.cumsum(np.sum(np.abs(overlap) ** 2, axis=1)).tolist()]
+            for i, sl in enumerate(slices):
+                if weight[sl.stop] - weight[sl.start] < 0.5 or (keep and not keep(key + (i,))):
+                    continue
+                cols = piece @ kernel_split(np.delete(overlap, sl, axis=0), tol.eq_tol)[0]
+                if cols.shape[1]:
+                    split[key + (i,)] = cols
+        pieces = split
+    return pieces
+
+
+def reference_span(pieces: dict[tuple[int, ...], np.ndarray], dim: int, tol=DEFAULT_TOL) -> Projection:
+    """``lattice._span`` as it was when ``Projection._spanned`` split every
+    kernel off by one SVD, kept verbatim as the reference for its full-span
+    shortcut; ``tol`` is unused."""
+    return Projection._spanned(np.hstack([np.zeros((dim, 0), complex), *pieces.values()]))
+
+
+def reference_cluster_means(w: np.ndarray, slices) -> list[float]:
+    """``spectral_family``'s cluster means as they were, one numpy sum per
+    cluster, kept verbatim as the reference for its one-value means."""
+    return [float(v) for v in (w[sl].sum() / (sl.stop - sl.start) for sl in slices)]
 
 
 PLANTED_KINDS = ("commuting", "block", "generic", "degenerate")

@@ -8,7 +8,7 @@ to a single vector.  These laws draw an angle theta log-uniform in
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import lattice_value_identity, reference_biconditional, reference_sasaki
@@ -62,7 +62,12 @@ def tilted_pair(draw):
     shared = draw(st.integers(0, dim - 2))
     p_extra = draw(st.integers(0, dim - 2 - shared))
     q_extra = draw(st.integers(0, dim - 2 - shared - p_extra))
-    u = random_unitary(dim, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return tilted(dim, theta, shared, p_extra, q_extra, draw(st.integers(0, 2**32 - 1)))
+
+
+def tilted(dim: int, theta: float, shared: int, p_extra: int, q_extra: int, seed: int):
+    """:func:`tilted_pair`'s draw, built from U = random_unitary(dim, seed)."""
+    u = random_unitary(dim, np.random.default_rng(seed))
     tilted = np.cos(theta) * u[:, 0] + np.sin(theta) * u[:, -1]
     common = u[:, 1:1 + shared]
     p = Projection.onto(np.column_stack([u[:, 0], common, u[:, 1 + shared:1 + shared + p_extra]]))
@@ -76,17 +81,24 @@ def observables(p: Projection, q: Projection):
     return Observable(p.matrix, name="A"), Observable(q.matrix, name="B")
 
 
+# On the cutoff the meet's SVD and the joint eigenspace's SVD see the tilted
+# direction's sine as eq_tol give or take rounding, and may each keep it or
+# not: at theta = 1e-9 (the example, where the meet keeps it and the joint
+# eigenspace does not) they disagree on about 5% of draws.
 @settings(max_examples=80, deadline=None)
 @given(tilted_pair())
+@example(tilted(10, 1e-9, 8, 0, 0, 10))
 def test_meet_has_rank_of_the_range_range_joint_eigenspace(case):
     p, q, _, theta, shared = case
     m = meet(p, q)
     frames = [(np.hstack([x.kernel, x.range]), [slice(0, x.dim - x.rank), slice(x.dim - x.rank, x.dim)])
               for x in (p, q)]
     pieces = joint_eigenspaces(frames)
-    assert m.rank == (pieces[(1, 1)].shape[1] if (1, 1) in pieces else 0)
-    if not on_the_cutoff(theta):
-        assert m.rank == shared + (np.sin(theta) <= DEFAULT_TOL.eq_tol)
+    rank = pieces[(1, 1)].shape[1] if (1, 1) in pieces else 0
+    if on_the_cutoff(theta):
+        assert abs(m.rank - rank) <= 1
+    else:
+        assert m.rank == rank == shared + (np.sin(theta) <= DEFAULT_TOL.eq_tol)
 
 
 @settings(max_examples=80, deadline=None)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from corpus import eigenspaces, kernel, stacked_com_family
+from corpus import eigenspaces, kernel, planted_pair, stacked_com_family
 from qreal import (
     KET_MINUS,
     KET_PLUS,
@@ -15,8 +15,10 @@ from qreal import (
     com_pair,
     complement,
     join,
+    jointly_determinate,
     lattice,
     meet,
+    nowhere_commuting,
     parse,
     sasaki,
     truth_projection,
@@ -265,6 +267,24 @@ def test_a_biconditional_of_a_hook_evaluates_in_five_splits(monkeypatch):
     calls = _count_splits(monkeypatch)
     truth_projection(formula, env)
     assert calls[0] == 5
+
+
+@pytest.mark.parametrize("kind,determinate_splits", [("commuting", 8), ("block", 7), ("generic", 0)])
+def test_joint_eigenspaces_split_only_where_a_piece_can_be_found(monkeypatch, kind, determinate_splits):
+    # At d = 8 each of A's eight eigenvectors is a piece.  Where it lies in a
+    # member of B, that member has weight 1 and one SVD finds the joint
+    # eigenspace; in a noncommuting block, or a generic pair, every weight is
+    # far below 1 - eq_tol², so no SVD runs.  A span of eight pieces fills
+    # C^8 and needs no SVD; six need one.  nowhere_commuting stops at the
+    # first piece.
+    a, b, _ = planted_pair(kind, 8, np.random.default_rng(37))
+    psi = np.full(8, 8 ** -0.5)
+    calls = _count_splits(monkeypatch)
+    jointly_determinate([Observable(a), Observable(b)], psi)
+    assert calls[0] == determinate_splits
+    calls[0] = 0
+    nowhere_commuting(Observable(a), Observable(b))
+    assert calls[0] == (0 if kind == "generic" else 1)
 
 
 def test_nondistributivity_exhibit():
