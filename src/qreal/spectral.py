@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimMismatchError, NonFiniteLabelError, NotHermitianError, UnmappedEigenvalueError
 from .lattice import Projection
-from .numlin import DEFAULT_TOL, ToleranceConfig, _hermitian_part, eigh, is_hermitian
+from .numlin import DEFAULT_TOL, ToleranceConfig, _hermitian_part, eigh, frobenius, is_hermitian
 
 
 class Observable:
@@ -57,10 +57,10 @@ class Observable:
         return float(np.real(v.conj() @ (self.matrix @ v)))
 
     def std_dev(self, psi) -> float:
+        """||(A − <A>)psi||, which keeps its digits where sqrt(<A²> − <A>²) cancels."""
         v = np.asarray(psi, dtype=complex).reshape(-1)
-        mean = self.expectation(v)
-        second = float(np.real(v.conj() @ (self.matrix @ (self.matrix @ v))))
-        return float(np.sqrt(max(second - mean * mean, 0.0)))
+        av = self.matrix @ v
+        return frobenius(av - float(np.real(v.conj() @ av)) * v)
 
     def __repr__(self):
         return f"Observable({self.name!r}, dim={self.dim})"

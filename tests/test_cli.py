@@ -18,7 +18,7 @@ import qreal
 import qreal.cli
 from corpus import nowhere_pair, random_model_parts
 from qreal.cli import _matrix_body, _state_body, main
-from qreal.numlin import DEFAULT_TOL, ToleranceConfig
+from qreal.numlin import DEFAULT_TOL, ToleranceConfig, frobenius
 from qreal.standard import random_hermitian, random_state, random_unitary
 
 SCHEMA_DIR = pathlib.Path(qreal.__file__).parent / "schemas"
@@ -501,8 +501,10 @@ def test_non_finite_label_maps_exit_two(data_dir, tmp_path, capsys, pairs):
         assert err.startswith("error:") and "not finite" in err
 
 
-@pytest.mark.parametrize("drift, code", [(0.5e-8, 0), (2e-8, 2)])
-def test_model_unitarity_drift_gate(data_dir, tmp_path, capsys, drift, code):
+@pytest.mark.parametrize("drift, tol, code", [
+    (0.5e-9, (), 0), (2e-9, (), 2), (0.5e-8, ("--tol", "1e-8"), 0), (2e-8, ("--tol", "1e-8"), 2),
+])
+def test_model_unitarity_drift_gate(data_dir, tmp_path, capsys, drift, tol, code):
     # Stretching one singular value of CNOT to sqrt(1 + drift) gives ||U†U − I||₂ = drift.
     model = json.loads((data_dir / "model_cnot.json").read_text(encoding="utf-8"))
     cnot = np.array([[complex(re, im) for re, im in row] for row in model["unitary"]["matrix"]])
@@ -510,13 +512,28 @@ def test_model_unitarity_drift_gate(data_dir, tmp_path, capsys, drift, code):
     got, out, err = run_cli(
         capsys, "measure", _write_json(tmp_path / "model.json", model),
         "--state", str(data_dir / "state_plus.json"),
-        "--observable", f"Z={data_dir / 'obs_sigma_z.json'}", "--map", "f",
+        "--observable", f"Z={data_dir / 'obs_sigma_z.json'}", "--map", "f", *tol,
     )
     assert got == code
     if code == 2:
-        assert out is None and err.startswith("error:") and "unitarity by 2.000e-08" in err
+        assert out is None and err.startswith("error:") and f"unitarity by {drift:.3e}" in err
     else:
-        assert out["observables"]["Z"]["defect"] <= 1e-12
+        # As written, the stretched row adds drift / 2 to the outcome 1.
+        assert sum(p for _, p in out["distribution"]) - 1.0 == pytest.approx(drift / 2, rel=1e-6)
+        assert out["observables"]["Z"]["passed"] is True
+
+
+@pytest.mark.parametrize("edit, said", [
+    ({"unitary": _matrix_body(np.eye(2))}, "coupling is 2x2, expected 4"),
+    # The meter is read before MeasurementModel decides unitarity.
+    ({"meter": _matrix_body(np.array([[1.0, 1.0], [0.0, -1.0]]))}, "observable 'M' is not Hermitian within eq_tol"),
+], ids=["coupling-size", "meter-first"])
+def test_model_errors_name_the_file(data_dir, tmp_path, capsys, edit, said):
+    model = json.loads((data_dir / "model_bad_unitary.json").read_text(encoding="utf-8"))
+    model.update(edit)
+    path = _write_json(tmp_path / "model.json", model)
+    code, out, err = run_cli(capsys, "measure", path, "--state", str(data_dir / "state_plus.json"))
+    assert (code, out, err) == (2, None, f"error: {path}: {said}\n")
 
 
 @settings(max_examples=40, deadline=None)
@@ -524,13 +541,13 @@ def test_model_unitarity_drift_gate(data_dir, tmp_path, capsys, drift, code):
        factor=st.sampled_from([0.5, 2.0]))
 def test_unitarity_gate_law(seed, n, k, factor):
     """U = W diag(sqrt(1 + delta)) V† has ||U†U − I||₂ = max|delta|: at half
-    the 1e-8 gate ``qreal measure`` answers (exit 0 or 1), at twice it the
+    the eq_tol gate ``qreal measure`` answers (exit 0 or 1), at twice it the
     file is refused with one error line."""
     rng = np.random.default_rng(seed)
     d = n * k
     delta = rng.uniform(-1.0, 1.0, size=d)
     delta[rng.integers(d)] = rng.choice([-1.0, 1.0])
-    delta *= factor * 1e-8
+    delta *= factor * DEFAULT_TOL.eq_tol
     u = random_unitary(d, rng) @ np.diag(np.sqrt(1.0 + delta)) @ random_unitary(d, rng).conj().T
     _, xi, meter = random_model_parts(rng, n, k)
     bodies = {
@@ -553,6 +570,39 @@ def test_unitarity_gate_law(seed, n, k, factor):
         assert code == 2 and out.getvalue() == ""
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
         assert "deviates from unitarity" in err.getvalue()
+
+
+def _as_written(body: dict) -> bytes:
+    """The bytes of a matrix or state body's [re, im] entries as complex128."""
+    rows = body["matrix"] if "matrix" in body else [body["vector"]]
+    return np.array([[complex(re, im) for re, im in row] for row in rows]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["model_cnot", "model_headline", "model_uncoupled", "witness"])
+def test_load_model_keeps_the_entries_as_written(data_dir, tmp_path, capsys, name):
+    path = data_dir / f"{name}.json"
+    if name == "witness":
+        path = tmp_path / "witness.json"
+        run_cli(capsys, "search", str(data_dir / "obs_sigma_x.json"), str(data_dir / "obs_sigma_y.json"),
+                "--probe-dim", "2", "--seed", "16", "--restarts", "1", "--out", str(path))
+    body = json.loads(path.read_text(encoding="utf-8"))
+    model, psi = qreal.cli.load_model(str(path), DEFAULT_TOL)
+    assert model.unitary.tobytes() == _as_written(body["unitary"])
+    assert model.probe_state.tobytes() == _as_written(body["probe_state"])
+    if name in ("model_headline", "witness"):
+        assert psi.tobytes() == _as_written(body["system_state"])
+    else:
+        assert psi is None
+
+
+@pytest.mark.parametrize("error", [0.5e-9, -0.5e-9, 1e-7, -1e-7])
+def test_state_off_unit_norm_beyond_eq_tol_is_rescaled(tmp_path, error):
+    vector = (1.0 + error) * np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    path = _write_json(tmp_path / "state.json", _state_body(vector))  # repr floats: an exact round trip
+    want = vector if abs(error) <= DEFAULT_TOL.eq_tol else vector / frobenius(vector)
+    assert qreal.cli.load_state(path, DEFAULT_TOL).tobytes() == want.tobytes()
+    # A tolerance that admits the norm keeps the vector as written.
+    assert qreal.cli.load_state(path, ToleranceConfig(eq_tol=1e-6)).tobytes() == vector.tobytes()
 
 
 def test_label_map_repeating_an_eigenvalue_exits_two(data_dir, tmp_path, capsys):
@@ -647,8 +697,10 @@ def test_search_succeeds_exactly_when_context_passes_its_witness(data_dir, tmp_p
     witness = str(tmp_path / "witness.json")
     code, out, _ = run_cli(capsys, "search", x, y, "--probe-dim", "2", *options, *tol, "--out", witness)
     assert code == (0 if out["success"] else 1)
-    context_code, _, _ = run_cli(capsys, "context", witness, x, "fA", y, "fB", *tol)
+    context_code, report, _ = run_cli(capsys, "context", witness, x, "fA", y, "fB", *tol)
     assert context_code == code
+    # The witness is certified as written, so its defect is recomputed bit for bit.
+    assert out["defect"] == max(report["certificate_a"]["defect"], report["certificate_b"]["defect"])
 
 
 def test_search_success_tol_given_explicitly_decides_success(data_dir, capsys):

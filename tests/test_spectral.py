@@ -55,6 +55,18 @@ def test_expectation_and_std_dev_against_manual():
         assert obs.std_dev(psi) == pytest.approx(np.sqrt(max(var, 0.0)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 8), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_std_dev_of_an_eigenvector_is_rounding(seed, d, scale):
+    """sigma(A) vanishes on an eigenvector up to rounding: ||(A − <A>)psi|| keeps
+    the digits that sqrt(<A²> − <A>²) cancels (it read 1.5e-8 on X at |+>)."""
+    rng = np.random.default_rng(seed)
+    m = scale * random_hermitian(d, rng)
+    _, v = np.linalg.eigh(m)
+    psi = v[:, rng.integers(d)]
+    assert Observable(m).std_dev(psi) <= 1e-13 * max(1.0, numlin.op_norm(m))
+
+
 def test_cluster_indices():
     values = np.array([0.0, 1e-10, 1.0, 1.0 + 5e-9, 2.0])
     slices = cluster_indices(values, 1e-8)
