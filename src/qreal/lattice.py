@@ -9,14 +9,14 @@ to ran Q, and :func:`numlin.kernel_split` keeps the directions at sine <=
 Join is the complement of the meet of complements.  The hooks reuse the
 meet's split of ran P into ran P ∩ ran Q and the rest: P →ₛ Q is the
 orthogonal sum P⊥ ⊕ (P ∧ Q), as P ∧ Q <= P, and (P →ₛ Q) ∧ (Q →ₛ P) =
-(P ∧ Q) ⊕ (P⊥ ∧ Q⊥).  Commutator subspaces are spans of
-:func:`joint_eigenspaces`, cut by the same rule.  Results are orthonormal
-columns, so tolerance drift cannot accumulate.
+(P ∧ Q) ⊕ (P⊥ ∧ Q⊥).  Commutator subspaces are spans of the pieces the
+lazy walk :func:`joint_eigenspaces` yields, cut by the same rule.  Results
+are orthonormal columns, so tolerance drift cannot accumulate.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -230,7 +230,8 @@ def com_family(projections: Sequence[Projection], tol: ToleranceConfig = DEFAULT
     return _span(joint_eigenspaces(frames, tol), ps[0].dim, tol)
 
 
-def joint_eigenspaces(frames, tol: ToleranceConfig = DEFAULT_TOL, keep=None) -> dict[tuple[int, ...], np.ndarray]:
+def joint_eigenspaces(frames, tol: ToleranceConfig = DEFAULT_TOL,
+                      keep=None) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
     """Nonzero joint eigenspaces ran P₁(i₁) ∩ ran P₂(i₂) ∩ … of complete
     orthogonal families, as orthonormal columns keyed by (i₁, i₂, …).
 
@@ -247,15 +248,10 @@ def joint_eigenspaces(frames, tol: ToleranceConfig = DEFAULT_TOL, keep=None) -> 
     sets the bound at eq_tol >= 1/√2; there it is a rule, not a proof.  S
     has weight rank S in all, so at most 2·dim SVDs per family.  A piece
     whose key ``keep`` (when given) rejects is skipped before its SVD.
-    :func:`_joint_eigenspaces` yields the pieces one at a time, so a caller
-    that stops at the first piece makes only the SVDs that find it.
+    The (key, columns) pairs come one at a time, each family's split run
+    only as far as the pieces asked for, so a caller that stops at the
+    first piece makes only the SVDs that find it.
     """
-    return dict(_joint_eigenspaces(frames, tol, keep))
-
-
-def _joint_eigenspaces(frames, tol: ToleranceConfig, keep=None):
-    """The (key, columns) pairs of :func:`joint_eigenspaces`, in its order,
-    each family's split run only as far as the pieces asked for."""
     (v0, slices0), *rest = frames
     pieces = (((i,), v0[:, sl]) for i, sl in enumerate(slices0) if sl.stop > sl.start)
     for v, slices in rest:
@@ -282,8 +278,8 @@ def _split_pieces(pieces, vh: np.ndarray, slices, tol: ToleranceConfig, keep):
                 yield key + (i,), cols
 
 
-def _span(pieces: dict[tuple[int, ...], np.ndarray], dim: int, tol: ToleranceConfig) -> Projection:
-    """Projection onto the span of the :func:`joint_eigenspaces` pieces.
+def _span(pieces: Iterable[tuple[tuple[int, ...], np.ndarray]], dim: int, tol: ToleranceConfig) -> Projection:
+    """Projection onto the span of (key, columns) pieces of :func:`joint_eigenspaces`.
 
     Pieces with different keys lie within sine eq_tol of orthogonal
     members, so no two of their columns have an inner product above
@@ -293,6 +289,6 @@ def _span(pieces: dict[tuple[int, ...], np.ndarray], dim: int, tol: ToleranceCon
     their kernel is empty with no SVD.  At a larger eq_tol the pieces need
     not be orthogonal, and the SVD decides.
     """
-    columns = np.hstack([np.zeros((dim, 0), complex), *pieces.values()])
+    columns = np.hstack([np.zeros((dim, 0), complex), *(cols for _, cols in pieces)])
     fills = columns.shape[1] == dim and dim * tol.eq_tol * (2.0 + tol.eq_tol) <= 0.5
     return Projection._spanned(columns, np.zeros((dim, 0), complex) if fills else None)

@@ -5,8 +5,8 @@ projections of the observables it mentions.  Truth in a state ``psi`` means
 ``psi`` lies in the range of that projection; the probability reading is
 the Born weight ``<psi|P|psi>``.  Commutator subspaces, joint
 determinateness, nowhere-commutation, JPD existence and value identity
-[A = B] all read the joint eigenspaces of :func:`lattice.joint_eigenspaces`,
-so every intersection here is decided by the principal-angle rule of
+[A = B] all read the one lazy walk :func:`lattice.joint_eigenspaces`, so
+every intersection here is decided by the principal-angle rule of
 :func:`lattice.meet`: sine at most ``eq_tol``.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 from . import lattice
 from .errors import DimMismatchError, UnboundObservableError
 from .lattice import Projection
-from .numlin import DEFAULT_TOL, ToleranceConfig, as_state
+from .numlin import DEFAULT_TOL, ToleranceConfig, as_state, frobenius
 from .qlang import And, Atom, Com, Equal, Formula, Iff, Not, Or, Sasaki
 from .spectral import Observable, cluster_ids, spectral_family, spectral_projection
 
@@ -85,18 +85,17 @@ def truth_projection(formula: Formula, env: Environment, *,
 
 
 def _joint_pieces(observables, tol: ToleranceConfig):
-    """(eigenvalue tuples, the joint eigenspaces as (eigenvalue indices,
-    columns) pairs, each split made only when the pair is asked for)."""
+    """The :func:`lattice.joint_eigenspaces` walk of the observables' spectral
+    families: (eigenvalue indices, columns) pairs, each split made on demand."""
     _common_dim(observables)
     families = [spectral_family(obs, tol) for obs in observables]
-    pieces = lattice._joint_eigenspaces([(f.vectors, f.slices) for f in families], tol)
-    return [f.eigenvalues for f in families], pieces
+    return lattice.joint_eigenspaces([(f.vectors, f.slices) for f in families], tol)
 
 
 def _spectral_com(observables, tol: ToleranceConfig) -> Projection:
     """com of the observables: the span of their joint eigenspaces, the
     largest subspace on which they all behave classically."""
-    return lattice._span(dict(_joint_pieces(observables, tol)[1]), observables[0].dim, tol)
+    return lattice._span(_joint_pieces(observables, tol), observables[0].dim, tol)
 
 
 def holds_in(formula: Formula, env: Environment, psi: np.ndarray, *,
@@ -180,7 +179,7 @@ def nowhere_commuting(a: Observable, b: Observable, *,
                       tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when no state makes a and b jointly determinate: they have no
     joint eigenspace, so the search stops at the first one it finds."""
-    return next(_joint_pieces([a, b], tol)[1], None) is None
+    return next(_joint_pieces([a, b], tol), None) is None
 
 
 def jpd_exists(a: Observable, b: Observable, psi: np.ndarray, *,
@@ -194,9 +193,9 @@ def jpd_exists(a: Observable, b: Observable, psi: np.ndarray, *,
     nonnegative, and A's row deficits (likewise B's) sum to 1 − Σ p(λ, μ).
     """
     psi = as_state(psi, _common_dim((a, b)), tol)
-    (values_a, values_b), pieces = _joint_pieces([a, b], tol)
-    pieces = dict(pieces)
+    pieces = list(_joint_pieces([a, b], tol))
+    values_a, values_b = (spectral_family(obs, tol).eigenvalues for obs in (a, b))
     candidate = {(lam, mu): 0.0 for lam in values_a for mu in values_b}
-    for (i, j), cols in pieces.items():
-        candidate[(values_a[i], values_b[j])] = float(np.linalg.norm(cols.conj().T @ psi) ** 2)
+    for (i, j), cols in pieces:
+        candidate[(values_a[i], values_b[j])] = frobenius(cols.conj().T @ psi) ** 2
     return lattice._span(pieces, a.dim, tol).contains(psi, tol=tol), candidate

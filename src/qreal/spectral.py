@@ -190,5 +190,5 @@ def born_distribution(
     if v.size != obs.dim:
         raise DimMismatchError(f"state dim {v.size} vs observable dim {obs.dim}")
     family = spectral_family(obs, tol)
-    return {value: float(np.linalg.norm(family.vectors[:, sl].conj().T @ v) ** 2)
+    return {value: frobenius(family.vectors[:, sl].conj().T @ v) ** 2
             for value, sl in zip(family.eigenvalues, family.slices)}

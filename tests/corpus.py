@@ -235,11 +235,11 @@ def reference_joint_eigenspaces(frames, tol=DEFAULT_TOL, keep=None) -> dict[tupl
     return pieces
 
 
-def reference_span(pieces: dict[tuple[int, ...], np.ndarray], dim: int, tol=DEFAULT_TOL) -> Projection:
-    """``lattice._span`` as it was when ``Projection._spanned`` split every
-    kernel off by one SVD, kept verbatim as the reference for its full-span
-    shortcut; ``tol`` is unused."""
-    return Projection._spanned(np.hstack([np.zeros((dim, 0), complex), *pieces.values()]))
+def reference_span(pieces, dim: int, tol=DEFAULT_TOL) -> Projection:
+    """``lattice._span`` of (key, columns) pieces as it was when
+    ``Projection._spanned`` split every kernel off by one SVD, kept as the
+    reference for its full-span shortcut; ``tol`` is unused."""
+    return Projection._spanned(np.hstack([np.zeros((dim, 0), complex), *(cols for _, cols in pieces)]))
 
 
 def reference_cluster_means(w: np.ndarray, slices) -> list[float]:

@@ -93,7 +93,7 @@ def test_meet_has_rank_of_the_range_range_joint_eigenspace(case):
     m = meet(p, q)
     frames = [(np.hstack([x.kernel, x.range]), [slice(0, x.dim - x.rank), slice(x.dim - x.rank, x.dim)])
               for x in (p, q)]
-    pieces = joint_eigenspaces(frames)
+    pieces = dict(joint_eigenspaces(frames))
     rank = pieces[(1, 1)].shape[1] if (1, 1) in pieces else 0
     if on_the_cutoff(theta):
         assert abs(m.rank - rank) <= 1

@@ -5,12 +5,17 @@ proves it empty, ``nowhere_commuting`` stops at the first piece, ``lattice._span
 takes the empty kernel of a full span without an SVD, and ``spectral_family``
 reads one-value cluster means without a numpy sum.  None of it may move a bit:
 each law compares keys, shapes and bytes with the code kept in ``corpus``.
+One more law counts the SVDs of a round of the benchmark's joint-reality ops.
 """
 
 import contextlib
+import pathlib
+import sys
+import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -38,12 +43,10 @@ TOLERANCES = st.sampled_from([DEFAULT_TOL, ToleranceConfig(eq_tol=0.8)])
 
 @contextlib.contextmanager
 def reference_lattice():
-    """Run the lattice's joint eigenspaces and spans on the ``corpus`` code."""
-    def lazy(frames, tol, keep=None):
-        return iter(reference_joint_eigenspaces(frames, tol, keep).items())
-
-    with mock.patch.object(lattice, "joint_eigenspaces", reference_joint_eigenspaces), \
-            mock.patch.object(lattice, "_joint_eigenspaces", lazy), \
+    """Run the lattice's joint eigenspaces and spans on the ``corpus`` code,
+    whose eager dict is walked as (key, columns) pairs."""
+    with mock.patch.object(lattice, "joint_eigenspaces",
+                           lambda *args, **kwargs: iter(reference_joint_eigenspaces(*args, **kwargs).items())), \
             mock.patch.object(lattice, "_span", reference_span):
         yield
 
@@ -93,7 +96,7 @@ def test_joint_reality_verdicts_match_the_reference_bit_for_bit(kind, dim, seed,
     a, b, psi = planted_case(kind, dim, seed, exponent)
     families = [spectral_family(Observable(m, tol=tol), tol) for m in (a, b)]
     frames = [(f.vectors, f.slices) for f in families]
-    assert same_bits(lattice.joint_eigenspaces(frames, tol), reference_joint_eigenspaces(frames, tol))
+    assert same_bits(dict(lattice.joint_eigenspaces(frames, tol)), reference_joint_eigenspaces(frames, tol))
     # value_identity's frames merge clusters across both spectra and keep only keys (c, c).
     got = verdicts(a, b, psi, tol)
     with reference_lattice():
@@ -123,6 +126,30 @@ def test_com_family_matches_the_reference_bit_for_bit(case):
     with reference_lattice():
         want = com_family(projections, tol)
     assert same_bits(got, want)
+
+
+# One untimed round of the benchmark's joint-reality ops, every np.linalg.svd
+# counted.  A piece is split by a member only when the member's weight
+# reaches 1 − eq_tol² (floored at ½), nowhere_commuting stops at its first
+# piece, and a span that fills the space takes no SVD: 311 per round on both
+# seeds, where splitting every member of weight ½ made 585 and 593.
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_joint_reality_round_makes_311_svds(monkeypatch, seed):
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # bench/ is only read
+    import workloads
+
+    with tempfile.TemporaryDirectory() as work:
+        ops = workloads.joint_reality(np.random.default_rng(seed), pathlib.Path(work))
+    calls = [0]
+
+    def counted(*args, _original=np.linalg.svd, **kwargs):
+        calls[0] += 1
+        return _original(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for op in ops:
+        op.run()
+    assert calls[0] == 311
 
 
 @settings(max_examples=120, deadline=None)

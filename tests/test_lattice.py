@@ -25,7 +25,7 @@ from qreal import (
 )
 from qreal.errors import DimMismatchError, EmptyFamilyError
 from qreal.numlin import op_norm
-from qreal.spectral import Observable
+from qreal.spectral import Observable, spectral_family
 from qreal.standard import random_projection_matrix, random_unitary
 
 
@@ -284,6 +284,11 @@ def test_joint_eigenspaces_split_only_where_a_piece_can_be_found(monkeypatch, ki
     assert calls[0] == determinate_splits
     calls[0] = 0
     nowhere_commuting(Observable(a), Observable(b))
+    assert calls[0] == (0 if kind == "generic" else 1)
+    # The walk's own first piece costs the same: each split is made as its piece is asked for.
+    calls[0] = 0
+    families = [spectral_family(Observable(m)) for m in (a, b)]
+    next(iter(lattice.joint_eigenspaces([(f.vectors, f.slices) for f in families])), None)
     assert calls[0] == (0 if kind == "generic" else 1)
 
 
