@@ -1,40 +1,36 @@
-# Witnesses like the one in demo 05 need not be guessed: a derivative
-# free search over couplings, states, and pointer relabelings finds them.
+# Witnesses like the one in demo 05 need not be guessed.  One apparatus
+# with a k-outcome meter measures A and B in psi exactly when psi's
+# Kirkwood-Dirac array q(c, d) = <psi|E^A(c) E^B(d)|psi> is a probability
+# distribution on at most k entries, so the search looks for psi alone and
+# builds the coupling in closed form.
 
 import numpy as np
 
-from qreal import Observable, PAULI_Z, search_simultaneous
+from qreal import DEFAULT_TOL, PAULI_X, PAULI_Y, Observable, kd_distribution, search_simultaneous, simultaneously_measures
 
-# A solvable warm-up: two commuting observables that are functions of
-# each other, so exact witnesses abound.  The search returns the first
-# one it reaches from random starts; here that turns out to be a pointer
-# reading that is constant on an eigenstate, which certifies exactly.
-a = Observable(PAULI_Z, name="A")
-b = Observable(3 * PAULI_Z, name="B")
+# The headline pair: X and Y commute nowhere.  With a two-outcome meter an
+# eigenvector of X is a witness: its q has one row, (1/2, 1/2).
+a = Observable(PAULI_X, name="A")
+b = Observable(PAULI_Y, name="B")
 
-result = search_simultaneous(a, b, probe_dim=2, restarts=20, seed=0)
+result = search_simultaneous(a, b, probe_dim=2)
 
-print("best defect:", f"{result.defect:.2e}", " found at restart", result.restart_index)
+print(result.summary(DEFAULT_TOL.eq_tol))
 print("state:", np.round(result.psi, 4))
+print("KD array (real part):", np.round(kd_distribution(a, b, result.psi).real, 4).tolist())
 print("pointer read as A:", result.map_a)
 print("pointer read as B:", result.map_b)
 
 # The returned record is a complete apparatus: re-certify it end to end.
-from qreal import simultaneously_measures
-
 report = simultaneously_measures(result.model, a, result.map_a,
                                  b, result.map_b, result.psi)
 print("recertified:", report.both,
       " defects", f"{report.cert_a.defect:.2e}", f"{report.cert_b.defect:.2e}")
 
-# For a nowhere commuting pair the same call hunts for the contextual
-# witness; with the default budget it lands below certification
-# tolerance at restart 8, after nine restarts of about 0.2 s each: restart
-# 0 in this process, the rest in parallel on every usable core (about 1.6 s
-# on two cores, 2 s or more on one, so it is commented out here):
-#
-#   from qreal import PAULI_X, PAULI_Y
-#   result = search_simultaneous(Observable(PAULI_X, name="A"),
-#                                Observable(PAULI_Y, name="B"),
-#                                probe_dim=2, restarts=20, seed=0)
-#   print(result.defect, result.restart_index)
+# Below the bound the answer can be no.  For diag(1, 2, 3) and this
+# qutrit partner at k = 2 each of the 9 candidate states is fixed by the
+# eigenspaces it must lie in, and none has a KD distribution: no witness
+# exists, which the search states instead of failing to find one.
+qutrit = Observable(np.array([[0, 1, 1j], [1, 1, 1], [-1j, 1, 2]]), name="B")
+verdict = search_simultaneous(Observable(np.diag([1.0, 2.0, 3.0]), name="A"), qutrit, probe_dim=2)
+print(verdict.summary(DEFAULT_TOL.eq_tol))

@@ -39,6 +39,7 @@ from .measure import (
     SimultaneousReport,
     UncertaintyReport,
     context_report,
+    kd_distribution,
     measures_in_state,
     meter_output,
     output_distribution,
@@ -124,6 +125,6 @@ __all__ = [
     "SimultaneousReport", "ContextReport", "SearchResult", "RestartTelemetry",
     "meter_output", "povm", "output_distribution", "measures_in_state",
     "rms_noise", "rms_disturbance", "uncertainty_report",
-    "simultaneously_measures", "search_simultaneous", "context_report",
+    "simultaneously_measures", "search_simultaneous", "kd_distribution", "context_report",
     "__version__",
 ]

@@ -12,8 +12,13 @@ A model's coupling is used as written; MeasurementModel admits it when
 ||U†U − I||₂ <= eq_tol.  A state within eq_tol of unit norm is used as
 written, and one up to 1e-6 off is rescaled onto its ray.
 A witness file written by `search` is a model file with three extra keys:
-"system_state", "defect", "restart_index"; `context` falls back to its
-embedded state when --state is omitted.
+"system_state", "defect", "restart_index" (the winning ψ-search restart,
+0 when no ψ-search ran); `context` falls back to its embedded state when
+--state is omitted.  `search --verbose` prints to stderr the branch that
+decided (eigenvector, exact or psi-search), the candidate count, the
+state's Kirkwood–Dirac violation against its margin 2 eq_tol + eq_tol², the
+verdict ("witness" exactly when the command exits 0), and one line per
+ψ-search restart.
 
 Exit codes: 0 = predicate true / search success (defect <= --success-tol,
 by default eq_tol); 1 = predicate false / search non-success; 2 = usage or
@@ -304,15 +309,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", help="observable file")
     p.add_argument("b", help="observable file")
     p.add_argument("--probe-dim", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--restarts", type=int, default=argparse.SUPPRESS,
+                   help="psi-search restarts (default 20)")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                   help="restart i draws from seed + i (default 0)")
     p.add_argument("--budget", type=int, default=argparse.SUPPRESS,
-                   help="objective evaluations per restart")
+                   help="KD evaluations per psi-search restart and subspace (default 3000)")
     p.add_argument("--success-tol", type=float, default=argparse.SUPPRESS,
                    help="defect at or below which the search exits 0 (default: eq_tol)")
     p.add_argument("--out", default=None, help="write the witness model file here")
     p.add_argument("--verbose", action="store_true",
-                   help="print one telemetry line per restart to stderr when the search ends")
+                   help="print the branch, candidate count, KD violation, margin and verdict, "
+                        "then one line per psi-search restart, to stderr")
 
     p = sub.add_parser("context", parents=[common],
                        help="full contextual-measurement exhibit")
@@ -415,6 +423,7 @@ def _cmd_search(args, tol: ToleranceConfig) -> int:
     given = {key: getattr(args, key) for key in ("restarts", "seed", "budget") if key in args}
     result = search_simultaneous(a, b, probe_dim=args.probe_dim, tol=tol, **given)
     if args.verbose:
+        print(result.summary(success_tol), file=sys.stderr)
         for record in result.telemetry:
             print(record.summary(), file=sys.stderr)
     if args.out:

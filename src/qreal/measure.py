@@ -22,10 +22,8 @@ value identity, so only ``meter_output`` forms a joint-space operator.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
-import os
-import time
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -33,18 +31,19 @@ import numpy as np
 
 from .errors import DimMismatchError, NonFiniteLabelError, NotUnitaryError, UnmappedEigenvalueError
 from .numlin import (
+    _EPS,
     DEFAULT_TOL,
     ToleranceConfig,
     as_square,
     as_state,
-    eigh,
     frobenius,
+    kernel_split,
     kron,
     norm_within,
     op_norm,
 )
 from .qlogic import _cluster_defect, _state_rows, jointly_determinate, value_identity
-from .spectral import Observable, _meter_labels, spectral_family, spectral_projection
+from .spectral import Observable, _meter_labels, spectral_family
 
 
 class MeasurementModel:
@@ -119,15 +118,11 @@ class CorrelationCertificate:
 
 def _outcome_vectors(u: np.ndarray, phi: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Rows U† (1 ⊗ |v⟩⟨v|) U (psi ⊗ xi), one per probe column v of ``columns``,
-    from the joint amplitudes phi = U (psi ⊗ xi) as n system rows of length k.
-
-    Leading axes of ``u`` (..., d, d) and ``phi`` (..., n, k) stack couplings
-    and states; every product keeps the shapes of the one-state case, so each
-    stacked result is bit-identical to its own call."""
+    from the joint amplitudes phi = U (psi ⊗ xi) as n system rows of length k."""
     # (1 ⊗ |v⟩⟨v|) keeps ⟨v|phi_i⟩ v of each system row phi_i of the joint amplitudes.
-    masked = (columns.conj().T @ phi.swapaxes(-1, -2))[..., None] * columns.T[:, None, :]
+    masked = (columns.conj().T @ phi.T)[:, :, None] * columns.T[:, None, :]
     # Rows of U†: conj(conj(w) U) needs no conjugated copy of U.
-    return (masked.reshape(masked.shape[:-3] + (columns.shape[1], -1)).conj() @ u).conj()
+    return (masked.reshape(columns.shape[1], -1).conj() @ u).conj()
 
 
 def _lift(rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -296,7 +291,7 @@ class ContextReport:
     psi lies in ran P (||xi|| = 1), so the lifted equality is the system
     equality.  The scipy kernel oracle in tests/test_measure.py checks both
     against their joint-space definitions, and acceptance criterion 09 on
-    the headline search winner, whose defects sit just under eq_tol.
+    the headline search winner.
     ``nowhere_commuting`` (rank zero) and ``jpd_exists`` (psi in the range,
     by :func:`jpd_exists`) read the commutator projection of ``jointly_determinate``.
     """
@@ -366,32 +361,53 @@ def context_report(model: MeasurementModel, a: Observable, map_a: Mapping[float,
 
 
 # ---------------------------------------------------------------------------
-# Witness search: find (U, psi, fA, fB) making one apparatus measure both.
+# Witness search, decided on the state side: both certificates within δ put
+# the Kirkwood–Dirac array q(c, d) = ⟨psi|E^A(c) E^B(d)|psi⟩ within 2δ + δ² of
+# a distribution on at most k entries, and such a distribution gives U in
+# closed form (:func:`_witness_model`), so a witness is a state psi.
+
+_MAX_PAIRS = 4096  # (C, D) pairs the search forms below the eigenvector bound
+
+
+def kd_distribution(a: Observable, b: Observable, psi,
+                    tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Kirkwood–Dirac quasi-distribution q(c, d) = ⟨psi|E^A(c) E^B(d)|psi⟩,
+    rows by A's eigenvalue clusters and columns by B's, both ascending."""
+    if a.dim != b.dim:
+        raise DimMismatchError(f"dims differ: {a.dim} vs {b.dim}")
+    psi = as_state(psi, a.dim, tol)  # q(c, d) = ⟨E^A(c) psi, E^B(d) psi⟩
+    parts_a = _cluster_parts(spectral_family(a, tol=tol), psi)
+    return parts_a.conj().T @ _cluster_parts(spectral_family(b, tol=tol), psi)
+
+
+def _kd_violation(q: np.ndarray, k: int) -> float:
+    """How far q is from a distribution on at most k entries: the largest of
+    |Im q|, −Re q and the (k+1)-th largest |q|.  A model whose certificates
+    both pass at defect δ keeps it within 2δ + δ² (tests/test_search.py)."""
+    sizes = np.sort(np.abs(q), axis=None)
+    beyond = sizes[-k - 1] if sizes.size > k else 0.0
+    return float(max(np.abs(q.imag).max(), -q.real.min(), beyond))
 
 
 @dataclass(frozen=True)
 class RestartTelemetry:
-    """What one pattern-search restart did: its defect, the polls it read
-    (values, batched ones past the first accepted not counted),
-    accepted coordinate moves, state polishes that beat the iterate, the
-    step size it stopped at, and its wall time."""
+    """One ψ-search restart: its index and the least KD violation it reached."""
 
     index: int
-    defect: float
-    evals: int
-    accepted: int
-    polish_wins: int
-    step: float
-    wall_ms: float
+    violation: float
 
     def summary(self) -> str:
-        return (f"restart {self.index}: defect {self.defect:.6e} evals={self.evals} "
-                f"accepted={self.accepted} polish_wins={self.polish_wins} "
-                f"step={self.step:.3e} wall_ms={self.wall_ms:.1f}")
+        return f"restart {self.index}: kd_violation={self.violation:.6e}"
 
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The witness and how it was decided: ``branch`` is "eigenvector",
+    "exact" (every candidate state fixed by its (C, D) pair) or
+    "psi-search"; ``candidates`` counts the pairs whose W is not zero;
+    ``violation`` is psi's KD violation, a witness's at most ``margin`` =
+    2 eq_tol + eq_tol²; ``defect`` is the model's own."""
+
     model: MeasurementModel
     psi: np.ndarray
     map_a: dict[float, float]
@@ -399,386 +415,183 @@ class SearchResult:
     defect: float
     restart_index: int
     telemetry: tuple[RestartTelemetry, ...]
+    branch: str
+    candidates: int
+    violation: float
+    margin: float
+
+    def summary(self, success_tol: float) -> str:
+        """One line, whose verdict is "witness" exactly when the defect is within ``success_tol``."""
+        verdict = ("witness" if self.defect <= success_tol
+                   else "none exists" if self.branch == "exact" and self.violation > self.margin
+                   else "not found")
+        return (f"search: branch={self.branch} candidates={self.candidates} "
+                f"kd_violation={self.violation:.6e} margin={self.margin:.6e} verdict={verdict}")
 
 
-def _state_from_params(theta: np.ndarray, dim: int) -> np.ndarray:
-    vec = theta[:dim] + 1j * theta[dim:]
-    norm = frobenius(vec)
-    if norm < 1e-12:
-        vec[0] += 1.0
-        norm = frobenius(vec)
-    return vec / norm
+def _cluster_parts(family, psi: np.ndarray) -> np.ndarray:
+    """E(c) psi for every cluster c, as columns."""
+    return np.add.reduceat(_state_rows(family, psi), [sl.start for sl in family.slices], axis=0).T
 
 
-class _SearchProblem:
-    """Geometry for one search run (observables fixed, meter fixed), built
-    once and never changed: the restarts share it and own their iterates.
-
-    Everything that depends only on the dimensions is built here, so a poll
-    pays for its own arithmetic alone.  The probe state is e_0, so
-    psi ⊗ xi is psi written at every k-th joint position."""
-
-    def __init__(self, a: Observable, b: Observable, probe_dim: int, tol: ToleranceConfig):
-        self.n = a.dim
-        self.k = probe_dim
-        self.joint = self.n * self.k
-        # A restart stops at this defect, a decade inside acceptance (eq_tol).
-        self.cutoff = tol.eq_tol / 10
-        self.vals_a = spectral_family(a, tol=tol).eigenvalues
-        self.vals_b = spectral_family(b, tol=tol).eigenvalues
-        self.proj_a = np.stack([spectral_projection(a, [lam], tol).matrix for lam in self.vals_a])
-        self.proj_b = np.stack([spectral_projection(b, [lam], tol).matrix for lam in self.vals_b])
-        self.xi = np.eye(self.k, dtype=complex)[0]
-        # The meter diag(1..k) read in the probe basis: outcome m is |m>.
-        self.meter_columns = np.eye(self.k, dtype=complex)
-        self.u_params = self.joint * self.joint
-        self.s_params = 2 * self.n
-        # Flat positions of the generator's diagonal and of its strict upper
-        # and lower triangles, the upper one in triu_indices (row-major) order.
-        rows, cols = np.triu_indices(self.joint, k=1)
-        self._diagonal = np.arange(self.joint) * (self.joint + 1)
-        self._upper = rows * self.joint + cols
-        self._lower = cols * self.joint + rows
-
-    def candidate_maps(self, rng: np.random.Generator):
-        """Assignments meter outcome -> eigenvalue index, one (maps, one-hot)
-        pair per side; the one-hot rows are complex, as the rows they sum.
-
-        Exhaustive up to 256 assignments a side; beyond that, a seeded sample
-        plus all constant assignments (those solve any eigenstate measurement)."""
-        def side(count: int):
-            if count ** self.k <= 256:
-                combos = list(itertools.product(range(count), repeat=self.k))
-            else:
-                picks = {tuple(int(x) for x in rng.integers(0, count, size=self.k))
-                         for _ in range(64)}
-                picks.update({(i,) * self.k for i in range(count)})
-                combos = sorted(picks)
-            maps = np.array(combos, dtype=int)
-            return maps, (maps[:, None, :] == np.arange(count)[None, :, None]).astype(complex)
-
-        return side(len(self.vals_a)), side(len(self.vals_b))
-
-    def unitaries(self, generators: np.ndarray) -> np.ndarray:
-        """exp(iH) for each row of ``generators``: the Hermitian H with diagonal
-        row[:d] and strict upper triangle row[d::2] + i row[d+1::2], row by
-        row, d = nk.  One stacked eigh; each U is bit-identical to its own."""
-        d = self.joint
-        h = np.zeros((len(generators), d * d), dtype=complex)
-        h[:, self._diagonal] = generators[:, :d]
-        upper = generators[:, d::2] + 1j * generators[:, d + 1::2]
-        h[:, self._upper] = upper
-        h[:, self._lower] = upper.conj()
-        w, v = np.linalg.eigh(h.reshape(-1, d, d))
-        return (v * np.exp(1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
-
-    def start(self, theta: np.ndarray):
-        """A restart's iterate at ``theta``: (theta, U, psi, psi's target rows)."""
-        psi = _state_from_params(theta[self.u_params:], self.n)
-        return theta, self.unitaries(theta[None, :self.u_params])[0], psi, self.targets(psi)
-
-    def outcome_vectors(self, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """Outcome rows of psi (..., n) under u (..., d, d), stacks broadcast."""
-        joint = np.zeros(psi.shape[:-1] + (self.joint, 1), dtype=complex)
-        joint[..., ::self.k, 0] = psi  # psi ⊗ xi, as xi = e_0
-        phi = u @ joint
-        return _outcome_vectors(u, phi.reshape(phi.shape[:-2] + (self.n, self.k)), self.meter_columns)
-
-    def targets(self, psi):
-        """Each side's target rows (E_i psi) ⊗ xi, one per slot i; psi (..., n)."""
-        return [_lift(np.einsum("snm,...m->...sn", p, psi), self.xi) for p in (self.proj_a, self.proj_b)]
-
-    def defects(self, vectors, targets, one_hot) -> np.ndarray:
-        """Certificate defect of every assignment in ``one_hot``: the largest
-        ||sum_{m in slot i} v_m − targets[i]|| over slots i.  The one-hot
-        rows (..., slots, k), outcome rows (..., k, d) and target rows
-        (..., slots, d) broadcast, so stacks carry their own map axis."""
-        # One full pass; an in-place update of the strided slots measured
-        # twice as slow at k = 4.
-        residual = one_hot @ vectors - targets
-        re, im = residual.real, residual.imag
-        # Row dot products through matmul round as np.linalg.norm does.
-        squares = (re[..., None, :] @ re[..., None] + im[..., None, :] @ im[..., None])[..., 0, 0]
-        return np.sqrt(squares.max(axis=-1))
-
-    def _tables(self, u, psi, targets, side_a, side_b):
-        """Each side's defect table at each stacked (u, psi)."""
-        vectors = self.outcome_vectors(u, psi)
-        return [self.defects(vectors, t, hot) for t, (_, hot) in zip(targets, (side_a, side_b))]
-
-    def polls(self, here, moves, side_a, side_b):
-        """Poll theta + delta e_i for every (i, delta) in ``moves``, which run
-        in coordinate order, theta being the iterate ``here``'s.  Returns
-        (defects, map rows a, map rows b, iterate): at move j each side's
-        lowest-index least defect and their max, and ``iterate(j)``, the
-        iterate there, bit-identical to ``start``'s, built only when asked
-        for, as an accepted move is.  A move changes U or psi, not both, and
-        reads the other from ``here``.  Several moves take one stacked pass
-        per kind; a single one, a ride poll, skips the stack's set-up."""
-        theta, u, psi, targets = here
-        if len(moves) == 1:
-            (i, delta), = moves
-            point = theta.copy()
-            point[i] += delta
-            if i < self.u_params:
-                u = self.unitaries(point[None, :self.u_params])[0]
-            else:
-                psi = _state_from_params(point[self.u_params:], self.n)
-                targets = self.targets(psi)
-            table_a, table_b = self._tables(u, psi, targets, side_a, side_b)
-            ia, ib = table_a.argmin(), table_b.argmin()
-            value = float(max(table_a[ia], table_b[ib]))
-            return [value], [side_a[0][ia]], [side_b[0][ib]], lambda j: (point, u, psi, targets)
-        index, deltas = zip(*moves)
-        candidates = np.repeat(theta[None], len(moves), axis=0)
-        candidates[np.arange(len(moves)), index] += deltas
-        split = sum(i < self.u_params for i in index)
-        tables = []  # each stacked point's axis of maps is a singleton axis of its inputs
-        if split:
-            us = self.unitaries(candidates[:split, :self.u_params])
-            tables.append(self._tables(us[:, None], psi, targets, side_a, side_b))
-        if split < len(moves):
-            states = np.stack([_state_from_params(row[self.u_params:], self.n) for row in candidates[split:]])
-            rows = self.targets(states[:, None])
-            tables.append(self._tables(u, states[:, None], rows, side_a, side_b))
-        table_a, table_b = (np.concatenate(side) for side in zip(*tables))
-        ia, ib = table_a.argmin(axis=1), table_b.argmin(axis=1)
-
-        def iterate(j):
-            if j < split:
-                return candidates[j], us[j], psi, targets
-            return candidates[j], u, states[j - split], [t[j - split, 0] for t in rows]
-
-        return np.maximum(table_a.min(axis=1), table_b.min(axis=1)), side_a[0][ia], side_b[0][ib], iterate
-
-    def polish(self, u: np.ndarray, side_a, side_b):
-        """Re-solve for the state: per map pair, the summed squared defect is
-        a quadratic form in psi; its minimal eigenvector is the best state.
-        The forms are built from the outcome and target rows of the basis
-        states; every pair's eigenvector and defect come from one stacked
-        pass, and the first least defect wins."""
-        basis = np.eye(self.n)
-        columns = self.outcome_vectors(u, basis)
-
-        def forms(projections, one_hot) -> np.ndarray:
-            # Column j of side slot i: sum_{m in slot i} v_m(e_j) − (E_i e_j) ⊗ xi.
-            targets = _lift(np.swapaxes(projections, 1, 2), self.xi)
-            w = np.einsum("aim,jmx->aijx", one_hot, columns) - targets
-            return np.einsum("aijx,ailx->ajl", w.conj(), w)
-
-        (maps_a, hot_a), (maps_b, hot_b) = side_a, side_b
-        if len(maps_a) * len(maps_b) <= 256:
-            ia, ib = np.divmod(np.arange(len(maps_a) * len(maps_b)), len(maps_b))
-        else:
-            ia = ib = np.zeros(1, dtype=int)
-            hot_a, hot_b = hot_a[:1], hot_b[:1]
-        _, v = eigh(forms(self.proj_a, hot_a)[ia] + forms(self.proj_b, hot_b)[ib])
-        psi = v[:, :, 0]
-        vectors, (targets_a, targets_b) = self.outcome_vectors(u, psi), self.targets(psi)
-        defects = np.maximum(self.defects(vectors, targets_a, hot_a[ia]),
-                             self.defects(vectors, targets_b, hot_b[ib]))
-        best = int(defects.argmin())
-        return float(defects[best]), psi[best], maps_a[ia[best]], maps_b[ib[best]]
+def _witness_model(a: Observable, b: Observable, psi: np.ndarray, probe_dim: int, tol: ToleranceConfig):
+    """(model, map_a, map_b) for psi, in closed form.  Outcome m reads the
+    m-th of the k largest weights p_m = max(Re q, 0) of psi's KD array, in
+    (c, d) order; spare outcomes copy the first with no weight.  U is the
+    polar factor of Y X† (Procrustes): X holds E^A(c)psi ⊗ xi and E^B(d)psi
+    ⊗ xi, xi = e_0, and Y their images Σ √p_m e_0 ⊗ |m⟩ over the outcomes
+    labelled c, or d.  When q is that distribution, X and Y have one Gram
+    matrix and U X = Y, so both certificates hold."""
+    fa, fb = spectral_family(a, tol=tol), spectral_family(b, tol=tol)
+    n, k = a.dim, probe_dim
+    parts_a, parts_b = _cluster_parts(fa, psi), _cluster_parts(fb, psi)
+    q, parts = parts_a.conj().T @ parts_b, np.hstack([parts_a, parts_b])
+    # No cell outweighs its row or column, Σ_d q(c, d) = ||E^A(c) psi||²: the
+    # bound keeps a rounding-level q off a row that is zero.  A cell within
+    # n ε (||E^A(c) psi|| + ||E^B(d) psi||) of zero is zero: its root would
+    # give Y a direction of length √q that X lacks, a defect near √ε.
+    sizes = np.sum(np.abs(parts) ** 2, axis=0)
+    size_a, size_b = sizes[:q.shape[0]], sizes[q.shape[0]:]
+    weights = np.minimum(np.maximum(q.real, 0.0), np.minimum.outer(size_a, size_b))
+    weights[weights <= n * _EPS * np.add.outer(np.sqrt(size_a), np.sqrt(size_b))] = 0.0
+    weights = weights.ravel()
+    chosen = np.sort(np.argsort(-weights, kind="stable")[:k])
+    cells = np.concatenate([chosen, np.repeat(chosen[:1], k - chosen.size)])
+    rows, cols = np.divmod(cells, q.shape[1])
+    roots = np.sqrt(weights[cells])
+    roots[chosen.size:] = 0.0
+    source = np.zeros((n * k, parts.shape[1]), dtype=complex)
+    source[::k] = parts
+    image = np.zeros_like(source)
+    image[np.arange(k), rows] = roots
+    image[np.arange(k), q.shape[0] + cols] = roots
+    # Any positive column scale leaves the exact solution; scaling columns to
+    # unit norm, down to √ε, keeps a light cell's singular value off rounding.
+    scale = 1.0 / np.maximum(np.sqrt(sizes), np.sqrt(_EPS))
+    left, _, right = np.linalg.svd((image * scale) @ (source * scale).conj().T)
+    map_a = {float(m + 1): fa.eigenvalues[c] for m, c in enumerate(rows)}
+    map_b = {float(m + 1): fb.eigenvalues[d] for m, d in enumerate(cols)}
+    meter = Observable(np.diag(np.arange(1, k + 1)).astype(complex), name="M", tol=tol)
+    model = MeasurementModel(sys_dim=n, probe_dim=k, probe_state=np.eye(k)[0], unitary=left @ right,
+                             meter=meter, label_maps={"fA": map_a, "fB": map_b}, tol=tol)
+    return model, map_a, map_b
 
 
-# Polls per stacked pass: 8 ran faster than 4, 12 or 16 on the X/Y searches
-# at k = 2 and k = 4 (one BLAS thread, 2-core Xeon).  A batch saves numpy's
-# per-call dispatch, which stops paying once a candidate's defect tables
-# (maps × slots × nk entries, both sides) pass _POLL_ENTRIES: from 5184
-# entries up (n = 6, k = 2) batches of 8 ran 1.6-2.6 times as long as one
-# poll at a time, and batches of 2 or 4 about as long, so such searches
-# poll one point at a time.
-_POLL_BATCH = 8
-_POLL_ENTRIES = 4096
+def _subsets(clusters):
+    """Every nonempty subset of ``clusters``, by size."""
+    return [s for r in range(1, len(clusters) + 1) for s in itertools.combinations(clusters, r)]
 
 
-def _pattern_search(problem: _SearchProblem, rng: np.random.Generator, budget: int, index: int):
-    """One restart: coordinate pattern search over the generator and state
-    parameters, label maps enumerated exactly at every iterate.  Before each
-    shrink-on-fail the closed-form state polish gets a chance to jump ahead,
-    so the step cascade is traversed once instead of restarting.  Returns
-    (U, psi, map_a, map_b, telemetry); the telemetry carries the defect.
+def _witness(a: Observable, b: Observable, psi: np.ndarray, k: int, tol: ToleranceConfig):
+    """(model, map_a, map_b, defect): :func:`_witness_model` and the larger
+    of its two certificates' defects."""
+    model, map_a, map_b = _witness_model(a, b, psi, k, tol)
+    report = simultaneously_measures(model, a, map_a, b, map_b, psi, tol=tol)
+    return model, map_a, map_b, max(report.cert_a.defect, report.cert_b.defect)
 
-    The restart owns its iterate (theta, U, psi, psi's target rows), and a
-    poll reads it.  A sweep polls theta ± step·e_i for i = 0, 1, ... in turn,
-    and rides an accepted direction, one poll at a time, until it stops
-    paying off.  Until the next accepted poll the polls ahead are fixed, so
-    up to _POLL_BATCH of them, to the end of the sweep and within the budget,
-    are evaluated in one stacked pass and read in order; the batch is dropped
-    at its first accepted poll, and ``evals`` counts the polls read.  Past
-    _POLL_ENTRIES defect-table entries per candidate a batch is one poll.
-    Every value, and so the whole restart, is bit-identical to polling one
-    point at a time."""
-    start = time.perf_counter()
-    side_a, side_b = problem.candidate_maps(rng)
-    here = problem.start(np.concatenate([
-        rng.normal(0.0, 0.6, size=problem.u_params),
-        rng.normal(0.0, 1.0, size=problem.s_params),
-    ]))
-    # The start's own value is the poll of a null move: x + (-0.0) is x, bit for bit.
-    (best_val,), (best_a,), (best_b,), _ = problem.polls(here, [(problem.u_params, -0.0)], side_a, side_b)
-    evals = 1
-    accepted = polish_wins = 0
-    step = 0.5
-    sweep = 2 * (problem.u_params + problem.s_params)  # polls theta + step e_i, then theta - step e_i, per coordinate
-    entries = problem.joint * sum(one_hot.shape[0] * one_hot.shape[1] for _, one_hot in (side_a, side_b))
-    batch = _POLL_BATCH if entries <= _POLL_ENTRIES else 1
-    while step > 1e-10 and evals < budget and best_val > problem.cutoff:
-        improved = False
-        poll, ride = 0, ()
-        while evals < budget and (ride or poll < sweep):
-            if ride:
-                moves = [ride]
-            else:
-                moves = [(p // 2, -step if p % 2 else step)
-                         for p in range(poll, poll + min(batch, sweep - poll, budget - evals))]
-                poll += len(moves)
-            ride = ()
-            values, maps_a, maps_b, iterate = problem.polls(here, moves, side_a, side_b)
-            for j, val in enumerate(values):
-                evals += 1
-                if val >= best_val - 1e-15:
-                    continue
-                here, best_val, best_a, best_b = iterate(j), float(val), maps_a[j], maps_b[j]
-                accepted += 1
-                improved = True
-                # Ride the direction while it pays off; an accepted coordinate skips its other sign.
-                ride = moves[j]
-                poll = 2 * (ride[0] + 1)
+
+def _pairs(a: Observable, b: Observable, k: int, margin: float, tol: ToleranceConfig):
+    """Walk cluster subsets C of A and D of B, |C|, |D| <= k, each with W =
+    ran E^A(C) ∩ ran E^B(D) from one kernel_split; a witness's psi lies in
+    the W of its rows and columns.  W grows with C and D, so the top pairs
+    |C| = |D| = k come first, and a smaller pair is formed only under a top
+    W of dim > 1 (under a line it is that line or zero); forming more than
+    4096 pairs is a ValueError.  The walk runs by |C|, C, |D|, D.  Returns
+    (psi, candidates, spaces): psi is the first fixed candidate (|C| = 1 or
+    |D| = 1, an eigenvector with at most k entries; or dim W = 1) whose
+    model certifies, else the one of least violation, or None; ``spaces``
+    holds the top W's of dim > 1, for the ψ-search."""
+    fa, fb = spectral_family(a, tol=tol), spectral_family(b, tol=tol)
+    counts = [len(f.slices) for f in (fa, fb)]
+    too_many = ValueError(f"search would form more than {_MAX_PAIRS} (C, D) pairs at probe dim {k}")
+    if math.comb(counts[0], k) * math.comb(counts[1], k) > _MAX_PAIRS:
+        raise too_many
+    blocks = [[f.vectors[:, sl].conj().T for sl in f.slices] for f in (fa, fb)]
+
+    def meet(c_set, d_set):
+        others = [block for i, block in enumerate(blocks[0]) if i not in c_set]
+        others += [block for j, block in enumerate(blocks[1]) if j not in d_set]
+        return kernel_split(np.vstack(others), tol.eq_tol)[0]
+
+    tops = {pair: meet(*pair) for pair in itertools.product(
+        *(itertools.combinations(range(count), k) for count in counts))}
+    walk = {pair for pair, space in tops.items() if space.shape[1] == 1}
+    for (c_top, d_top), space in tops.items():
+        if space.shape[1] > 1:
+            if (2 ** k - 1) ** 2 > _MAX_PAIRS:
+                raise too_many
+            walk.update(itertools.product(_subsets(c_top), _subsets(d_top)))
+            if len(tops) + len(walk - tops.keys()) > _MAX_PAIRS:
+                raise too_many
+    best, best_violation, candidates, spaces = None, np.inf, 0, []
+    for c_set, d_set in sorted(walk, key=lambda pair: (len(pair[0]), pair[0], len(pair[1]), pair[1])):
+        space = tops[c_set, d_set] if (c_set, d_set) in tops else meet(c_set, d_set)
+        if not space.shape[1]:
+            continue
+        candidates += 1
+        if min(len(c_set), len(d_set)) == 1 or space.shape[1] == 1:
+            psi = space[:, 0]
+            violation = _kd_violation(kd_distribution(a, b, psi, tol), k)
+            if violation <= margin and _witness(a, b, psi, k, tol)[-1] <= tol.eq_tol:
+                return psi, candidates, []
+            if violation < best_violation:
+                best, best_violation = psi, violation
+        elif len(c_set) == len(d_set) == k:
+            spaces.append(space)
+    return best, candidates, spaces
+
+
+def _psi_search(a: Observable, b: Observable, space: np.ndarray, k: int,
+                rng: np.random.Generator, budget: int, tol: ToleranceConfig):
+    """One restart on W's unit sphere: coordinate pattern search over the
+    real and imaginary parts of psi's coordinates in ``space``, from a
+    normal draw, for the least KD violation, until the step falls to 1e-10
+    or ``budget`` evaluations.  Returns (violation, psi)."""
+    dim = space.shape[1]
+
+    def point(theta: np.ndarray):
+        z = theta[:dim] + 1j * theta[dim:]
+        psi = space @ (z / frobenius(z))
+        return _kd_violation(kd_distribution(a, b, psi, tol), k), psi
+
+    theta = rng.normal(size=2 * dim)
+    best, evals, step = point(theta), 1, 0.5
+    while step > 1e-10 and evals < budget:
+        for i, sign in itertools.product(range(2 * dim), (1.0, -1.0)):
+            if evals == budget:
                 break
-        if not improved:
-            theta, u, _, _ = here
-            polished = problem.polish(u, side_a, side_b)
-            if polished[0] < best_val - 1e-15:
-                best_val, psi, best_a, best_b = polished
-                here = problem.start(np.concatenate([theta[:problem.u_params], psi.real, psi.imag]))
-                polish_wins += 1
-            else:
-                step *= 0.5
-
-    _, u, psi, _ = here
-    polished = problem.polish(u, side_a, side_b)
-    if polished[0] < best_val:
-        best_val, psi, best_a, best_b = polished
-        polish_wins += 1
-    telemetry = RestartTelemetry(index=index, defect=float(best_val), evals=evals,
-                                 accepted=accepted, polish_wins=polish_wins, step=step,
-                                 wall_ms=1e3 * (time.perf_counter() - start))
-    return u, psi, best_a, best_b, telemetry
-
-
-def _serve_restarts(run, indices, conn) -> None:
-    """A search worker: send ``run(i)`` down ``conn`` for each i in
-    ``indices``, in order, or the exception it raised and stop.  Ctrl-C is
-    left to the parent, which terminates its workers."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for index in indices:
-        try:
-            record = run(index)
-        except Exception as exc:
-            conn.send(exc)
-            return
-        conn.send(record)
-
-
-def _restart_records(run, restarts: int):
-    """Yield ``run(i)`` for i = 0 .. restarts - 1, in index order.
-
-    Restart 0 runs in this process, so a search it wins forks nothing.  The
-    rest go to W = _search_workers(restarts - 1) forked workers, worker w
-    taking restarts 1 + w, 1 + w + W, ..., each read back from its own pipe.
-    A worker that dies before sending its restart raises ChildProcessError
-    here, and closing the generator terminates and joins every worker."""
-    yield run(0)
-    workers = _search_workers(restarts - 1)
-    if workers <= 1:
-        yield from map(run, range(1, restarts))
-        return
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    started = []
-    try:
-        for w in range(workers):
-            receive, send = context.Pipe(duplex=False)
-            process = context.Process(target=_serve_restarts, daemon=True,
-                                      args=(run, range(1 + w, restarts, workers), send))
-            process.start()
-            # Closed before the next fork, so the worker holds the only write
-            # end and its death reads as EOF.
-            send.close()
-            started.append((process, receive))
-        for index in range(1, restarts):
-            process, receive = started[(index - 1) % workers]
-            try:
-                record = receive.recv()
-            except EOFError:
-                process.join()
-                raise ChildProcessError(f"search worker for restart {index} died "
-                                        f"(exit code {process.exitcode})") from None
-            if isinstance(record, Exception):
-                raise record
-            yield record
-    finally:
-        for process, _ in started:
-            process.terminate()
-        for process, receive in started:
-            process.join()
-            receive.close()
-
-
-def _search_workers(restarts: int) -> int:
-    """Processes to run the restarts in: one per usable CPU, at most one per
-    restart.  1, meaning this process, where fork is unavailable, where
-    another thread runs (fork copies only the calling thread, and a lock
-    that thread holds stays held in the child), or where this process is a
-    daemon, which may not have children.  Fork, not spawn: a spawned worker
-    would import numpy and qreal afresh on every search."""
-    import multiprocessing
-    import threading
-
-    if ("fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1
-            or multiprocessing.current_process().daemon):
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(restarts, cpus)
+            trial = theta.copy()
+            trial[i] += sign * step
+            value, evals = point(trial), evals + 1
+            if value[0] < best[0]:
+                theta, best = trial, value
+                break
+        else:
+            step *= 0.5
+    return best
 
 
 def search_simultaneous(a: Observable, b: Observable, probe_dim: int, restarts: int = 20,
                         seed: int = 0, budget: int = 3000,
                         tol: ToleranceConfig = DEFAULT_TOL,
                         progress=None) -> SearchResult:
-    """Search couplings, states and label maps so one apparatus measures both.
+    """Find U, psi and label maps so that one apparatus with a k = probe_dim
+    outcome meter diag(1..k), read in the probe basis, measures both a and b
+    in psi.  A witness exists exactly when some psi has a KD array that is a
+    distribution on at most k entries, so the search decides psi:
 
-    Derivative-free: random restarts of coordinate pattern search over the
-    Hermitian generator of U and the state parameters, with label maps
-    enumerated exactly per iterate, then a closed-form state polish.  The
-    meter is fixed nondegenerate, diag(1..k), read in the probe basis.
-    Each restart evaluates the polls ahead of it in stacked batches and
-    reads them in the serial order (see :func:`_pattern_search`), so its
-    record is the one-poll-at-a-time loop's, bit for bit.  A restart stops
-    early once its defect is at most tol.eq_tol / 10.
+    * k >= min(|spec A|, |spec B|): psi is the first eigenvector column of
+      A when |spec B| <= k, else of B; its q is one row (column) of at most
+      k weights.
+    * Otherwise the (C, D) pairs of :func:`_pairs`.  When every pair fixes
+      its psi and none is within the margin 2 eq_tol + eq_tol², none exists.
+    * Each W of dim > 1 gets a ψ-search: restart i draws from
+      default_rng(seed + i) on each W in turn, ``budget`` evaluations each;
+      the lowest index within the margin wins, else the least violation,
+      fixed candidates first.  ``progress(index, violation)`` is called
+      after each restart.
 
-    Deterministic for a fixed seed: restart i draws from default_rng(seed+i)
-    and the winner is the lowest-index restart reaching defect <= tol.eq_tol
-    (below the tolerance at which states are equated, more restarts cannot
-    change any decision), else the overall minimum with ties to the lowest
-    index.  Restart 0 runs in this process; if it does not win, the rest run
-    in min(restarts - 1, usable CPUs) forked processes and are read back in
-    index order, so the record, the telemetry and the ``progress`` calls are
-    bit-identical to running them one after another, which the search does
-    in this process when one CPU is usable, fork is unavailable, another
-    thread runs or this process is a daemon.  A worker killed from outside
-    raises ChildProcessError.
-    Exhausting the budget is not an error; the best record found is
-    returned regardless.
-    ``progress``, when given, is called in this process with
-    (restart_index, defect) after each restart, in index order.  The
-    result's ``telemetry`` holds one :class:`RestartTelemetry` per restart
-    up to the winner, its ``evals`` counting the polls the restart read;
-    restarts a worker ran past the winner are discarded.
+    The defect is the certificates' own, recomputed from the model.
     """
     if a.dim != b.dim:
         raise DimMismatchError(f"dims differ: {a.dim} vs {b.dim}")
@@ -788,33 +601,34 @@ def search_simultaneous(a: Observable, b: Observable, probe_dim: int, restarts: 
         raise ValueError("restarts must be at least 1")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    problem = _SearchProblem(a, b, probe_dim, tol)
-
-    def run(index: int):
-        return _pattern_search(problem, np.random.default_rng(seed + index), budget, index)
-
-    best = None
-    telemetry = []
-    with contextlib.closing(_restart_records(run, restarts)) as records:
-        for u, psi, g_a, g_b, record in records:
-            telemetry.append(record)
-            if progress is not None:
-                progress(record.index, record.defect)
-            if best is None or record.defect < best[0]:
-                best = (record.defect, u, psi, g_a, g_b, record.index)
-            if best[0] <= tol.eq_tol:
+    fa, fb = spectral_family(a, tol=tol), spectral_family(b, tol=tol)
+    margin = 2 * tol.eq_tol + tol.eq_tol ** 2
+    k, index, telemetry = probe_dim, 0, []
+    if k >= min(len(fa.eigenvalues), len(fb.eigenvalues)):
+        family = fa if len(fb.eigenvalues) <= k else fb
+        branch, candidates, psi, spaces = "eigenvector", 0, family.vectors[:, 0].copy(), []
+    else:
+        psi, candidates, spaces = _pairs(a, b, k, margin, tol)
+        branch = "psi-search" if spaces else "exact"
+    if psi is None:  # no W of dim 1: psi is a stand-in unless a ψ-search beats it
+        psi = fa.vectors[:, 0].copy()
+    best = _kd_violation(kd_distribution(a, b, psi, tol), k)
+    for restart in range(restarts if spaces else 0):
+        rng = np.random.default_rng(seed + restart)
+        found = []
+        for space in spaces:
+            found.append(_psi_search(a, b, space, k, rng, budget, tol))
+            if found[-1][0] <= margin:
                 break
-
-    _, u, psi, g_a, g_b, index = best
-    map_a = {float(m + 1): problem.vals_a[slot] for m, slot in enumerate(g_a)}
-    map_b = {float(m + 1): problem.vals_b[slot] for m, slot in enumerate(g_b)}
-    meter = Observable(np.diag(np.arange(1, probe_dim + 1)).astype(complex), name="M", tol=tol)
-    model = MeasurementModel(
-        sys_dim=a.dim, probe_dim=probe_dim, probe_state=problem.xi, unitary=u,
-        meter=meter, label_maps={"fA": map_a, "fB": map_b}, tol=tol,
-    )
-    # The reported defect is the certificates' own, recomputed from the model.
-    report = simultaneously_measures(model, a, map_a, b, map_b, psi, tol=tol)
-    final = max(report.cert_a.defect, report.cert_b.defect)
-    return SearchResult(model=model, psi=psi, map_a=map_a, map_b=map_b,
-                        defect=final, restart_index=index, telemetry=tuple(telemetry))
+        violation, state = min(found, key=lambda pair: pair[0])
+        telemetry.append(RestartTelemetry(index=restart, violation=violation))
+        if progress is not None:
+            progress(restart, violation)
+        if violation < best:
+            best, psi, index = violation, state, restart
+        if violation <= margin:
+            break
+    model, map_a, map_b, defect = _witness(a, b, psi, k, tol)
+    return SearchResult(model=model, psi=psi, map_a=map_a, map_b=map_b, defect=defect,
+                        restart_index=index, telemetry=tuple(telemetry), branch=branch,
+                        candidates=candidates, violation=best, margin=margin)

@@ -6,7 +6,6 @@ Observable themselves (and so oracles can work on raw arrays).
 
 import math
 import re
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,21 +13,17 @@ import scipy.linalg
 
 from qreal import (
     DEFAULT_TOL,
-    MeasurementModel,
-    Observable,
     Projection,
     complement,
     join,
     meet,
     random_state,
     random_unitary,
-    simultaneously_measures,
     spectral_family,
     spectral_projection,
 )
 from qreal.errors import EmptyFamilyError, ParseError
-from qreal.measure import RestartTelemetry, SearchResult, _SearchProblem
-from qreal.numlin import _hermitian_part, kernel_split, null_basis
+from qreal.numlin import kernel_split, null_basis
 from qreal.qlang import And, Atom, Com, Equal, Formula, Iff, Not, Or, Sasaki, format_number
 
 
@@ -415,13 +410,6 @@ def eigenspaces(obs, tol=DEFAULT_TOL) -> list[tuple[float, Projection]]:
     return [(lam, spectral_projection(obs, [lam], tol)) for lam in spectral_family(obs, tol).eigenvalues]
 
 
-def reference_eigenprojectors(family) -> np.ndarray:
-    """The stacked d×d matrices Herm(V_c V_c†), one per column slice c of the
-    family's eigenvector matrix V: the spectral projections as first formed."""
-    v = family.vectors
-    return np.stack([_hermitian_part(v[:, sl] @ v[:, sl].conj().T) for sl in family.slices])
-
-
 # ---------------------------------------------------------------------------
 # The cluster-sum rule as first written: a Python scan over the sorted values
 # of both families, fed with d×d spectral projections.  The certificate,
@@ -463,209 +451,6 @@ def reference_perfectly_correlated(a, b, psi, tol=DEFAULT_TOL) -> bool:
     """Every cluster's E^A(c) psi equals its E^B(c) psi within eq_tol."""
     fam_a, fam_b = ([(lam, p.matrix @ psi) for lam, p in eigenspaces(obs, tol)] for obs in (a, b))
     return all(np.linalg.norm(d) <= tol.eq_tol for d in reference_spectral_differences(fam_a, fam_b, tol))
-
-
-# ---------------------------------------------------------------------------
-# The witness search's per-evaluation kernels as first written, kept as the
-# reference its set-up-free kernels must reproduce bit for bit: psi ⊗ xi by
-# np.kron, target rows by broadcasting against xi, a float one-hot, and the
-# generator's index arrays built on every call.
-
-
-def reference_unitary(theta: np.ndarray, dim: int) -> np.ndarray:
-    """exp(iH) for the Hermitian H of the dim² generator parameters, with
-    triu_indices and diag_indices built per call."""
-    h = np.zeros((dim, dim), dtype=complex)
-    h[np.diag_indices(dim)] = theta[:dim]
-    rows, cols = np.triu_indices(dim, k=1)
-    upper = theta[dim::2] + 1j * theta[dim + 1::2]
-    h[rows, cols] = upper
-    h[cols, rows] = upper.conj()
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
-def reference_state(theta: np.ndarray, dim: int) -> np.ndarray:
-    vec = theta[:dim] + 1j * theta[dim:]
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        vec = vec.copy()
-        vec[0] += 1.0
-        norm = np.linalg.norm(vec)
-    return vec / norm
-
-
-def reference_outcome_rows(problem, u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Rows U†(1 ⊗ E_m)U(psi ⊗ xi) with psi ⊗ xi from np.kron and the meter's
-    projections E_m = |m><m| as k×k matrices."""
-    effects = np.array([np.diag(row) for row in np.eye(problem.k)])
-    phi = (u @ np.kron(psi, problem.xi)).reshape(problem.n, -1)
-    masked = (phi @ np.swapaxes(effects, 1, 2)).reshape(len(effects), -1)
-    return (masked.conj() @ u).conj()
-
-
-def reference_target_rows(projections: np.ndarray, psi: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    shrunk = np.einsum("snm,m->sn", projections, psi)
-    return (shrunk[:, :, None] * xi).reshape(shrunk.shape[0], -1)
-
-
-def reference_one_hot(maps: np.ndarray, count: int) -> np.ndarray:
-    return (maps[:, None, :] == np.arange(count)[None, :, None]).astype(float)
-
-
-def reference_defects(problem, vectors, psi, projections, maps) -> np.ndarray:
-    """Certificate defect of every assignment in ``maps``."""
-    one_hot = reference_one_hot(maps, len(projections))
-    residual = one_hot @ vectors - reference_target_rows(projections, psi, problem.xi)
-    re, im = residual.real, residual.imag
-    squares = (re[..., None, :] @ re[..., None] + im[..., None, :] @ im[..., None])[..., 0, 0]
-    return np.sqrt(squares.max(axis=1))
-
-
-def reference_objective(problem, theta: np.ndarray, maps_a: np.ndarray, maps_b: np.ndarray):
-    """(defect, map_a, map_b) at ``theta``, each side's lowest-index least defect."""
-    u = reference_unitary(theta[:problem.u_params], problem.joint)
-    psi = reference_state(theta[problem.u_params:], problem.n)
-    vectors = reference_outcome_rows(problem, u, psi)
-    table_a = reference_defects(problem, vectors, psi, problem.proj_a, maps_a)
-    table_b = reference_defects(problem, vectors, psi, problem.proj_b, maps_b)
-    ia, ib = int(np.argmin(table_a)), int(np.argmin(table_b))
-    return float(max(table_a[ia], table_b[ib])), maps_a[ia], maps_b[ib]
-
-
-def reference_polish(problem, u: np.ndarray, maps_a: np.ndarray, maps_b: np.ndarray):
-    """The closed-form state polish: per map pair, the least eigenvector of
-    the summed squared-defect forms built from the basis states' rows."""
-    basis = np.eye(problem.n)
-    columns = np.stack([reference_outcome_rows(problem, u, e) for e in basis])
-    proj_a, proj_b = problem.proj_a, problem.proj_b
-    if len(maps_a) * len(maps_b) <= 256:
-        pairs = [(ia, ib) for ia in range(len(maps_a)) for ib in range(len(maps_b))]
-    else:
-        pairs = [(0, 0)]
-        maps_a, maps_b = maps_a[:1], maps_b[:1]
-
-    def forms(projections, maps) -> np.ndarray:
-        targets = np.stack([reference_target_rows(projections, e, problem.xi) for e in basis], axis=1)
-        w = np.einsum("aim,jmx->aijx", reference_one_hot(maps, len(projections)), columns) - targets
-        return np.einsum("aijx,ailx->ajl", w.conj(), w)
-
-    forms_a, forms_b = forms(proj_a, maps_a), forms(proj_b, maps_b)
-    best = None
-    for ia, ib in pairs:
-        half = 0.5 * (forms_a[ia] + forms_b[ib])
-        _, v = np.linalg.eigh(half + half.conj().T)
-        psi = v[:, 0]
-        vectors = reference_outcome_rows(problem, u, psi)
-        defect = float(max(reference_defects(problem, vectors, psi, proj_a, maps_a[ia:ia + 1])[0],
-                           reference_defects(problem, vectors, psi, proj_b, maps_b[ib:ib + 1])[0]))
-        if best is None or defect < best[0]:
-            best = (defect, psi, maps_a[ia], maps_b[ib])
-    return best
-
-
-def reference_pattern_search(problem, rng: np.random.Generator, budget: int, index: int):
-    """One restart polled one point at a time, each poll a fresh
-    ``reference_objective``, with ``reference_polish``: ``measure._pattern_search``
-    before its polls were batched and before it kept an iterate, sharing no
-    evaluation code with it.  Every restart record of the search must equal
-    this one's bit for bit."""
-    start = time.perf_counter()
-    side_a, side_b = problem.candidate_maps(rng)
-    theta = np.concatenate([
-        rng.normal(0.0, 0.6, size=problem.u_params),
-        rng.normal(0.0, 1.0, size=problem.s_params),
-    ])
-    maps_a, maps_b = side_a[0], side_b[0]
-    best_val, best_a, best_b = reference_objective(problem, theta, maps_a, maps_b)
-    evals = 1
-    accepted = polish_wins = 0
-    step = 0.5
-    while step > 1e-10 and evals < budget and best_val > problem.cutoff:
-        improved = False
-        for i in range(theta.size):
-            if evals >= budget:
-                break
-            for delta in (step, -step):
-                # Ride the direction while it keeps paying off.
-                moved = False
-                while evals < budget:
-                    candidate = theta.copy()
-                    candidate[i] += delta
-                    val, g_a, g_b = reference_objective(problem, candidate, maps_a, maps_b)
-                    evals += 1
-                    if val >= best_val - 1e-15:
-                        break
-                    theta, best_val, best_a, best_b = candidate, val, g_a, g_b
-                    accepted += 1
-                    moved = improved = True
-                if moved or evals >= budget:
-                    break
-        if not improved:
-            u = reference_unitary(theta[:problem.u_params], problem.joint)
-            polished = reference_polish(problem, u, maps_a, maps_b)
-            if polished is not None and polished[0] < best_val - 1e-15:
-                best_val, psi, best_a, best_b = polished
-                theta = np.concatenate([theta[:problem.u_params], psi.real, psi.imag])
-                polish_wins += 1
-            else:
-                step *= 0.5
-
-    u = reference_unitary(theta[:problem.u_params], problem.joint)
-    polished = reference_polish(problem, u, maps_a, maps_b)
-    psi = reference_state(theta[problem.u_params:], problem.n)
-    if polished is not None and polished[0] < best_val:
-        best_val, psi, best_a, best_b = polished
-        polish_wins += 1
-    telemetry = RestartTelemetry(index=index, defect=float(best_val), evals=evals,
-                                 accepted=accepted, polish_wins=polish_wins, step=step,
-                                 wall_ms=1e3 * (time.perf_counter() - start))
-    return u, psi, best_a, best_b, telemetry
-
-
-def serial_search(a, b, probe_dim: int, restarts: int = 20, seed: int = 0, budget: int = 3000,
-                  tol=DEFAULT_TOL, progress=None) -> SearchResult:
-    """The witness search's restart loop run one restart after another in
-    this process, each restart by ``reference_pattern_search``: the record,
-    telemetry and ``progress`` calls that any evaluation order of the
-    restarts, and any batching of their polls, must reproduce bit for bit."""
-    problem = _SearchProblem(a, b, probe_dim, tol)
-    best = None
-    telemetry = []
-    for index in range(restarts):
-        rng = np.random.default_rng(seed + index)
-        u, psi, g_a, g_b, record = reference_pattern_search(problem, rng, budget, index)
-        telemetry.append(record)
-        if progress is not None:
-            progress(index, record.defect)
-        if best is None or record.defect < best[0]:
-            best = (record.defect, u, psi, g_a, g_b, index)
-        if best[0] <= tol.eq_tol:
-            break
-
-    _, u, psi, g_a, g_b, index = best
-    map_a = {float(m + 1): problem.vals_a[slot] for m, slot in enumerate(g_a)}
-    map_b = {float(m + 1): problem.vals_b[slot] for m, slot in enumerate(g_b)}
-    meter = Observable(np.diag(np.arange(1, probe_dim + 1)).astype(complex), name="M", tol=tol)
-    model = MeasurementModel(
-        sys_dim=a.dim, probe_dim=probe_dim, probe_state=problem.xi, unitary=u,
-        meter=meter, label_maps={"fA": map_a, "fB": map_b}, tol=tol,
-    )
-    report = simultaneously_measures(model, a, map_a, b, map_b, psi, tol=tol)
-    final = max(report.cert_a.defect, report.cert_b.defect)
-    return SearchResult(model=model, psi=psi, map_a=map_a, map_b=map_b,
-                        defect=final, restart_index=index, telemetry=tuple(telemetry))
-
-
-def kd_distribution(a, b, psi, tol=DEFAULT_TOL) -> np.ndarray:
-    """Kirkwood–Dirac quasi-distribution q(c, d) = ⟨ψ|E^A(c) E^B(d)|ψ⟩, rows
-    by A's eigenvalues and columns by B's, both ascending, read off the
-    families' columns: q(c, d) = (V_c†ψ)† (V_c† W_d) (W_d†ψ)."""
-    fa, fb = spectral_family(a, tol=tol), spectral_family(b, tol=tol)
-    left = [fa.vectors[:, sl] for sl in fa.slices]
-    right = [fb.vectors[:, sl] for sl in fb.slices]
-    return np.array([[(v.conj().T @ psi).conj() @ (v.conj().T @ w) @ (w.conj().T @ psi)
-                      for w in right] for v in left])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pathlib
 import numpy as np
 
 from qreal import CNOT, HADAMARD, KET_PLUS, KET_PLUS_I, PAULI_X, PAULI_Y, PAULI_Z
+from qreal.standard import random_hermitian
 
 HERE = pathlib.Path(__file__).parent
 
@@ -41,6 +42,16 @@ def main() -> None:
     dump("obs_sigma_z.json", matrix_body(PAULI_Z))
     dump("obs_diag123.json", matrix_body(np.diag([1.0, 2.0, 3.0])))
     dump("obs_diag124.json", matrix_body(np.diag([1.0, 2.0, 4.0])))
+    # With diag(1, 2, 3), a pair with no witness at probe dim 2: eigenvalues
+    # -1, 1, 3, and no eigenvector has a zero entry, so each of the 9
+    # candidate states is fixed by its pair; the least KD violation is 0.118.
+    dump("obs_qutrit_b.json", matrix_body(np.array([[0, 1, 1j], [1, 1, 1], [-1j, 1, 2]])))
+    # A generic four-level pair: at probe dim 3 each of its 16 (C, D) pairs
+    # with |C| = |D| = 3 meets in a plane, so the search runs its ψ-search,
+    # which reads the seed; no witness is known.
+    rng = np.random.default_rng(11)
+    dump("obs_quart_a.json", matrix_body(random_hermitian(4, rng)))
+    dump("obs_quart_b.json", matrix_body(random_hermitian(4, rng)))
     dump("obs_nonhermitian.json", matrix_body(np.array([[0.0, 1.0], [0.0, 0.0]])))
 
     dump("state_zero2.json", state_body([1.0, 0.0]))

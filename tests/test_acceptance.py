@@ -292,9 +292,8 @@ def test_criterion_09_headline_exhibit(data_dir, capsys):
     # Independent search on the same pair; its defect is reported, not gating.
     x, y = Observable(PAULI_X, name="A"), Observable(PAULI_Y, name="B")
     result = search_simultaneous(x, y, probe_dim=2, restarts=500, seed=0)
-    # The winner's defects sit just under eq_tol: its certificates and meter
-    # equalities must agree there with the defects recomputed from their
-    # definitions on the joint space.
+    # The winner's certificates and meter equalities must agree with the
+    # defects recomputed from their definitions on the joint space.
     found = context_report(result.model, x, result.map_a, y, result.map_b, result.psi)
     joint = [joint_space_defect(result.model, obs, fmap, result.psi)
              for obs, fmap in ((x, result.map_a), (y, result.map_b))]
@@ -351,7 +350,7 @@ def test_criterion_11_parser_round_trip_and_goldens():
 
 def test_criterion_12_cli_end_to_end(data_dir, tmp_path, capsys):
     obs = {name: str(data_dir / f"obs_{name}.json") for name in
-           ("sigma_x", "sigma_y", "sigma_z", "diag123", "diag124")}
+           ("sigma_x", "sigma_y", "sigma_z", "diag123", "diag124", "qutrit_b")}
     states = {name: str(data_dir / f"state_{name}.json") for name in
               ("zero2", "zero3", "plus", "bad_norm")}
     runs = [
@@ -372,7 +371,7 @@ def test_criterion_12_cli_end_to_end(data_dir, tmp_path, capsys):
              "--observable", f"Z={obs['sigma_z']}", "--map", "f"]),
         (0, ["search", obs["sigma_z"], obs["sigma_z"], "--probe-dim", "2",
              "--restarts", "2", "--out", str(tmp_path / "witness.json")]),
-        (1, ["search", obs["sigma_x"], obs["sigma_y"], "--probe-dim", "2",
+        (1, ["search", obs["diag123"], obs["qutrit_b"], "--probe-dim", "2",
              "--restarts", "1", "--budget", "50"]),
         (0, ["context", str(data_dir / "model_headline.json"),
              obs["sigma_x"], "fA", obs["sigma_y"], "fB"]),

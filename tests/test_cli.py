@@ -653,9 +653,10 @@ def test_search_writes_recertifiable_witness(data_dir, tmp_path, capsys):
 
 
 def test_search_nonsuccess_exit(data_dir, capsys):
+    # diag(1, 2, 3) and obs_qutrit_b have no witness at probe dim 2.
     code, out, _ = run_cli(
         capsys, "search",
-        str(data_dir / "obs_sigma_x.json"), str(data_dir / "obs_sigma_y.json"),
+        str(data_dir / "obs_diag123.json"), str(data_dir / "obs_qutrit_b.json"),
         "--probe-dim", "2", "--restarts", "1", "--budget", "50",
     )
     assert code == 1
@@ -680,38 +681,55 @@ def test_search_rejects_a_budget_below_one(data_dir, capsys, value):
     assert err.startswith("error:") and "budget" in err
 
 
-# X/Y at one restart for seeds 0-20, among them 16 and 18, whose defects end
-# in (1e-9, 1e-8]; the headline search at a tolerance none of its restarts
-# reaches; and seeds 16 and 18 at tolerances on either side of their defects.
-_AGREEMENT_RUNS = [(("--seed", str(seed), "--restarts", "1"), ()) for seed in range(21)] + [
-    ((), ("--tol", "1e-11")),
-    (("--seed", "16", "--restarts", "1"), ("--tol", "1e-8")),
-    (("--seed", "18", "--restarts", "1"), ("--tol", "5e-9")),
-]
+# Pairs with a witness (X/Y, Z/Z, the qutrit pair at probe dim 3, the
+# commuting diagonal pair at probe dim 2) and the qutrit pair with none at
+# probe dim 2, among them at seeds and restarts that no closed-form branch
+# reads and at tolerances on either side of eq_tol; and the four-level pair,
+# whose ψ-search reads the seed, at one restart for seeds 0-20.
+_XY, _ZZ = ("obs_sigma_x", "obs_sigma_y"), ("obs_sigma_z", "obs_sigma_z")
+_QUTRITS, _DIAGONALS = ("obs_diag123", "obs_qutrit_b"), ("obs_diag123", "obs_diag124")
+_QUARTS = ("obs_quart_a", "obs_quart_b")
+_AGREEMENT_RUNS = [
+    (_XY, ("--probe-dim", "2"), ()),
+    (_XY, ("--probe-dim", "2"), ("--tol", "1e-11")),
+    (_XY, ("--probe-dim", "3", "--seed", "16", "--restarts", "1"), ()),
+    (_ZZ, ("--probe-dim", "2"), ()),
+    (_DIAGONALS, ("--probe-dim", "2"), ()),
+    (_QUTRITS, ("--probe-dim", "3"), ()),
+    (_QUTRITS, ("--probe-dim", "2"), ()),
+    (_QUTRITS, ("--probe-dim", "2", "--seed", "16", "--restarts", "1"), ("--tol", "1e-8")),
+    (_QUTRITS, ("--probe-dim", "2", "--seed", "18", "--restarts", "1"), ("--tol", "5e-9")),
+] + [(_QUARTS, ("--probe-dim", "3", "--budget", "100", "--seed", str(seed), "--restarts", "1"), ())
+     for seed in range(21)]
 
 
-@pytest.mark.parametrize("options,tol", _AGREEMENT_RUNS,
-                         ids=[" ".join(options + tol) for options, tol in _AGREEMENT_RUNS])
-def test_search_succeeds_exactly_when_context_passes_its_witness(data_dir, tmp_path, capsys, options, tol):
-    x, y = str(data_dir / "obs_sigma_x.json"), str(data_dir / "obs_sigma_y.json")
+@pytest.mark.parametrize("pair,options,tol", _AGREEMENT_RUNS,
+                         ids=[" ".join(pair + options + tol) for pair, options, tol in _AGREEMENT_RUNS])
+def test_search_succeeds_exactly_when_context_passes_its_witness(data_dir, tmp_path, capsys, pair, options, tol):
+    a, b = (str(data_dir / f"{name}.json") for name in pair)
     witness = str(tmp_path / "witness.json")
-    code, out, _ = run_cli(capsys, "search", x, y, "--probe-dim", "2", *options, *tol, "--out", witness)
+    code, out, _ = run_cli(capsys, "search", a, b, *options, *tol, "--out", witness)
     assert code == (0 if out["success"] else 1)
-    context_code, report, _ = run_cli(capsys, "context", witness, x, "fA", y, "fB", *tol)
+    assert out["success"] is not (pair == _QUARTS or (pair == _QUTRITS and options[1] == "2"))
+    context_code, report, _ = run_cli(capsys, "context", witness, a, "fA", b, "fB", *tol)
     assert context_code == code
     # The witness is certified as written, so its defect is recomputed bit for bit.
     assert out["defect"] == max(report["certificate_a"]["defect"], report["certificate_b"]["defect"])
 
 
 def test_search_success_tol_given_explicitly_decides_success(data_dir, capsys):
-    # Seed 16 ends at defect 5.7e-9: within 1e-8, but not within eq_tol.
-    x, y = str(data_dir / "obs_sigma_x.json"), str(data_dir / "obs_sigma_y.json")
-    argv = ("search", x, y, "--probe-dim", "2", "--seed", "16", "--restarts", "1")
-    code, out, _ = run_cli(capsys, *argv, "--success-tol", "1e-8")
+    # The qutrit pair has no witness at probe dim 2; its stand-in ends at
+    # defect 0.41, so --success-tol 0.5 admits it and the default does not.
+    a, b = str(data_dir / "obs_diag123.json"), str(data_dir / "obs_qutrit_b.json")
+    argv = ("search", a, b, "--probe-dim", "2", "--seed", "16", "--restarts", "1", "--verbose")
+    code, out, err = run_cli(capsys, *argv, "--success-tol", "0.5")
     assert (code, out["success"]) == (0, True)
-    assert 1e-9 < out["defect"] <= 1e-8
-    code, out, _ = run_cli(capsys, *argv)
+    assert 0.1 < out["defect"] <= 0.5
+    # The verdict follows the exit code, not the KD margin.
+    assert err.endswith(" verdict=witness\n")
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out["success"]) == (1, False)
+    assert err.endswith(" verdict=none exists\n")
 
 
 @pytest.mark.parametrize("given", [
@@ -784,10 +802,17 @@ def test_search_verbose_progress_on_stderr(data_dir, capsys):
         "--probe-dim", "2", "--restarts", "3", "--verbose",
     )
     assert code == 0
-    assert "restart 0:" in err
-    # The planted pair succeeds at restart 0: one telemetry line.
-    assert re.fullmatch(r"restart 0: defect \S+ evals=\d+ accepted=\d+ polish_wins=\d+ "
-                        r"step=\S+ wall_ms=\S+\n", err)
+    # The eigenvector branch runs no ψ-search: one decision line.
+    assert re.fullmatch(r"search: branch=eigenvector candidates=0 kd_violation=\S+ "
+                        r"margin=2\.000000e-09 verdict=witness\n", err)
+    code, _, err = run_cli(
+        capsys, "search",
+        str(data_dir / "obs_diag123.json"), str(data_dir / "obs_qutrit_b.json"),
+        "--probe-dim", "2", "--verbose",
+    )
+    assert code == 1
+    assert re.fullmatch(r"search: branch=exact candidates=9 kd_violation=1\.178511e-01 "
+                        r"margin=2\.000000e-09 verdict=none exists\n", err)
 
 
 # ---------------------------------------------------------------------------

@@ -38,5 +38,5 @@ def test_headline_search_writes_the_recorded_witness(tmp_path, capsys):
     code = main(["search", str(DATA / "obs_sigma_x.json"), str(DATA / "obs_sigma_y.json"),
                  "--probe-dim", "2", "--out", str(out)])
     reply = json.loads(capsys.readouterr().out)
-    assert code == 0 and reply["restart_index"] == 8
+    assert code == 0 and reply["restart_index"] == 0
     assert out.read_text(encoding="utf-8") == GOLDEN["files"]["witness.json"]

@@ -16,11 +16,10 @@ from qreal import (
 )
 from qreal import numlin
 from qreal.errors import DimMismatchError, NotHermitianError, UnmappedEigenvalueError
-from qreal.measure import _SearchProblem
 from qreal.spectral import _meter_labels, cluster_indices
 from qreal.standard import random_hermitian, random_state, random_unitary
 
-from corpus import eigenspaces, reference_eigenprojectors
+from corpus import eigenspaces
 
 
 def test_observable_validation_and_metadata():
@@ -232,19 +231,6 @@ def test_kept_spectrum_is_bit_identical_to_a_fresh_one(case):
     assert all(np.array_equal(p.matrix, q.matrix)
                for (_, p), (_, q) in zip(eigenspaces(kept), eigenspaces(new)))
     assert cached.slices == fresh.slices and np.array_equal(cached.vectors, fresh.vectors)
-
-
-@settings(max_examples=60, deadline=None)
-@given(planted_hermitian(), st.data())
-def test_search_slot_matrices_are_the_first_formed_projections(case, data):
-    # The witness search stacks spectral_projection(obs, [λ]) per eigenvalue;
-    # each must equal Herm(V_c V_c†) of its column slice bit for bit, the
-    # form its kernels were pinned against.
-    a = Observable(case[0])
-    b = Observable(data.draw(planted_hermitian(a.dim))[0])
-    problem = _SearchProblem(a, b, 2, DEFAULT_TOL)
-    assert np.array_equal(problem.proj_a, reference_eigenprojectors(spectral_family(a)))
-    assert np.array_equal(problem.proj_b, reference_eigenprojectors(spectral_family(b)))
 
 
 def test_first_spectral_family_decides_no_hermiticity(monkeypatch):
